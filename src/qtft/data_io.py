@@ -25,6 +25,14 @@ class MissingColumnError(DataError):
         self.column = column
 
 
+class DuplicateColumnError(DataError):
+    """Two requested columns (features or target) name the same CSV header."""
+
+    def __init__(self, column: str, first: str):
+        super().__init__(f"column {column!r} is requested twice (also as {first!r})")
+        self.column = column
+
+
 class ParseError(DataError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
@@ -71,8 +79,10 @@ def load_csv(path: str, feature_columns: list[str], target_column: str) -> TimeS
     """Load a comma-separated table restricted to date + requested columns.
 
     Header matching is case-insensitive and accepts the usual NIFTY-50
-    spelling variants.  Any non-numeric cell in a requested column is a
-    row-level parse error carrying the 1-based line number.
+    spelling variants.  Two requested names for one header (a target listed
+    among the features included) are an error.  Any non-numeric cell in a
+    requested column is a row-level parse error carrying the 1-based line
+    number.
     """
     requested = list(feature_columns) + [target_column]
     with open(path, newline="", encoding="utf-8") as fh:
@@ -88,6 +98,8 @@ def load_csv(path: str, feature_columns: list[str], target_column: str) -> TimeS
             idx = lookup.get(_canon(name))
             if idx is None:
                 raise MissingColumnError(name)
+            if idx in indices:
+                raise DuplicateColumnError(name, requested[indices.index(idx)])
             indices.append(idx)
         rows, dates = [], []
         for line_no, record in enumerate(reader, start=2):

@@ -7,7 +7,7 @@ and feature slots come from the parameter-shift rule
 
     d<Z>/d(theta) = ( <Z> at theta + pi/2  -  <Z> at theta - pi/2 ) / 2
 
-applied per gate occurrence and chained through the gate's angle map.
+applied once per gate and chained through the gate's angle map.
 The phase gate shares RZ's shift rule because both differ only by a
 global phase.  CRZ slots are rejected (its generator has three distinct
 eigenvalues, so the two-term rule does not apply).
@@ -26,16 +26,15 @@ from .quantum_sim import (
     FEATURE,
     WEIGHT,
     CircuitError,
-    LiteralAngle,
     ParameterizedCircuit,
     all_z_from_amplitudes,
-    bind_angles,
     run_bound_batch,
     run_circuit,
     measure_all_z,
 )
 
 _HALF_PI = math.pi / 2.0
+_SHIFTS = np.array([_HALF_PI, -_HALF_PI])   # the plus and the minus row of a gate
 
 
 # --------------------------------------------------------------------------
@@ -261,9 +260,8 @@ def softmax_rows(x: Node) -> Node:
     return Node(s, (x,), lambda u: (s * (u - (u * s).sum(axis=1, keepdims=True)),))
 
 
-def layer_norm(x: Node, eps: float = 1e-5, gain: Node | None = None,
-               bias: Node | None = None) -> Node:
-    """Population-variance layer normalization, optional affine output."""
+def layer_norm(x: Node, eps: float = 1e-5) -> Node:
+    """Population-variance layer normalization (no gain or bias)."""
     x = as_node(x)
     mu = x.value.mean()
     centered = x.value - mu
@@ -271,24 +269,7 @@ def layer_norm(x: Node, eps: float = 1e-5, gain: Node | None = None,
     inv = 1.0 / math.sqrt(var + eps)
     y = centered * inv
     d = x.value.size
-
-    def rule_plain(u):
-        return ((inv / d) * (d * u - u.sum() - y * float(u @ y)),)
-
-    if gain is None:
-        return Node(y, (x,), rule_plain)
-
-    out = gain.value * y + (bias.value if bias is not None else 0.0)
-    parents = (x, gain) if bias is None else (x, gain, bias)
-
-    def rule_affine(u):
-        uy = u * gain.value
-        dx = (inv / d) * (d * uy - uy.sum() - y * float(uy @ y))
-        if bias is None:
-            return (dx, u * y)
-        return (dx, u * y, u)
-
-    return Node(out, parents, rule_affine)
+    return Node(y, (x,), lambda u: ((inv / d) * (d * u - u.sum() - y * float(u @ y)),))
 
 
 def mean_all(x: Node) -> Node:
@@ -328,70 +309,42 @@ def pinball(targets, predictions: Node, q: float) -> Node:
 # Quantum nodes and the parameter-shift rule
 # --------------------------------------------------------------------------
 
-def _occurrences(circuit: ParameterizedCircuit, features, weights):
-    """Per parametric gate occurrence: (gate index, slot kind, slot index, d angle/d slot)."""
-    occ = []
-    for gi, g in enumerate(circuit.ops):
-        if g.angle is None or isinstance(g.angle, LiteralAngle):
-            continue
-        if g.kind == "CRZ":
-            raise CircuitError("parameter-shift rule is not defined for CRZ slots")
-        for kind, idx, d in g.angle.partials(features, weights):
-            occ.append((gi, kind, idx, d))
-    return occ
-
-
 def param_shift_partial(circuit: ParameterizedCircuit, features, weights,
                         out_qubit: int, slot_kind: str, slot_index: int) -> float:
-    """d <Z_out_qubit> / d slot via two-term shifts, one per gate occurrence.
+    """d <Z_out_qubit> / d slot: one entry of :func:`shift_rule_jacobians`.
 
     A slot no gate uses yields 0.0.
     """
     if slot_kind not in (FEATURE, WEIGHT):
         raise ValueError(f"slot kind must be 'feature' or 'weight', got {slot_kind!r}")
-    features = np.asarray(features, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    base = bind_angles(circuit, features, weights)
-    total = 0.0
-    for gi, kind, idx, d in _occurrences(circuit, features, weights):
-        if kind != slot_kind or idx != slot_index:
-            continue
-        plus, minus = base.copy(), base.copy()
-        plus[gi] += _HALF_PI
-        minus[gi] -= _HALF_PI
-        amps = run_bound_batch(circuit, np.stack([plus, minus]))
-        z = all_z_from_amplitudes(amps, circuit.num_qubits)
-        total += d * 0.5 * (z[0, out_qubit] - z[1, out_qubit])
-    return float(total)
+    jf, jw = shift_rule_jacobians(circuit, features, weights)
+    return float((jf if slot_kind == FEATURE else jw)[slot_index, out_qubit])
 
 
 def shift_rule_jacobians(circuit: ParameterizedCircuit, features, weights):
     """Full parameter-shift Jacobians of the per-qubit <Z> vector.
 
     Returns ``(J_features, J_weights)`` with shapes (num_feature_slots, n)
-    and (num_weight_slots, n).  All shifted circuits run as one batch.
+    and (num_weight_slots, n).  Every gate whose angle depends on a slot
+    is shifted once each way, all shifted circuits run as one batch, and
+    each gate's difference reaches its slots through d angle / d slot.
     """
-    features = np.asarray(features, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    base = bind_angles(circuit, features, weights)
-    occ = _occurrences(circuit, features, weights)
-    n = circuit.num_qubits
-    jf = np.zeros((circuit.num_feature_slots, n))
-    jw = np.zeros((circuit.num_weight_slots, n))
-    if not occ:
-        return jf, jw
-    rows = np.tile(base, (2 * len(occ), 1))
-    for k, (gi, _, _, _) in enumerate(occ):
-        rows[2 * k, gi] += _HALF_PI
-        rows[2 * k + 1, gi] -= _HALF_PI
-    z = all_z_from_amplitudes(run_bound_batch(circuit, rows), n)
-    for k, (gi, kind, idx, d) in enumerate(occ):
-        contrib = d * 0.5 * (z[2 * k] - z[2 * k + 1])
-        if kind == FEATURE:
-            jf[idx] += contrib
-        else:
-            jw[idx] += contrib
-    return jf, jw
+    plan = circuit.plan
+    values = plan.slot_values(features, weights)
+    base = plan.angles(values)
+    if plan.crz_slots:
+        raise CircuitError("parameter-shift rule is not defined for CRZ slots")
+    n, gates = circuit.num_qubits, plan.shift_gates
+    jac = np.zeros((values.size, n))
+    if gates.size:
+        rows = np.tile(base, (2 * gates.size, 1))
+        rows.reshape(gates.size, 2, -1)[np.arange(gates.size), :, gates] += _SHIFTS
+        z = all_z_from_amplitudes(run_bound_batch(circuit, rows), n)
+        diff = z[0::2] - z[1::2]
+        np.add.at(jac, plan.part_slot,
+                  (plan.angle_partials(values) * 0.5)[:, None] * diff[plan.part_row])
+    nf = circuit.num_feature_slots
+    return jac[:nf], jac[nf:]
 
 
 def quantum_forward(circuit: ParameterizedCircuit, feature_node: Node,

@@ -38,7 +38,6 @@ from .tft_core import (
     causal_mask,
     dense,
     init_dense,
-    init_layer_norm,
     init_lstm,
     layer_norm,
     lstm_seq,
@@ -155,8 +154,7 @@ class QGRNParams:
 
 
 def init_qgrn(rng, num_qubits: int, num_layers: int, with_context: bool,
-              encoding: str = "angle", ansatz: str = "basic",
-              affine_norm: bool = False) -> QGRNParams:
+              encoding: str = "angle", ansatz: str = "basic") -> QGRNParams:
     block = lambda: init_vqc_block(rng, num_qubits, num_layers, encoding, ansatz)
     vqc_a = block()
     vqc_c = block() if with_context else None
@@ -167,7 +165,7 @@ def init_qgrn(rng, num_qubits: int, num_layers: int, with_context: bool,
         vqc_c=vqc_c,
         vqc_eta2=vqc_eta2,
         qglu=glu_p,
-        norm=init_layer_norm(num_qubits, affine_norm),
+        norm=LayerNormParams(),
         gate_circuit=compose(vqc_eta2.circuit, glu_p.branch_gate.ansatz),
         lin_circuit=compose(vqc_eta2.circuit, glu_p.branch_lin.ansatz),
     )
@@ -210,15 +208,13 @@ class QVariableSelectionParams:
 
 
 def init_qvsn(rng, d_model: int, num_vars: int, with_context: bool,
-              num_layers: int, encoding: str, ansatz: str,
-              affine_norm: bool = False) -> QVariableSelectionParams:
+              num_layers: int, encoding: str, ansatz: str) -> QVariableSelectionParams:
     return QVariableSelectionParams(
-        var_qgrns=[init_qgrn(rng, d_model, num_layers, False, encoding, ansatz, affine_norm)
+        var_qgrns=[init_qgrn(rng, d_model, num_layers, False, encoding, ansatz)
                    for _ in range(num_vars)],
         flatten_proj=init_dense(rng, num_vars, num_vars * d_model),
         context_proj=init_dense(rng, num_vars, d_model) if with_context else None,
-        weight_qgrn=init_qgrn(rng, num_vars, num_layers, with_context, encoding, ansatz,
-                              affine_norm),
+        weight_qgrn=init_qgrn(rng, num_vars, num_layers, with_context, encoding, ansatz),
     )
 
 
@@ -365,7 +361,6 @@ class QTFTConfig:
     encoding: str = "angle"
     ansatz: str = "basic"
     use_qlstm: bool = False
-    affine_norm: bool = False
     use_causal_mask: bool = False
 
 
@@ -393,7 +388,7 @@ class QTFTParams:
 
 
 def init_qtft(cfg: QTFTConfig, rng: np.random.Generator) -> QTFTParams:
-    d, L, enc, anz, an = cfg.d_model, cfg.ansatz_layers, cfg.encoding, cfg.ansatz, cfg.affine_norm
+    d, L, enc, anz = cfg.d_model, cfg.ansatz_layers, cfg.encoding, cfg.ansatz
     if cfg.use_qlstm:
         enc_lstm = init_qlstm(rng, d, d, L, enc, anz)
         dec_lstm = init_qlstm(rng, d, d, L, enc, anz)
@@ -404,21 +399,21 @@ def init_qtft(cfg: QTFTConfig, rng: np.random.Generator) -> QTFTParams:
         static_embed=[init_dense(rng, d, 1) for _ in range(cfg.num_static_vars)],
         past_embed=[init_dense(rng, d, 1) for _ in range(cfg.num_past_vars)],
         future_embed=[init_dense(rng, d, 1) for _ in range(cfg.num_future_vars)],
-        static_vsn=init_qvsn(rng, d, cfg.num_static_vars, False, L, enc, anz, an),
-        past_vsn=init_qvsn(rng, d, cfg.num_past_vars, True, L, enc, anz, an),
-        future_vsn=init_qvsn(rng, d, cfg.num_future_vars, True, L, enc, anz, an),
-        static_encoders=[init_qgrn(rng, d, L, False, enc, anz, an) for _ in range(4)],
+        static_vsn=init_qvsn(rng, d, cfg.num_static_vars, False, L, enc, anz),
+        past_vsn=init_qvsn(rng, d, cfg.num_past_vars, True, L, enc, anz),
+        future_vsn=init_qvsn(rng, d, cfg.num_future_vars, True, L, enc, anz),
+        static_encoders=[init_qgrn(rng, d, L, False, enc, anz) for _ in range(4)],
         encoder_lstm=enc_lstm,
         decoder_lstm=dec_lstm,
         post_lstm_qglu=init_qglu(rng, d, L, enc, anz),
-        post_lstm_norm=init_layer_norm(d, an),
-        enrichment=init_qgrn(rng, d, L, True, enc, anz, an),
+        post_lstm_norm=LayerNormParams(),
+        enrichment=init_qgrn(rng, d, L, True, enc, anz),
         attention=init_qattention(rng, d, cfg.num_heads, L, enc, anz),
         post_attn_qglu=init_qglu(rng, d, L, enc, anz),
-        post_attn_norm=init_layer_norm(d, an),
-        positionwise=init_qgrn(rng, d, L, False, enc, anz, an),
+        post_attn_norm=LayerNormParams(),
+        positionwise=init_qgrn(rng, d, L, False, enc, anz),
         final_qglu=init_qglu(rng, d, L, enc, anz),
-        final_norm=init_layer_norm(d, an),
+        final_norm=LayerNormParams(),
         heads=[init_dense(rng, 1, d) for _ in cfg.quantiles],
     )
 
@@ -457,14 +452,13 @@ def qtft_forward_nodes(static_vars, past_vars, future_vars, p: QTFTParams,
     theta = [qgrn(pt, c_e, p.enrichment) for pt in phi_tilde]
 
     beta_mat = q_interpretable_multi_head(theta, p.attention, mask)
+    # The heads read the future positions only, so the stages after attention skip the past.
     delta = [layer_norm(grad.add(theta[i], qglu(grad.row(beta_mat, i), p.post_attn_qglu)),
                         p.post_attn_norm)
-             for i in range(k + tau)]
+             for i in range(k, k + tau)]
     psi = [qgrn(d_, None, p.positionwise) for d_ in delta]
-    psi_tilde = [layer_norm(grad.add(phi_tilde[i], qglu(psi[i], p.final_qglu)), p.final_norm)
-                 for i in range(k + tau)]
-
-    future_repr = psi_tilde[k:]
+    future_repr = [layer_norm(grad.add(pt, qglu(ps, p.final_qglu)), p.final_norm)
+                   for pt, ps in zip(phi_tilde[k:], psi)]
     return [grad.concat([dense(head, r) for r in future_repr]) for head in p.heads]
 
 

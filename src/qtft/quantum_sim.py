@@ -15,12 +15,19 @@ Circuits are immutable gate lists.  Parametric gates take their angle
 from a literal value, from a feature slot (classical data encoded at run
 time) or from a weight slot (trainable), optionally through a fixed
 angle map such as the pairwise interaction used by the ZZ feature map.
+
+Every run goes through a :class:`CircuitPlan`, compiled from the gate list
+on first use and cached on the circuit.  The plan binds angles with
+vectorised gathers, folds CNOTs into a relabelling of the amplitude
+columns, and applies every other gate as one elementwise update over all
+columns of a (batch, 2**n) array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -53,9 +60,6 @@ class LiteralAngle:
     def resolve(self, features, weights):
         return self.value
 
-    def partials(self, features, weights):
-        return ()
-
 
 @dataclass(frozen=True)
 class SlotAngle:
@@ -69,9 +73,6 @@ class SlotAngle:
         s = features if self.kind == FEATURE else weights
         return self.coeff * s[self.index]
 
-    def partials(self, features, weights):
-        return ((self.kind, self.index, self.coeff),)
-
 
 @dataclass(frozen=True)
 class PairInteractionAngle:
@@ -84,13 +85,6 @@ class PairInteractionAngle:
     def resolve(self, features, weights):
         s = features if self.kind == FEATURE else weights
         return 2.0 * (math.pi - s[self.i]) * (math.pi - s[self.j])
-
-    def partials(self, features, weights):
-        s = features if self.kind == FEATURE else weights
-        return (
-            (self.kind, self.i, -2.0 * (math.pi - s[self.j])),
-            (self.kind, self.j, -2.0 * (math.pi - s[self.i])),
-        )
 
 
 AngleSource = LiteralAngle | SlotAngle | PairInteractionAngle
@@ -159,6 +153,11 @@ class ParameterizedCircuit:
     def num_gates(self) -> int:
         return len(self.ops)
 
+    @cached_property
+    def plan(self) -> CircuitPlan:
+        """The compiled form every run uses, built on first access."""
+        return CircuitPlan(self)
+
 
 def compose(first: ParameterizedCircuit, second: ParameterizedCircuit) -> ParameterizedCircuit:
     """Circuit applying ``first`` then ``second``; slot indices of ``second`` are offset."""
@@ -189,21 +188,8 @@ def compose(first: ParameterizedCircuit, second: ParameterizedCircuit) -> Parame
 
 def bind_angles(circuit: ParameterizedCircuit, features, weights) -> np.ndarray:
     """Per-gate bound angles as a float array (NaN for fixed gates)."""
-    features = np.asarray(features, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if features.shape != (circuit.num_feature_slots,):
-        raise BindingError(
-            f"expected {circuit.num_feature_slots} features, got shape {features.shape}"
-        )
-    if weights.shape != (circuit.num_weight_slots,):
-        raise BindingError(
-            f"expected {circuit.num_weight_slots} weights, got shape {weights.shape}"
-        )
-    angles = np.full(len(circuit.ops), np.nan)
-    for i, g in enumerate(circuit.ops):
-        if g.angle is not None:
-            angles[i] = g.angle.resolve(features, weights)
-    return angles
+    plan = circuit.plan
+    return plan.angles(plan.slot_values(features, weights))
 
 
 # --------------------------------------------------------------------------
@@ -239,116 +225,163 @@ def zero_state(num_qubits: int) -> StateVector:
 
 
 # --------------------------------------------------------------------------
-# Kernels (arrays may carry a leading batch axis)
+# Compiled plans
 # --------------------------------------------------------------------------
-# Amplitudes are kept as (..., 2**n) complex arrays.  Qubit q occupies axis
-# q of the (..., 2, ..., 2) view because qubit 0 is the MSB of the index.
-
-def _apply_dense1(arr, n, q, m00, m01, m10, m11):
-    batch = arr.shape[:-1]
-    view = arr.reshape(batch + (1 << q, 2, -1))
-    a, b = view[..., 0, :], view[..., 1, :]
-    out = np.empty_like(view)
-    out[..., 0, :] = m00 * a + m01 * b
-    out[..., 1, :] = m10 * a + m11 * b
-    return out.reshape(batch + (-1,))
-
-
-def _apply_diag1(arr, n, q, d0, d1):
-    batch = arr.shape[:-1]
-    view = arr.reshape(batch + (1 << q, 2, -1)).copy()
-    view[..., 0, :] *= d0
-    view[..., 1, :] *= d1
-    return view.reshape(batch + (-1,))
-
-
-def _apply_cnot(arr, n, control, target):
-    batch = arr.shape[:-1]
-    nb = len(batch)
-    view = arr.reshape(batch + (2,) * n).copy()
-    sel = (slice(None),) * nb + tuple(
-        1 if i == control else slice(None) for i in range(n)
-    )
-    # target axis index inside the control=1 slice
-    t_axis = nb + target - (1 if control < target else 0)
-    view[sel] = np.flip(view[sel], axis=t_axis)
-    return view.reshape(batch + (-1,))
-
-
-def _apply_crz(arr, n, control, target, phase0, phase1):
-    batch = arr.shape[:-1]
-    nb = len(batch)
-    view = arr.reshape(batch + (2,) * n).copy()
-    if isinstance(phase0, np.ndarray) and phase0.ndim > 0:
-        # per-row phases; selected block keeps n-2 free qubit axes
-        shape = phase0.shape[:1] + (1,) * (n - 2)
-        phase0 = phase0.reshape(shape)
-        phase1 = phase1.reshape(shape)
-
-    def sel(tbit):
-        return (slice(None),) * nb + tuple(
-            1 if i == control else (tbit if i == target else slice(None))
-            for i in range(n)
-        )
-
-    view[sel(0)] *= phase0
-    view[sel(1)] *= phase1
-    return view.reshape(batch + (-1,))
-
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def _apply_one(arr, n, gate: Gate, angle: float):
-    """Apply one gate to a (2**n,) or (B, 2**n) amplitude array."""
-    kind = gate.kind
-    if kind == "H":
-        q = gate.targets[0]
-        return _apply_dense1(arr, n, q, _INV_SQRT2, _INV_SQRT2, _INV_SQRT2, -_INV_SQRT2)
-    if kind == "RX":
-        q = gate.targets[0]
-        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-        return _apply_dense1(arr, n, q, c, -1j * s, -1j * s, c)
-    if kind == "RY":
-        q = gate.targets[0]
-        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-        return _apply_dense1(arr, n, q, c, -s, s, c)
-    if kind == "RZ":
-        q = gate.targets[0]
-        p = np.exp(-0.5j * angle)
-        return _apply_diag1(arr, n, q, p, np.conj(p))
-    if kind == "PHASE":
-        q = gate.targets[0]
-        return _apply_diag1(arr, n, q, 1.0, np.exp(1j * angle))
-    if kind == "CNOT":
-        return _apply_cnot(arr, n, *gate.targets)
-    if kind == "CRZ":
-        p = np.exp(-0.5j * angle)
-        return _apply_crz(arr, n, *gate.targets, p, np.conj(p))
-    raise CircuitError(f"unknown gate kind {kind!r}")
+class CircuitPlan:
+    """One circuit compiled into flat arrays for binding and execution.
+
+    Binding: the angle vector starts from the literal angles; slot angles
+    ``coeff * s`` and pair angles ``2 (pi - s_i) (pi - s_j)`` are gathered
+    from the feature values followed by the weight values.
+
+    Execution: amplitudes sit in storage columns of a (batch, 2**n) array
+    and ``loc[i]`` is the column holding basis state ``i``.  A CNOT only
+    permutes ``loc``.  Every other gate updates all columns at once:
+    ``st = a * st + b * st[:, flip]`` for H / RX / RY, ``st = a * st`` for
+    RZ / PHASE / CRZ, where ``flip`` maps a column to the one holding its
+    partner state (target bit flipped) and ``a``, ``b`` hold one
+    coefficient per column.  A gate's coefficients are linear in
+    ``(cos t, sin t, 1)``, ``t`` being half its angle (the whole angle for
+    PHASE), so one stacked product of those triples with the fixed
+    ``recipe`` builds every gate's coefficients for a batch of angle rows.
+    Each real component of a coefficient is a single term of that product,
+    so it equals the gate's matrix entry bit for bit.
+    """
+
+    def __init__(self, circuit: ParameterizedCircuit):
+        n, ops = circuit.num_qubits, circuit.ops
+        offset = {FEATURE: 0, WEIGHT: circuit.num_feature_slots}
+        self.num_feature_slots = circuit.num_feature_slots
+        self.num_weight_slots = circuit.num_weight_slots
+
+        self.literals = np.full(len(ops), np.nan)
+        slots, pairs, partials = [], [], []   # partials: (gate, slot, coeff, partner slot)
+        for gi, g in enumerate(ops):
+            src = g.angle
+            if isinstance(src, LiteralAngle):
+                self.literals[gi] = src.value
+            elif isinstance(src, SlotAngle):
+                slot = offset[src.kind] + src.index
+                slots.append((gi, slot, src.coeff))
+                partials.append((gi, slot, src.coeff, -1))
+            elif isinstance(src, PairInteractionAngle):
+                i, j = offset[src.kind] + src.i, offset[src.kind] + src.j
+                pairs.append((gi, i, j))
+                partials += [(gi, i, 0.0, j), (gi, j, 0.0, i)]
+        self.slot_gate, self.slot_index, self.slot_coeff = _columns(slots, np.intp, np.intp, float)
+        self.pair_gate, self.pair_i, self.pair_j = _columns(pairs, np.intp, np.intp, np.intp)
+        part_gate, self.part_slot, self.part_coeff, partner = _columns(
+            partials, np.intp, np.intp, float, np.intp)
+        # Gates whose angle depends on a slot, and the row of each partial among them.
+        self.shift_gates, self.part_row = np.unique(part_gate, return_inverse=True)
+        self.part_pair = np.flatnonzero(partner >= 0)
+        self.part_partner = partner[self.part_pair]
+        self.crz_slots = any(g.kind == "CRZ" for g in ops if g.angle is not None
+                             and not isinstance(g.angle, LiteralAngle))
+
+        dim = 1 << n
+        basis = np.arange(dim)
+        steps = [g for g in ops if g.kind != "CNOT"]
+        self.par_gates = np.array([gi for gi, g in enumerate(ops) if g.angle is not None],
+                                  dtype=np.intp)
+        self.par_steps = np.array([k for k, g in enumerate(steps) if g.angle is not None],
+                                  dtype=np.intp)
+        self.trig_scale = np.array([1.0 if ops[gi].kind == "PHASE" else 0.5
+                                    for gi in self.par_gates])
+        # recipe[k, t, 0 | 1, column]: the a | b coefficient of step k per unit of
+        # cos t (t = 0), sin t (t = 1) and 1 (t = 2).
+        recipe = np.zeros((len(steps), 3, 2, dim), dtype=complex)
+        loc = basis
+        self.flips = []
+        for g in ops:
+            masks = [1 << (n - 1 - q) for q in g.targets]
+            if g.kind == "CNOT":
+                loc = loc[np.where(basis & masks[0], basis ^ masks[1], basis)]
+                continue
+            state = np.argsort(loc)               # basis state held by each column
+            low = (state & masks[-1]) == 0         # its target bit is clear
+            a, b = recipe[len(self.flips), :, 0], recipe[len(self.flips), :, 1]
+            self.flips.append(loc[state ^ masks[-1]] if g.kind in ("H", "RX", "RY") else None)
+            # Coefficients where the target bit is clear | set, c = cos t, s = sin t.
+            if g.kind == "H":        # a = 1/sqrt2 | -1/sqrt2, b = 1/sqrt2
+                a[2], b[2] = np.where(low, _INV_SQRT2, -_INV_SQRT2), _INV_SQRT2
+            elif g.kind == "RX":     # a = c, b = -i s
+                a[0], b[1] = 1.0, -1j
+            elif g.kind == "RY":     # a = c, b = -s | s
+                a[0], b[1] = 1.0, np.where(low, -1.0, 1.0)
+            elif g.kind == "RZ":     # a = c - i s | c + i s
+                a[0], a[1] = 1.0, np.where(low, -1j, 1j)
+            elif g.kind == "PHASE":  # a = 1 | c + i s
+                a[0], a[1], a[2] = ~low, np.where(low, 0.0, 1j), low
+            else:                    # CRZ: a = 1 where the control is clear, else as RZ
+                on = (state & masks[0]) != 0
+                a[0], a[1], a[2] = on, np.where(on, np.where(low, -1j, 1j), 0.0), ~on
+        self.recipe = recipe.view(float).reshape(len(steps), 3, 4 * dim)
+        self.loc = loc
+
+    def slot_values(self, features, weights) -> np.ndarray:
+        """Feature values followed by weight values, after checking both lengths."""
+        features = np.asarray(features, dtype=float)
+        weights = np.asarray(weights, dtype=float)
+        if features.shape != (self.num_feature_slots,):
+            raise BindingError(
+                f"expected {self.num_feature_slots} features, got shape {features.shape}")
+        if weights.shape != (self.num_weight_slots,):
+            raise BindingError(
+                f"expected {self.num_weight_slots} weights, got shape {weights.shape}")
+        return np.concatenate((features, weights))
+
+    def angles(self, values: np.ndarray) -> np.ndarray:
+        """Per-gate angles (NaN for fixed gates) from :meth:`slot_values`."""
+        angles = self.literals.copy()
+        angles[self.slot_gate] = self.slot_coeff * values[self.slot_index]
+        if self.pair_gate.size:
+            angles[self.pair_gate] = (2.0 * (math.pi - values[self.pair_i])
+                                      * (math.pi - values[self.pair_j]))
+        return angles
+
+    def angle_partials(self, values: np.ndarray) -> np.ndarray:
+        """d angle / d slot for every (gate, slot) dependence, in gate order.
+
+        Entry ``k`` belongs to gate ``shift_gates[part_row[k]]`` and slot
+        ``part_slot[k]`` of :meth:`slot_values`.
+        """
+        d = self.part_coeff.copy()
+        if self.part_pair.size:
+            d[self.part_pair] = -2.0 * (math.pi - values[self.part_partner])
+        return d
+
+    def run(self, angle_rows: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
+        """(B, 2**n) amplitudes for a (B, num_gates) array of angles.
+
+        The circuit acts on |0...0>, or on ``start`` (a (B, 2**n) array).
+        """
+        batch, dim = angle_rows.shape[0], self.loc.size
+        phi = (angle_rows[:, self.par_gates] * self.trig_scale).T
+        trig = np.ones((len(self.flips), batch, 3))
+        trig[self.par_steps, :, 0] = np.cos(phi)
+        trig[self.par_steps, :, 1] = np.sin(phi)
+        coeff = (trig @ self.recipe).view(complex)   # (steps, batch, 2 * dim): a, then b
+        if start is None:
+            st = np.zeros((batch, dim), dtype=complex)
+            st[:, 0] = 1.0
+        else:
+            st = start
+        for k, flip in enumerate(self.flips):
+            if flip is None:
+                st = st * coeff[k, :, :dim]
+            else:
+                st = coeff[k, :, :dim] * st + coeff[k, :, dim:] * st[:, flip]
+        return st[:, self.loc]
 
 
-def _apply_one_batch(arr, n, gate: Gate, angles: np.ndarray):
-    """Like :func:`_apply_one` with a per-row angle for a (B, 2**n) batch."""
-    kind = gate.kind
-    if kind in ("H", "CNOT"):
-        return _apply_one(arr, n, gate, 0.0)
-    col = angles[:, None, None]  # broadcasts over the (batch, block, 2, rest) views
-    if kind == "RX":
-        c, s = np.cos(col / 2.0), np.sin(col / 2.0)
-        return _apply_dense1(arr, n, gate.targets[0], c, -1j * s, -1j * s, c)
-    if kind == "RY":
-        c, s = np.cos(col / 2.0), np.sin(col / 2.0)
-        return _apply_dense1(arr, n, gate.targets[0], c, -s, s, c)
-    if kind == "RZ":
-        p = np.exp(-0.5j * col)
-        return _apply_diag1(arr, n, gate.targets[0], p, np.conj(p))
-    if kind == "PHASE":
-        return _apply_diag1(arr, n, gate.targets[0], 1.0, np.exp(1j * col))
-    if kind == "CRZ":
-        p = np.exp(-0.5j * angles)
-        return _apply_crz(arr, n, *gate.targets, p, np.conj(p))
-    raise CircuitError(f"unknown gate kind {kind!r}")
+def _columns(records, *dtypes):
+    """Columns of a list of equal-length tuples, as arrays of the given dtypes."""
+    return [np.array([r[c] for r in records], dtype=t) for c, t in enumerate(dtypes)]
 
 
 # --------------------------------------------------------------------------
@@ -357,28 +390,21 @@ def _apply_one_batch(arr, n, gate: Gate, angles: np.ndarray):
 
 def apply_gate(state: StateVector, gate: Gate, bound_angle: float | None = None) -> StateVector:
     """Apply a single gate; ``bound_angle`` is required iff the gate is parametric."""
-    for q in gate.targets:
-        if not 0 <= q < state.num_qubits:
-            raise CircuitError(f"gate {gate.kind} targets qubit {q} of a {state.num_qubits}-qubit state")
     parametric = gate.kind in PARAMETRIC_KINDS
     if parametric and bound_angle is None:
         raise BindingError(f"{gate.kind} needs a bound angle")
     if not parametric and bound_angle is not None:
         raise BindingError(f"{gate.kind} takes no angle")
-    arr = _apply_one(np.array(state.amplitudes), state.num_qubits, gate,
-                     0.0 if bound_angle is None else float(bound_angle))
-    return StateVector(state.num_qubits, arr)
+    angle = LiteralAngle(float(bound_angle)) if parametric else None
+    one_gate = ParameterizedCircuit(state.num_qubits, (Gate(gate.kind, gate.targets, angle),))
+    amps = one_gate.plan.run(bind_angles(one_gate, (), ())[None, :], state.amplitudes[None, :])
+    return StateVector(state.num_qubits, amps[0])
 
 
 def run_circuit(circuit: ParameterizedCircuit, features=(), weights=()) -> StateVector:
     """Exact statevector after the circuit acts on |0...0> with the given bindings."""
     angles = bind_angles(circuit, features, weights)
-    arr = np.zeros(2 ** circuit.num_qubits, dtype=complex)
-    arr[0] = 1.0
-    n = circuit.num_qubits
-    for g, a in zip(circuit.ops, angles):
-        arr = _apply_one(arr, n, g, a)
-    return StateVector(n, arr)
+    return StateVector(circuit.num_qubits, circuit.plan.run(angles[None, :])[0])
 
 
 def run_bound_batch(circuit: ParameterizedCircuit, angle_rows: np.ndarray) -> np.ndarray:
@@ -391,12 +417,7 @@ def run_bound_batch(circuit: ParameterizedCircuit, angle_rows: np.ndarray) -> np
     angle_rows = np.asarray(angle_rows, dtype=float)
     if angle_rows.ndim != 2 or angle_rows.shape[1] != len(circuit.ops):
         raise BindingError("angle_rows must be (batch, num_gates)")
-    n = circuit.num_qubits
-    arr = np.zeros((angle_rows.shape[0], 2 ** n), dtype=complex)
-    arr[:, 0] = 1.0
-    for i, g in enumerate(circuit.ops):
-        arr = _apply_one_batch(arr, n, g, angle_rows[:, i])
-    return arr
+    return circuit.plan.run(angle_rows)
 
 
 # --------------------------------------------------------------------------
@@ -503,14 +524,20 @@ def measure_all_z(state: StateVector) -> np.ndarray:
     return all_z_from_amplitudes(state.amplitudes[None, :], state.num_qubits)[0]
 
 
+@cache
+def _marginal_table(num_qubits: int) -> np.ndarray:
+    """(2**n, 2n) 0/1 table: column q marks basis states with bit q clear, n + q set."""
+    bits = (np.arange(2 ** num_qubits)[:, None] >> np.arange(num_qubits - 1, -1, -1)) & 1
+    table = np.concatenate((1 - bits, bits), axis=1).astype(float)
+    table.setflags(write=False)   # shared by every caller
+    return table
+
+
 def all_z_from_amplitudes(amps: np.ndarray, num_qubits: int) -> np.ndarray:
-    """Per-qubit <Z> for a (B, 2**n) amplitude batch; returns (B, n) floats."""
-    probs = np.abs(amps) ** 2
-    batch = probs.shape[0]
-    probs = probs.reshape((batch,) + (2,) * num_qubits)
-    out = np.empty((batch, num_qubits))
-    for q in range(num_qubits):
-        axes = tuple(i + 1 for i in range(num_qubits) if i != q)
-        marg = probs.sum(axis=axes) if axes else probs
-        out[:, q] = marg[:, 0] - marg[:, 1]
-    return out
+    """Per-qubit <Z> for a (B, 2**n) amplitude batch; returns (B, n) floats.
+
+    <Z_q> is the probability mass with bit q clear minus the mass with it
+    set; both marginals of every qubit come from one matrix product.
+    """
+    marginals = (np.abs(amps) ** 2) @ _marginal_table(num_qubits)
+    return marginals[:, :num_qubits] - marginals[:, num_qubits:]

@@ -41,11 +41,9 @@ class GLUParams:
 
 @dataclass
 class LayerNormParams:
-    """eps sits inside the square root; gain/bias present only when affine."""
+    """Non-affine layer normalization; eps sits inside the square root."""
 
     eps: float = 1e-5
-    gain: Node | None = None
-    bias: Node | None = None
 
 
 @dataclass
@@ -121,7 +119,7 @@ def glu(x, p: GLUParams) -> Node:
 
 
 def layer_norm(x, p: LayerNormParams) -> Node:
-    return grad.layer_norm(as_node(x), eps=p.eps, gain=p.gain, bias=p.bias)
+    return grad.layer_norm(as_node(x), eps=p.eps)
 
 
 def grn(a, c, p: GRNParams) -> Node:
@@ -262,14 +260,13 @@ def tft_forward_nodes(static_vars, past_vars, future_vars, p: TFTParams,
     theta = [grn(pt, c_e, p.enrichment) for pt in phi_tilde]
 
     beta_mat = interpretable_multi_head(grad.stack_rows(theta), p.attention, mask)
+    # The heads read the future positions only, so the stages after attention skip the past.
     delta = [layer_norm(grad.add(theta[i], glu(grad.row(beta_mat, i), p.post_attn_glu)),
                         p.post_attn_norm)
-             for i in range(k + tau)]
+             for i in range(k, k + tau)]
     psi = [grn(d, None, p.positionwise) for d in delta]
-    psi_tilde = [layer_norm(grad.add(phi_tilde[i], glu(psi[i], p.final_glu)), p.final_norm)
-                 for i in range(k + tau)]
-
-    future_repr = psi_tilde[k:]
+    future_repr = [layer_norm(grad.add(pt, glu(ps, p.final_glu)), p.final_norm)
+                   for pt, ps in zip(phi_tilde[k:], psi)]
     return [grad.concat([dense(head, r) for r in future_repr]) for head in p.heads]
 
 
@@ -296,13 +293,7 @@ def init_glu(rng, dim: int) -> GLUParams:
     return GLUParams(gate=init_dense(rng, dim, dim), lin=init_dense(rng, dim, dim))
 
 
-def init_layer_norm(dim: int, affine: bool = False) -> LayerNormParams:
-    if not affine:
-        return LayerNormParams()
-    return LayerNormParams(gain=grad.param(np.ones(dim)), bias=grad.param(np.zeros(dim)))
-
-
-def init_grn(rng, dim: int, context_dim: int | None = None, affine_norm: bool = False) -> GRNParams:
+def init_grn(rng, dim: int, context_dim: int | None = None) -> GRNParams:
     context = None
     if context_dim is not None:
         bound = 1.0 / math.sqrt(context_dim)
@@ -312,16 +303,16 @@ def init_grn(rng, dim: int, context_dim: int | None = None, affine_norm: bool = 
         context=context,
         out=init_dense(rng, dim, dim),
         glu=init_glu(rng, dim),
-        norm=init_layer_norm(dim, affine_norm),
+        norm=LayerNormParams(),
     )
 
 
-def init_vsn(rng, d_model: int, num_vars: int, context_dim: int | None,
-             affine_norm: bool = False) -> VariableSelectionParams:
+def init_vsn(rng, d_model: int, num_vars: int,
+             context_dim: int | None) -> VariableSelectionParams:
     return VariableSelectionParams(
-        var_grns=[init_grn(rng, d_model, None, affine_norm) for _ in range(num_vars)],
+        var_grns=[init_grn(rng, d_model, None) for _ in range(num_vars)],
         flatten_proj=init_dense(rng, num_vars, num_vars * d_model),
-        weight_grn=init_grn(rng, num_vars, context_dim, affine_norm),
+        weight_grn=init_grn(rng, num_vars, context_dim),
     )
 
 
@@ -361,31 +352,30 @@ class TFTConfig:
     num_static_vars: int = 1
     num_heads: int = 1
     quantiles: tuple[float, ...] = (0.5,)
-    affine_norm: bool = False
     use_causal_mask: bool = False
 
 
 def init_tft(cfg: TFTConfig, rng: np.random.Generator) -> TFTParams:
-    d, an = cfg.d_model, cfg.affine_norm
+    d = cfg.d_model
     return TFTParams(
         static_embed=[init_dense(rng, d, 1) for _ in range(cfg.num_static_vars)],
         past_embed=[init_dense(rng, d, 1) for _ in range(cfg.num_past_vars)],
         future_embed=[init_dense(rng, d, 1) for _ in range(cfg.num_future_vars)],
-        static_vsn=init_vsn(rng, d, cfg.num_static_vars, None, an),
-        past_vsn=init_vsn(rng, d, cfg.num_past_vars, d, an),
-        future_vsn=init_vsn(rng, d, cfg.num_future_vars, d, an),
-        static_encoders=[init_grn(rng, d, None, an) for _ in range(4)],
+        static_vsn=init_vsn(rng, d, cfg.num_static_vars, None),
+        past_vsn=init_vsn(rng, d, cfg.num_past_vars, d),
+        future_vsn=init_vsn(rng, d, cfg.num_future_vars, d),
+        static_encoders=[init_grn(rng, d, None) for _ in range(4)],
         encoder_lstm=init_lstm(rng, d, d),
         decoder_lstm=init_lstm(rng, d, d),
         post_lstm_glu=init_glu(rng, d),
-        post_lstm_norm=init_layer_norm(d, an),
-        enrichment=init_grn(rng, d, d, an),
+        post_lstm_norm=LayerNormParams(),
+        enrichment=init_grn(rng, d, d),
         attention=init_attention(rng, d, cfg.num_heads),
         post_attn_glu=init_glu(rng, d),
-        post_attn_norm=init_layer_norm(d, an),
-        positionwise=init_grn(rng, d, None, an),
+        post_attn_norm=LayerNormParams(),
+        positionwise=init_grn(rng, d, None),
         final_glu=init_glu(rng, d),
-        final_norm=init_layer_norm(d, an),
+        final_norm=LayerNormParams(),
         heads=[init_dense(rng, 1, d) for _ in cfg.quantiles],
     )
 

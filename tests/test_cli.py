@@ -42,6 +42,14 @@ def test_missing_data_file_is_runtime_error(tmp_path):
     assert code == 1
 
 
+def test_duplicate_feature_is_runtime_error(axis_csv, tmp_path, capsys):
+    for features, column in (("Open,High,open", "open"), ("Open,Close", "Close")):
+        out = str(tmp_path / column)
+        assert main(train_args(axis_csv, out, ["--features", features])) == 1
+        assert repr(column) in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
 def test_zero_epochs_single_history_entry(axis_csv, tmp_path):
     out = str(tmp_path / "run")
     args = train_args(axis_csv, out)

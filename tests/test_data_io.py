@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qtft.data_io import (
+    DuplicateColumnError,
     MissingColumnError,
     ParseError,
     RunReport,
@@ -40,6 +41,20 @@ def test_load_missing_column(tmp_path):
     with pytest.raises(MissingColumnError) as exc:
         load_csv(write(tmp_path, SMALL), ["Foo"], "Close")
     assert "Foo" in str(exc.value)
+
+
+def test_load_duplicate_columns(tmp_path):
+    path = write(tmp_path, SMALL)
+    with pytest.raises(DuplicateColumnError) as exc:
+        load_csv(path, ["Open", "High", "open"], "Close")
+    assert exc.value.column == "open" and "open" in str(exc.value)
+    with pytest.raises(DuplicateColumnError) as exc:   # the target among the features
+        load_csv(path, ["Open", "Close"], "Close")
+    assert exc.value.column == "Close"
+    synonyms = write(tmp_path, "Date,Prev Close,Close\n2000-01-03,27.0,26.85\n", "s.csv")
+    with pytest.raises(DuplicateColumnError) as exc:
+        load_csv(synonyms, ["Prev Close", "Previous Close"], "Close")
+    assert exc.value.column == "Previous Close"
 
 
 def test_load_parse_error_line_number(tmp_path):

@@ -10,6 +10,7 @@ from qtft.quantum_sim import (
     CircuitError,
     Gate,
     LiteralAngle,
+    PairInteractionAngle,
     ParameterizedCircuit,
     SlotAngle,
     angle_embedding,
@@ -209,6 +210,35 @@ def test_param_shift_exact_via_richardson(rng):
             for s in range(n):
                 assert abs(jw[s, q] - oracles.richardson_difference(fw, wts, s)) < 1e-8
                 assert abs(jf[s, q] - oracles.richardson_difference(ff, feats, s)) < 1e-8
+
+
+def test_shift_jacobians_with_repeated_pair_slots_via_richardson(rng):
+    # every feature sits in several pair angles, twice over with reps=2, and
+    # one gate's pair angle reads the same weight slot on both sides
+    for n in (2, 3):
+        tail = ParameterizedCircuit(n, (
+            Gate("RZ", (0,), PairInteractionAngle(WEIGHT, 0, 0)),
+            Gate("RX", (n - 1,), PairInteractionAngle(WEIGHT, 1, 0)),
+            Gate("H", (0,)),
+        ), num_weight_slots=2)
+        circ = compose(compose(zz_feature_map(n, reps=2), basic_entangler_layers(n, 1, "RY")),
+                       tail)
+        feats = rng.uniform(-0.5, 0.5, n)
+        wts = np.concatenate([rng.uniform(-math.pi, math.pi, n), rng.uniform(2.5, 3.5, 2)])
+        jf, jw = shift_rule_jacobians(circ, feats, wts)
+        for q in range(n):
+            def fw(w):
+                return measure_all_z(run_circuit(circ, feats, w))[q]
+
+            def ff(f):
+                return measure_all_z(run_circuit(circ, f, wts))[q]
+
+            for s in range(circ.num_weight_slots):
+                assert abs(jw[s, q] - oracles.richardson_difference(fw, wts, s, h=1e-4)) < 1e-8
+            for s in range(n):
+                assert abs(jf[s, q] - oracles.richardson_difference(ff, feats, s, h=1e-4)) < 1e-8
+            for s in range(circ.num_weight_slots):
+                assert param_shift_partial(circ, feats, wts, q, "weight", s) == jw[s, q]
 
 
 # ------------------------------------------------------------- quantum nodes

@@ -333,3 +333,28 @@ def test_qtft_qlstm_variant_builds_and_runs(rng):
                         rng.uniform(0, 1, (2, 1)))
     assert out.shape == (1, 2) and np.all(np.isfinite(out))
     assert model.kind == "qtft-qlstm"
+
+
+@pytest.mark.parametrize("use_qlstm", [False, True])
+def test_every_circuit_run_reaches_the_outputs(rng, monkeypatch, use_qlstm):
+    from qtft import qtft_core
+
+    built = []
+
+    def recording(circuit, features, weights):
+        node = grad.quantum_forward(circuit, features, weights)
+        built.append(node)
+        return node
+
+    monkeypatch.setattr(qtft_core, "quantum_forward", recording)
+    model = QTFTModel(QTFTConfig(use_qlstm=use_qlstm), np.random.default_rng(4))
+    outputs = model.predict_nodes(np.array([1.0]), rng.uniform(20, 30, (3, 5)),
+                                  rng.uniform(0, 1, (2, 1)))
+    reachable, stack = set(), list(outputs)
+    while stack:
+        node = stack.pop()
+        if id(node) not in reachable:
+            reachable.add(id(node))
+            stack.extend(node.parents)
+    assert built
+    assert sum(id(node) not in reachable for node in built) == 0

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from qtft import reference
 from qtft.quantum_sim import (
     FEATURE,
     WEIGHT,
@@ -20,10 +21,12 @@ from qtft.quantum_sim import (
     angle_embedding,
     apply_gate,
     basic_entangler_layers,
+    bind_angles,
     compose,
     measure_all_z,
     n_local,
     pauli_z_expectation,
+    run_bound_batch,
     run_circuit,
     sampler_probabilities,
     zz_feature_map,
@@ -337,3 +340,86 @@ def test_state_vector_invariants():
         StateVector(2, np.array([1.0, 0.0]))          # wrong length
     with pytest.raises(CircuitError):
         StateVector(1, np.array([1.0, 1.0]))          # not normalized
+
+
+# ---------------------------------------------------------------- compiled plans
+
+@st.composite
+def bound_circuits(draw):
+    """A circuit over all seven gate kinds on 1-5 qubits, with literal, slot
+    and pair angles, plus three random (features, weights) bindings."""
+    n = draw(st.integers(1, 5))
+    nf, nw = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    kinds = ["H", "RX", "RY", "RZ", "PHASE"] + (["CNOT", "CRZ"] if n >= 2 else [])
+    angle = st.floats(-2 * math.pi, 2 * math.pi)
+    ops = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("CNOT", "CRZ"):
+            targets = tuple(draw(st.permutations(range(n)))[:2])
+        else:
+            targets = (draw(st.integers(0, n - 1)),)
+        src = None
+        if kind in ("RX", "RY", "RZ", "PHASE", "CRZ"):
+            pools = [(FEATURE, nf), (WEIGHT, nw)]
+            pools = [p for p in pools if p[1] > 0]
+            source = draw(st.sampled_from(["literal", "slot", "pair"])) if pools else "literal"
+            if source == "literal":
+                src = LiteralAngle(draw(angle))
+            else:
+                kind_, count = draw(st.sampled_from(pools))
+                i, j = draw(st.integers(0, count - 1)), draw(st.integers(0, count - 1))
+                src = (SlotAngle(kind_, i, draw(st.floats(-3, 3))) if source == "slot"
+                       else PairInteractionAngle(kind_, i, j))
+        ops.append(Gate(kind, targets, src))
+    circ = ParameterizedCircuit(n, tuple(ops), num_feature_slots=nf, num_weight_slots=nw)
+    values = st.floats(-1.5, 1.5)
+    bindings = [(np.array(draw(st.lists(values, min_size=nf, max_size=nf))),
+                 np.array(draw(st.lists(values, min_size=nw, max_size=nw))))
+                for _ in range(3)]
+    return circ, bindings
+
+
+@settings(max_examples=150, deadline=None)
+@given(bound_circuits())
+def test_plan_matches_dense_reference(case):
+    circ, bindings = case
+    for feats, wts in bindings:
+        want_angles = [np.nan if g.angle is None else oracles.resolve_angle(g.angle, feats, wts)
+                       for g in circ.ops]
+        np.testing.assert_array_equal(bind_angles(circ, feats, wts), want_angles)
+    want = np.stack([reference.dense_run(circ, f, w) for f, w in bindings])
+    got = run_circuit(circ, *bindings[0]).amplitudes
+    np.testing.assert_allclose(got, want[0], rtol=0, atol=1e-12)
+    rows = np.stack([bind_angles(circ, f, w) for f, w in bindings])
+    for b in (1, 3):
+        np.testing.assert_allclose(run_bound_batch(circ, rows[:b]), want[:b], rtol=0, atol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_apply_gate_matches_dense_reference(data):
+    n = data.draw(st.integers(1, 5))
+    kind = data.draw(st.sampled_from(["H", "RX", "RY", "RZ", "PHASE"]
+                                     + (["CNOT", "CRZ"] if n >= 2 else [])))
+    if kind in ("CNOT", "CRZ"):
+        targets = tuple(data.draw(st.permutations(range(n)))[:2])
+    else:
+        targets = (data.draw(st.integers(0, n - 1)),)
+    parametric = kind not in ("H", "CNOT")
+    angle = data.draw(st.floats(-2 * math.pi, 2 * math.pi)) if parametric else None
+    state = random_state(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))), n)
+    gate = Gate(kind, targets, LiteralAngle(angle) if parametric else None)
+    got = apply_gate(state, gate, angle).amplitudes
+    want = reference.dense_gate_matrix(kind, targets, angle or 0.0, n) @ state.amplitudes
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_plan_is_built_once_per_circuit():
+    circ = compose(angle_embedding(2), basic_entangler_layers(2, 2))
+    assert "plan" not in vars(circ)
+    run_circuit(circ, [0.1, 0.2], [0.3, 0.4, 0.5, 0.6])
+    plan = circ.plan
+    run_bound_batch(circ, np.zeros((2, circ.num_gates)))
+    assert circ.plan is plan
+    assert circ == compose(angle_embedding(2), basic_entangler_layers(2, 2))
