@@ -219,8 +219,14 @@ def cmd_train(args) -> int:
     return 0
 
 
+# Snapshot config keys that eval needs to rebuild the run's windows and model.
+EVAL_CONFIG_KEYS = ("model", "epochs", "lr", "quantile", "past_steps", "forecast_steps",
+                    "train_range", "test_range", "d_model", "ansatz_layers", "heads",
+                    "encoding", "ansatz", "scale", "causal_mask", "features", "target")
+
+
 def cmd_eval(args) -> int:
-    config, arrays = data_io.load_params(args.snapshot)
+    config, arrays = data_io.load_params(args.snapshot, EVAL_CONFIG_KEYS)
     ns = argparse.Namespace(
         data=args.data,
         epochs=int(config["epochs"]), lr=float(config["lr"]),
@@ -247,12 +253,17 @@ def cmd_eval(args) -> int:
         num_static_vars=eval_w[0].static.shape[0],
     )
     named = dict(model.named_leaves())
-    if set(named) != set(arrays):
-        raise ValueError("snapshot parameter names do not match the rebuilt model")
+    missing = [name for name in named if name not in arrays]
+    unexpected = [name for name in arrays if name not in named]
+    if missing or unexpected:
+        problems = [f"no leaf {missing[0]}"] if missing else []
+        problems += [f"unexpected leaf {unexpected[0]}"] if unexpected else []
+        raise data_io.SnapshotError(f"snapshot {args.snapshot} does not fit the rebuilt "
+                                    f"{model.kind} model: " + "; ".join(problems))
     for name, node in named.items():
         if node.value.shape != arrays[name].shape:
-            raise ValueError(f"snapshot leaf {name} has shape {arrays[name].shape}, "
-                             f"expected {node.value.shape}")
+            raise data_io.SnapshotError(f"snapshot leaf {name} has shape "
+                                        f"{arrays[name].shape}, expected {node.value.shape}")
         node.value = arrays[name]
     loss = forecasting.evaluate(model, eval_w, cfg.quantile)
     print(f"eval loss: {loss!r}")

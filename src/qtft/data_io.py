@@ -33,6 +33,10 @@ class DuplicateColumnError(DataError):
         self.column = column
 
 
+class SnapshotError(DataError):
+    """A parameter snapshot cannot rebuild the model it names."""
+
+
 class ParseError(DataError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
@@ -247,7 +251,9 @@ def save_params(named_leaves: list[tuple[str, object]], config: dict[str, object
             fh.write(f"{name} | {shape} | {flat}\n")
 
 
-def load_params(path: str) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+def load_params(path: str, required_config: tuple[str, ...] = ()
+                ) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+    """Read a snapshot back; the first of ``required_config`` it lacks is an error."""
     config: dict[str, str] = {}
     arrays: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8") as fh:
@@ -264,4 +270,7 @@ def load_params(path: str) -> tuple[dict[str, str], dict[str, np.ndarray]]:
             if shape_s != "scalar":
                 values = values.reshape(tuple(int(s) for s in shape_s.split("x")))
             arrays[name] = values
+    missing = [key for key in required_config if key not in config]
+    if missing:
+        raise SnapshotError(f"snapshot {path} has no config.{missing[0]} line")
     return config, arrays

@@ -133,11 +133,17 @@ def build_stock_windows(values: np.ndarray, target_col: int, cfg: TrainConfig):
     The observed columns are the requested features plus the target; the
     known-future stream is a single time index normalized to [0, 1]; the
     static stream is a single constant 1.0 (one entity).  Optional
-    per-feature min-max scaling is applied over the full table.
+    per-feature min-max scaling is fitted on the training rows only, so no
+    statistic of the test rows reaches the model, and applied to all rows.
     """
     values = np.asarray(values, dtype=float)
     if cfg.scale:
-        lo, hi = values.min(axis=0), values.max(axis=0)
+        first, last = cfg.train_range
+        fit = values[first:last + 1]
+        if fit.shape[0] == 0:
+            raise ValueError(f"train range {cfg.train_range} outside series of "
+                             f"length {values.shape[0]}")
+        lo, hi = fit.min(axis=0), fit.max(axis=0)
         span = np.where(hi > lo, hi - lo, 1.0)
         values = (values - lo) / span
     t_max = max(values.shape[0] - 1, 1)

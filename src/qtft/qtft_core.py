@@ -11,6 +11,9 @@ The gated residual block keeps the intermediate state quantum: the
 re-encoded ELU output passes through its ansatz and straight into the
 two gated-linear-unit branch circuits with no measurement in between
 (two executions share the same circuit prefix).
+
+``QTFTModel`` keeps the forward wiring of :class:`qtft.tft_core.TFTModel`
+and overrides only its block methods.
 """
 
 from __future__ import annotations
@@ -32,16 +35,14 @@ from .quantum_sim import (
 )
 from .tft_core import (
     DenseParams,
-    LayerNormParams,
-    LSTMParams,
+    TFTConfig,
+    TFTModel,
+    TFTParams,
     attention,
-    causal_mask,
     dense,
     init_dense,
     init_lstm,
-    layer_norm,
     lstm_seq,
-    named_leaves,
 )
 
 ENCODINGS = ("angle", "zz")
@@ -97,15 +98,6 @@ def vqc_apply(x, p: VQCBlockParams) -> Node:
     return quantum_forward(p.circuit, x, p.weights)
 
 
-@dataclass
-class PreparedState:
-    """A quantum state described by the circuit prefix that prepares it."""
-
-    circuit: ParameterizedCircuit
-    features: Node
-    weights: Node
-
-
 # --------------------------------------------------------------------------
 # Gated blocks
 # --------------------------------------------------------------------------
@@ -127,19 +119,9 @@ def init_qglu(rng, num_qubits: int, num_layers: int, encoding: str = "angle",
 def qglu(x, p: QGLUParams) -> Node:
     """sigmoid of the gate branch's expectations times the linear branch's.
 
-    A classical input is encoded once per branch execution; a
-    :class:`PreparedState` skips encoding and the branch ansaetze are
-    appended to the shared prefix instead.
+    The input is encoded once per branch execution.
     """
-    if isinstance(x, PreparedState):
-        gate_out = quantum_forward(compose(x.circuit, p.branch_gate.ansatz), x.features,
-                                   grad.concat([x.weights, p.branch_gate.weights]))
-        lin_out = quantum_forward(compose(x.circuit, p.branch_lin.ansatz), x.features,
-                                  grad.concat([x.weights, p.branch_lin.weights]))
-    else:
-        gate_out = vqc_apply(x, p.branch_gate)
-        lin_out = vqc_apply(x, p.branch_lin)
-    return grad.mul(grad.sigmoid(gate_out), lin_out)
+    return grad.mul(grad.sigmoid(vqc_apply(x, p.branch_gate)), vqc_apply(x, p.branch_lin))
 
 
 @dataclass
@@ -148,7 +130,6 @@ class QGRNParams:
     vqc_c: VQCBlockParams | None
     vqc_eta2: VQCBlockParams
     qglu: QGLUParams
-    norm: LayerNormParams
     gate_circuit: ParameterizedCircuit   # eta2 prefix + gate ansatz, cached
     lin_circuit: ParameterizedCircuit    # eta2 prefix + lin ansatz, cached
 
@@ -165,7 +146,6 @@ def init_qgrn(rng, num_qubits: int, num_layers: int, with_context: bool,
         vqc_c=vqc_c,
         vqc_eta2=vqc_eta2,
         qglu=glu_p,
-        norm=LayerNormParams(),
         gate_circuit=compose(vqc_eta2.circuit, glu_p.branch_gate.ansatz),
         lin_circuit=compose(vqc_eta2.circuit, glu_p.branch_lin.ansatz),
     )
@@ -192,7 +172,7 @@ def qgrn(a, c, p: QGRNParams) -> Node:
     lin_out = quantum_forward(p.lin_circuit, eta1,
                               grad.concat([p.vqc_eta2.weights, p.qglu.branch_lin.weights]))
     gated = grad.mul(grad.sigmoid(gate_out), lin_out)
-    return layer_norm(grad.add(a, gated), p.norm)
+    return grad.layer_norm(grad.add(a, gated))
 
 
 # --------------------------------------------------------------------------
@@ -267,21 +247,16 @@ def init_qattention(rng, num_qubits: int, num_heads: int, num_layers: int,
     )
 
 
-def q_interpretable_multi_head(s, p: QAttentionParams,
+def q_interpretable_multi_head(rows, p: QAttentionParams,
                                mask: np.ndarray | None = None) -> Node:
     """Head-averaged attention over circuit-projected queries, keys and values.
 
-    Each input row is encoded once per circuit; queries and keys get
-    per-head ansaetze while the value ansatz is shared.  There is no
-    final combine matrix.  ``d_attn`` equals the qubit count.
+    ``rows`` is the sequence of (d,) input rows.  Each is encoded once per
+    circuit; queries and keys get per-head ansaetze while the value ansatz
+    is shared.  There is no final combine matrix.  ``d_attn`` equals the
+    qubit count.
     """
-    if isinstance(s, Node) and s.value.ndim == 2:
-        rows = [grad.row(s, i) for i in range(s.value.shape[0])]
-    elif isinstance(s, (list, tuple)):
-        rows = [as_node(r) for r in s]
-    else:
-        s = as_node(s)
-        rows = [grad.row(s, i) for i in range(s.value.shape[0])]
+    rows = [as_node(r) for r in rows]
     v = grad.stack_rows([vqc_apply(r, p.value_block) for r in rows])
     out = None
     for qb, kb in zip(p.query_blocks, p.key_blocks):
@@ -335,14 +310,7 @@ def qlstm_step(x, h, c, p: QLSTMParams):
 
 
 def qlstm_seq(inputs, h0, c0, p: QLSTMParams):
-    if not inputs:
-        raise ValueError("qlstm_seq needs a nonempty input sequence")
-    h, c = as_node(h0), as_node(c0)
-    outputs = []
-    for x in inputs:
-        h, c = qlstm_step(x, h, c, p)
-        outputs.append(h)
-    return outputs, (h, c)
+    return lstm_seq(inputs, h0, c0, p, qlstm_step)
 
 
 # --------------------------------------------------------------------------
@@ -350,52 +318,23 @@ def qlstm_seq(inputs, h0, c0, p: QLSTMParams):
 # --------------------------------------------------------------------------
 
 @dataclass
-class QTFTConfig:
-    d_model: int = 2
-    num_past_vars: int = 5
-    num_future_vars: int = 1
-    num_static_vars: int = 1
-    num_heads: int = 1
-    quantiles: tuple[float, ...] = (0.5,)
+class QTFTConfig(TFTConfig):
     ansatz_layers: int = 2
     encoding: str = "angle"
     ansatz: str = "basic"
     use_qlstm: bool = False
-    use_causal_mask: bool = False
 
 
-@dataclass
-class QTFTParams:
-    static_embed: list[DenseParams]
-    past_embed: list[DenseParams]
-    future_embed: list[DenseParams]
-    static_vsn: QVariableSelectionParams
-    past_vsn: QVariableSelectionParams
-    future_vsn: QVariableSelectionParams
-    static_encoders: list[QGRNParams]
-    encoder_lstm: LSTMParams | QLSTMParams
-    decoder_lstm: LSTMParams | QLSTMParams
-    post_lstm_qglu: QGLUParams
-    post_lstm_norm: LayerNormParams
-    enrichment: QGRNParams
-    attention: QAttentionParams
-    post_attn_qglu: QGLUParams
-    post_attn_norm: LayerNormParams
-    positionwise: QGRNParams
-    final_qglu: QGLUParams
-    final_norm: LayerNormParams
-    heads: list[DenseParams]
-
-
-def init_qtft(cfg: QTFTConfig, rng: np.random.Generator) -> QTFTParams:
+def init_qtft(cfg: QTFTConfig, rng: np.random.Generator) -> TFTParams:
     d, L, enc, anz = cfg.d_model, cfg.ansatz_layers, cfg.encoding, cfg.ansatz
+    # The recurrence is drawn first, unlike init_tft; the draw order fixes every weight.
     if cfg.use_qlstm:
         enc_lstm = init_qlstm(rng, d, d, L, enc, anz)
         dec_lstm = init_qlstm(rng, d, d, L, enc, anz)
     else:
         enc_lstm = init_lstm(rng, d, d)
         dec_lstm = init_lstm(rng, d, d)
-    return QTFTParams(
+    return TFTParams(
         static_embed=[init_dense(rng, d, 1) for _ in range(cfg.num_static_vars)],
         past_embed=[init_dense(rng, d, 1) for _ in range(cfg.num_past_vars)],
         future_embed=[init_dense(rng, d, 1) for _ in range(cfg.num_future_vars)],
@@ -405,73 +344,22 @@ def init_qtft(cfg: QTFTConfig, rng: np.random.Generator) -> QTFTParams:
         static_encoders=[init_qgrn(rng, d, L, False, enc, anz) for _ in range(4)],
         encoder_lstm=enc_lstm,
         decoder_lstm=dec_lstm,
-        post_lstm_qglu=init_qglu(rng, d, L, enc, anz),
-        post_lstm_norm=LayerNormParams(),
+        post_lstm_glu=init_qglu(rng, d, L, enc, anz),
         enrichment=init_qgrn(rng, d, L, True, enc, anz),
         attention=init_qattention(rng, d, cfg.num_heads, L, enc, anz),
-        post_attn_qglu=init_qglu(rng, d, L, enc, anz),
-        post_attn_norm=LayerNormParams(),
+        post_attn_glu=init_qglu(rng, d, L, enc, anz),
         positionwise=init_qgrn(rng, d, L, False, enc, anz),
-        final_qglu=init_qglu(rng, d, L, enc, anz),
-        final_norm=LayerNormParams(),
+        final_glu=init_qglu(rng, d, L, enc, anz),
         heads=[init_dense(rng, 1, d) for _ in cfg.quantiles],
     )
 
 
-def qtft_forward_nodes(static_vars, past_vars, future_vars, p: QTFTParams,
-                       quantiles, mask: np.ndarray | None = None,
-                       use_qlstm: bool = False):
-    """Quantum forward pass returning one (tau,) prediction node per quantile."""
-    static_vars = np.asarray(static_vars, dtype=float)
-    past_vars = np.asarray(past_vars, dtype=float)
-    future_vars = np.asarray(future_vars, dtype=float)
-    k, tau = past_vars.shape[0], future_vars.shape[0]
+class QTFTModel(TFTModel):
+    """The TFT wiring with every learnable block swapped for its circuit block.
 
-    static_emb = [dense(emb, np.array([static_vars[j]]))
-                  for j, emb in enumerate(p.static_embed)]
-    xi_static, _ = q_variable_selection(static_emb, None, p.static_vsn)
-    c_s, c_e, c_c, c_h = q_static_covariate_encoder(xi_static, p.static_encoders)
-
-    def embed_steps(rows, embeds):
-        return [[dense(emb, np.array([rows[t, j]])) for j, emb in enumerate(embeds)]
-                for t in range(rows.shape[0])]
-
-    past_sel = [q_variable_selection(emb, c_s, p.past_vsn)[0]
-                for emb in embed_steps(past_vars, p.past_embed)]
-    future_sel = [q_variable_selection(emb, c_s, p.future_vsn)[0]
-                  for emb in embed_steps(future_vars, p.future_embed)]
-
-    recurrence = qlstm_seq if use_qlstm else lstm_seq
-    enc_out, (h_T, c_T) = recurrence(past_sel, c_h, c_c, p.encoder_lstm)
-    dec_out, _ = recurrence(future_sel, h_T, c_T, p.decoder_lstm)
-    phi = enc_out + dec_out
-    selected = past_sel + future_sel
-
-    phi_tilde = [layer_norm(grad.add(sel, qglu(ph, p.post_lstm_qglu)), p.post_lstm_norm)
-                 for sel, ph in zip(selected, phi)]
-    theta = [qgrn(pt, c_e, p.enrichment) for pt in phi_tilde]
-
-    beta_mat = q_interpretable_multi_head(theta, p.attention, mask)
-    # The heads read the future positions only, so the stages after attention skip the past.
-    delta = [layer_norm(grad.add(theta[i], qglu(grad.row(beta_mat, i), p.post_attn_qglu)),
-                        p.post_attn_norm)
-             for i in range(k, k + tau)]
-    psi = [qgrn(d_, None, p.positionwise) for d_ in delta]
-    future_repr = [layer_norm(grad.add(pt, qglu(ps, p.final_qglu)), p.final_norm)
-                   for pt, ps in zip(phi_tilde[k:], psi)]
-    return [grad.concat([dense(head, r) for r in future_repr]) for head in p.heads]
-
-
-def qtft_forward(static_vars, past_vars, future_vars, p: QTFTParams,
-                 quantiles, mask: np.ndarray | None = None,
-                 use_qlstm: bool = False) -> np.ndarray:
-    nodes = qtft_forward_nodes(static_vars, past_vars, future_vars, p, quantiles,
-                               mask, use_qlstm)
-    return np.stack([n.value for n in nodes])
-
-
-class QTFTModel:
-    """Quantum model: parameters plus the windowed forward pass."""
+    Each method calls this module's function of that name when it runs;
+    ``dense`` goes through this module's own binding as well.
+    """
 
     def __init__(self, cfg: QTFTConfig, rng: np.random.Generator):
         self.cfg = cfg
@@ -481,20 +369,23 @@ class QTFTModel:
     def kind(self) -> str:
         return "qtft-qlstm" if self.cfg.use_qlstm else "qtft"
 
-    def predict_nodes(self, static_vars, past_vars, future_vars) -> list[Node]:
-        mask = causal_mask(np.asarray(past_vars).shape[0] + np.asarray(future_vars).shape[0]) \
-            if self.cfg.use_causal_mask else None
-        return qtft_forward_nodes(static_vars, past_vars, future_vars, self.params,
-                                  self.cfg.quantiles, mask, self.cfg.use_qlstm)
+    def dense(self, p, x) -> Node:
+        return dense(p, x)
 
-    def predict(self, static_vars, past_vars, future_vars) -> np.ndarray:
-        return np.stack([n.value for n in self.predict_nodes(static_vars, past_vars, future_vars)])
+    def glu(self, x, p) -> Node:
+        return qglu(x, p)
 
-    def named_leaves(self) -> list[tuple[str, Node]]:
-        return named_leaves(self.params)
+    def grn(self, a, c, p) -> Node:
+        return qgrn(a, c, p)
 
-    def leaves(self) -> list[Node]:
-        return [node for _, node in self.named_leaves()]
+    def select(self, embeddings, c_s, p) -> Node:
+        return q_variable_selection(embeddings, c_s, p)[0]
 
-    def param_count(self) -> int:
-        return sum(node.value.size for node in self.leaves())
+    def encode_static(self, xi, encoders):
+        return q_static_covariate_encoder(xi, encoders)
+
+    def recur(self, inputs, h0, c0, p):
+        return (qlstm_seq if self.cfg.use_qlstm else lstm_seq)(inputs, h0, c0, p)
+
+    def attend(self, rows: list[Node], p, mask: np.ndarray | None) -> Node:
+        return q_interpretable_multi_head(rows, p, mask)

@@ -57,9 +57,6 @@ class LiteralAngle:
 
     value: float
 
-    def resolve(self, features, weights):
-        return self.value
-
 
 @dataclass(frozen=True)
 class SlotAngle:
@@ -69,10 +66,6 @@ class SlotAngle:
     index: int
     coeff: float = 1.0
 
-    def resolve(self, features, weights):
-        s = features if self.kind == FEATURE else weights
-        return self.coeff * s[self.index]
-
 
 @dataclass(frozen=True)
 class PairInteractionAngle:
@@ -81,10 +74,6 @@ class PairInteractionAngle:
     kind: str
     i: int
     j: int
-
-    def resolve(self, features, weights):
-        s = features if self.kind == FEATURE else weights
-        return 2.0 * (math.pi - s[self.i]) * (math.pi - s[self.j])
 
 
 AngleSource = LiteralAngle | SlotAngle | PairInteractionAngle

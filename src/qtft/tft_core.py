@@ -3,9 +3,10 @@
 The building blocks are gated linear units, gated residual networks,
 softmax variable selection, static covariate encoders, an LSTM
 sequence-to-sequence pair and interpretable multi-head attention (shared
-value projection, head-averaged aggregation).  ``tft_forward`` wires
-them into the five-stage pass that ends in per-quantile dense heads on
-the future positions.
+value projection, head-averaged aggregation).  ``TFTModel.predict_nodes``
+wires them into the five-stage pass that ends in per-quantile dense heads
+on the future positions; the circuit model of :mod:`qtft.qtft_core`
+subclasses ``TFTModel`` and swaps the blocks.
 
 All operations accept and return graph nodes; plain arrays are wrapped
 automatically, so the blocks can be probed numerically without touching
@@ -40,19 +41,11 @@ class GLUParams:
 
 
 @dataclass
-class LayerNormParams:
-    """Non-affine layer normalization; eps sits inside the square root."""
-
-    eps: float = 1e-5
-
-
-@dataclass
 class GRNParams:
     primary: DenseParams            # W1, b12
     context: Node | None            # W2, no bias; None when the block takes no context
     out: DenseParams                # W3, b3
     glu: GLUParams                  # W4, b4, W5, b5
-    norm: LayerNormParams
 
 
 @dataclass
@@ -83,6 +76,13 @@ class VariableSelectionParams:
 
 @dataclass
 class TFTParams:
+    """Parameters of both models, one field per stage of the forward pass.
+
+    The circuit model fills the block fields with the circuit-block
+    parameters of :mod:`qtft.qtft_core`; embeddings, heads and (without
+    the quantum LSTM) the recurrence stay dense.
+    """
+
     static_embed: list[DenseParams]
     past_embed: list[DenseParams]
     future_embed: list[DenseParams]
@@ -93,14 +93,11 @@ class TFTParams:
     encoder_lstm: LSTMParams
     decoder_lstm: LSTMParams
     post_lstm_glu: GLUParams
-    post_lstm_norm: LayerNormParams
     enrichment: GRNParams
     attention: AttentionParams
     post_attn_glu: GLUParams
-    post_attn_norm: LayerNormParams
     positionwise: GRNParams
     final_glu: GLUParams
-    final_norm: LayerNormParams
     heads: list[DenseParams]                  # one (1, d) dense per quantile
 
 
@@ -118,10 +115,6 @@ def glu(x, p: GLUParams) -> Node:
     return grad.mul(grad.sigmoid(dense(p.gate, x)), dense(p.lin, x))
 
 
-def layer_norm(x, p: LayerNormParams) -> Node:
-    return grad.layer_norm(as_node(x), eps=p.eps)
-
-
 def grn(a, c, p: GRNParams) -> Node:
     """Gated residual network: LayerNorm(a + GLU(W3 ELU(W1 a + W2 c + b12) + b3)).
 
@@ -136,7 +129,7 @@ def grn(a, c, p: GRNParams) -> Node:
     eta1 = grad.elu(eta1_pre)
     eta2 = dense(p.out, eta1)
     eta3 = glu(eta2, p.glu)
-    return layer_norm(grad.add(a, eta3), p.norm)
+    return grad.layer_norm(grad.add(a, eta3))
 
 
 def variable_selection(embeddings, c_s, p: VariableSelectionParams):
@@ -174,14 +167,14 @@ def lstm_step(x, h, c, p: LSTMParams):
     return h_new, c_new
 
 
-def lstm_seq(inputs, h0, c0, p: LSTMParams):
-    """Standard LSTM recursion; returns (hidden outputs, (h_T, c_T))."""
+def lstm_seq(inputs, h0, c0, p: LSTMParams, step=lstm_step):
+    """LSTM recursion of the cell ``step``; returns (hidden outputs, (h_T, c_T))."""
     if not inputs:
         raise ValueError("lstm_seq needs a nonempty input sequence")
     h, c = as_node(h0), as_node(c0)
     outputs = []
     for x in inputs:
-        h, c = lstm_step(x, h, c, p)
+        h, c = step(x, h, c, p)
         outputs.append(h)
     return outputs, (h, c)
 
@@ -221,63 +214,6 @@ def interpretable_multi_head(s, p: AttentionParams, mask: np.ndarray | None = No
 
 
 # --------------------------------------------------------------------------
-# Full forward pass
-# --------------------------------------------------------------------------
-
-def _embed_steps(rows: np.ndarray, embeds: list[DenseParams]) -> list[list[Node]]:
-    """Per time step, one linear d_model embedding per scalar variable."""
-    out = []
-    for t in range(rows.shape[0]):
-        out.append([dense(emb, np.array([rows[t, j]])) for j, emb in enumerate(embeds)])
-    return out
-
-
-def tft_forward_nodes(static_vars, past_vars, future_vars, p: TFTParams,
-                      quantiles, mask: np.ndarray | None = None):
-    """Forward pass returning one (tau,) prediction node per quantile."""
-    static_vars = np.asarray(static_vars, dtype=float)
-    past_vars = np.asarray(past_vars, dtype=float)
-    future_vars = np.asarray(future_vars, dtype=float)
-    k, tau = past_vars.shape[0], future_vars.shape[0]
-
-    static_emb = [dense(emb, np.array([static_vars[j]]))
-                  for j, emb in enumerate(p.static_embed)]
-    xi_static, _ = variable_selection(static_emb, None, p.static_vsn)
-    c_s, c_e, c_c, c_h = static_covariate_encoder(xi_static, p.static_encoders)
-
-    past_sel = [variable_selection(emb, c_s, p.past_vsn)[0]
-                for emb in _embed_steps(past_vars, p.past_embed)]
-    future_sel = [variable_selection(emb, c_s, p.future_vsn)[0]
-                  for emb in _embed_steps(future_vars, p.future_embed)]
-
-    enc_out, (h_T, c_T) = lstm_seq(past_sel, c_h, c_c, p.encoder_lstm)
-    dec_out, _ = lstm_seq(future_sel, h_T, c_T, p.decoder_lstm)
-    phi = enc_out + dec_out
-    selected = past_sel + future_sel
-
-    phi_tilde = [layer_norm(grad.add(sel, glu(ph, p.post_lstm_glu)), p.post_lstm_norm)
-                 for sel, ph in zip(selected, phi)]
-    theta = [grn(pt, c_e, p.enrichment) for pt in phi_tilde]
-
-    beta_mat = interpretable_multi_head(grad.stack_rows(theta), p.attention, mask)
-    # The heads read the future positions only, so the stages after attention skip the past.
-    delta = [layer_norm(grad.add(theta[i], glu(grad.row(beta_mat, i), p.post_attn_glu)),
-                        p.post_attn_norm)
-             for i in range(k, k + tau)]
-    psi = [grn(d, None, p.positionwise) for d in delta]
-    future_repr = [layer_norm(grad.add(pt, glu(ps, p.final_glu)), p.final_norm)
-                   for pt, ps in zip(phi_tilde[k:], psi)]
-    return [grad.concat([dense(head, r) for r in future_repr]) for head in p.heads]
-
-
-def tft_forward(static_vars, past_vars, future_vars, p: TFTParams,
-                quantiles, mask: np.ndarray | None = None) -> np.ndarray:
-    """Quantile forecasts as a (num_quantiles, tau) array."""
-    nodes = tft_forward_nodes(static_vars, past_vars, future_vars, p, quantiles, mask)
-    return np.stack([n.value for n in nodes])
-
-
-# --------------------------------------------------------------------------
 # Construction
 # --------------------------------------------------------------------------
 
@@ -303,7 +239,6 @@ def init_grn(rng, dim: int, context_dim: int | None = None) -> GRNParams:
         context=context,
         out=init_dense(rng, dim, dim),
         glu=init_glu(rng, dim),
-        norm=LayerNormParams(),
     )
 
 
@@ -368,14 +303,11 @@ def init_tft(cfg: TFTConfig, rng: np.random.Generator) -> TFTParams:
         encoder_lstm=init_lstm(rng, d, d),
         decoder_lstm=init_lstm(rng, d, d),
         post_lstm_glu=init_glu(rng, d),
-        post_lstm_norm=LayerNormParams(),
         enrichment=init_grn(rng, d, d),
         attention=init_attention(rng, d, cfg.num_heads),
         post_attn_glu=init_glu(rng, d),
-        post_attn_norm=LayerNormParams(),
         positionwise=init_grn(rng, d, None),
         final_glu=init_glu(rng, d),
-        final_norm=LayerNormParams(),
         heads=[init_dense(rng, 1, d) for _ in cfg.quantiles],
     )
 
@@ -402,7 +334,14 @@ def named_leaves(obj, prefix: str = "") -> list[tuple[str, Node]]:
 
 
 class TFTModel:
-    """Classical model: parameters plus the windowed forward pass."""
+    """Classical model: parameters plus the windowed forward pass.
+
+    ``predict_nodes`` is the one wiring of the five stages.  It reaches
+    every block through the methods below; the circuit model subclasses
+    this one and overrides only those methods.  Each method looks up its
+    module's function by name when it runs, so timing wrappers installed
+    on the module (``perfbench/tracing.py``) see every block call.
+    """
 
     kind = "tft"
 
@@ -410,13 +349,67 @@ class TFTModel:
         self.cfg = cfg
         self.params = init_tft(cfg, rng)
 
+    def dense(self, p, x) -> Node:
+        return dense(p, x)
+
+    def glu(self, x, p) -> Node:
+        return glu(x, p)
+
+    def grn(self, a, c, p) -> Node:
+        return grn(a, c, p)
+
+    def select(self, embeddings, c_s, p) -> Node:
+        return variable_selection(embeddings, c_s, p)[0]
+
+    def encode_static(self, xi, encoders):
+        return static_covariate_encoder(xi, encoders)
+
+    def recur(self, inputs, h0, c0, p):
+        return lstm_seq(inputs, h0, c0, p)
+
+    def attend(self, rows: list[Node], p, mask: np.ndarray | None) -> Node:
+        return interpretable_multi_head(grad.stack_rows(rows), p, mask)
+
     def predict_nodes(self, static_vars, past_vars, future_vars) -> list[Node]:
-        mask = causal_mask(np.asarray(past_vars).shape[0] + np.asarray(future_vars).shape[0]) \
-            if self.cfg.use_causal_mask else None
-        return tft_forward_nodes(static_vars, past_vars, future_vars,
-                                 self.params, self.cfg.quantiles, mask)
+        """Forward pass returning one (tau,) prediction node per quantile."""
+        p = self.params
+        static_vars = np.asarray(static_vars, dtype=float)
+        past_vars = np.asarray(past_vars, dtype=float)
+        future_vars = np.asarray(future_vars, dtype=float)
+        k, tau = past_vars.shape[0], future_vars.shape[0]
+        mask = causal_mask(k + tau) if self.cfg.use_causal_mask else None
+
+        def embed(row, embeds):
+            """One linear d_model embedding per scalar variable."""
+            return [self.dense(emb, np.array([v])) for v, emb in zip(row, embeds)]
+
+        def gated_skip(skip, x, glu_p):
+            return grad.layer_norm(grad.add(skip, self.glu(x, glu_p)))
+
+        xi_static = self.select(embed(static_vars, p.static_embed), None, p.static_vsn)
+        c_s, c_e, c_c, c_h = self.encode_static(xi_static, p.static_encoders)
+
+        past_emb = [embed(row, p.past_embed) for row in past_vars]
+        past_sel = [self.select(emb, c_s, p.past_vsn) for emb in past_emb]
+        future_emb = [embed(row, p.future_embed) for row in future_vars]
+        future_sel = [self.select(emb, c_s, p.future_vsn) for emb in future_emb]
+
+        enc_out, (h_T, c_T) = self.recur(past_sel, c_h, c_c, p.encoder_lstm)
+        dec_out, _ = self.recur(future_sel, h_T, c_T, p.decoder_lstm)
+        phi_tilde = [gated_skip(sel, ph, p.post_lstm_glu)
+                     for sel, ph in zip(past_sel + future_sel, enc_out + dec_out)]
+        theta = [self.grn(pt, c_e, p.enrichment) for pt in phi_tilde]
+
+        beta_mat = self.attend(theta, p.attention, mask)
+        # The heads read the future positions only, so the stages after attention skip the past.
+        delta = [gated_skip(theta[i], grad.row(beta_mat, i), p.post_attn_glu)
+                 for i in range(k, k + tau)]
+        psi = [self.grn(d, None, p.positionwise) for d in delta]
+        future_repr = [gated_skip(pt, ps, p.final_glu) for pt, ps in zip(phi_tilde[k:], psi)]
+        return [grad.concat([self.dense(head, r) for r in future_repr]) for head in p.heads]
 
     def predict(self, static_vars, past_vars, future_vars) -> np.ndarray:
+        """Quantile forecasts as a (num_quantiles, tau) array."""
         return np.stack([n.value for n in self.predict_nodes(static_vars, past_vars, future_vars)])
 
     def named_leaves(self) -> list[tuple[str, Node]]:

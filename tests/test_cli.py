@@ -96,6 +96,34 @@ def test_eval_missing_snapshot(axis_csv, tmp_path):
     assert code == 1
 
 
+def test_eval_names_mismatched_snapshot_leaves(axis_csv, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert main(train_args(axis_csv, out)) == 0
+    snap = os.path.join(out, "params.txt")
+    with open(snap, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(snap, "w", encoding="utf-8") as fh:
+        fh.write(text.replace("final_glu.gate.W |", "final_qglu.gate.W |"))
+    capsys.readouterr()
+    assert main(["eval", "--snapshot", snap, "--data", axis_csv]) == 1
+    err = capsys.readouterr().err
+    assert "no leaf final_glu.gate.W" in err
+    assert "unexpected leaf final_qglu.gate.W" in err
+
+
+def test_eval_names_missing_snapshot_config_key(axis_csv, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert main(train_args(axis_csv, out)) == 0
+    snap = os.path.join(out, "params.txt")
+    with open(snap, encoding="utf-8") as fh:
+        lines = [line for line in fh if not line.startswith("config.epochs ")]
+    with open(snap, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    capsys.readouterr()
+    assert main(["eval", "--snapshot", snap, "--data", axis_csv]) == 1
+    assert "config.epochs" in capsys.readouterr().err
+
+
 def test_eval_deterministic_repeat(axis_csv, tmp_path, capsys):
     out = str(tmp_path / "run")
     assert main(train_args(axis_csv, out)) == 0

@@ -6,6 +6,7 @@ from qtft.data_io import (
     MissingColumnError,
     ParseError,
     RunReport,
+    SnapshotError,
     TimeSeriesTable,
     load_csv,
     load_params,
@@ -180,3 +181,13 @@ def test_params_snapshot_round_trip(tmp_path):
     assert config["model"] == "tft"
     np.testing.assert_array_equal(arrays["block.W"], leaves[0][1].value)
     np.testing.assert_array_equal(arrays["block.b"], leaves[1][1].value)
+
+
+def test_params_snapshot_names_first_missing_config_key(tmp_path):
+    leaves = [("block.b", param(np.array([0.5])))]
+    path = str(tmp_path / "params.txt")
+    save_params(leaves, {"model": "tft", "lr": 0.1, "seed": 1}, path)
+    with pytest.raises(SnapshotError, match=r"config\.epochs"):
+        load_params(path, ("model", "epochs", "lr", "quantile"))
+    config, _ = load_params(path, ("model", "lr"))
+    assert config["lr"] == "0.1"

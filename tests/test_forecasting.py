@@ -8,6 +8,7 @@ from qtft.forecasting import (
     TrainConfig,
     TrainingDivergedError,
     WindowedSample,
+    build_model,
     build_stock_windows,
     evaluate,
     make_windows,
@@ -156,6 +157,22 @@ def test_build_stock_windows_scaling(axis_csv):
     assert np.all(train_w[0].past >= 0) and np.all(train_w[0].past <= 1)
 
 
+def test_build_stock_windows_scaling_fits_on_training_rows(axis_csv):
+    from qtft import data_io
+    table = data_io.load_csv(axis_csv, ["Open", "High", "Low", "Last"], "Close")
+    close = table.column_index("Close")
+    cfg = TrainConfig(scale=True)
+    moved = table.rows.copy()
+    moved[cfg.test_range[0] + 2, close] += 1000.0
+    before, _ = build_stock_windows(table.rows, close, cfg)
+    after, _ = build_stock_windows(moved, close, cfg)
+    assert len(before) == len(after) == 17
+    for a, b in zip(before, after):
+        np.testing.assert_array_equal(a.past, b.past)
+        np.testing.assert_array_equal(a.future_known, b.future_known)
+        np.testing.assert_array_equal(a.targets, b.targets)
+
+
 # --------------------------------------------------------------------- config
 
 def test_train_config_validation():
@@ -240,3 +257,38 @@ def test_window_predictions_layout():
     s.anchor = 10
     rows = window_predictions(model, [s])
     assert rows == [(11, 2.0, 1.5), (12, 3.0, 1.5)]
+
+
+# ------------------------------------------------------------- pinned results
+
+NON_DEFAULT = dict(encoding="zz", ansatz="nlocal", heads=2, use_causal_mask=True)
+
+# (1-epoch loss history, test loss, param_count) on the AXIS sample, default
+# train/test ranges, for each model kind at the defaults and at NON_DEFAULT.
+PINNED_RUNS = {
+    ("tft", False): ([12.598462243380105, 12.523462760516798],
+                     16.07971276051679, 688),
+    ("tft", True): ([12.14262625135596, 12.067626912282272],
+                    15.623876912282284, 684),
+    ("qtft", False): ([12.311929929315419, 12.236930335719853],
+                      15.79318033571985, 506),
+    ("qtft", True): ([12.530483319776774, 12.455483658274309],
+                     16.01173365827431, 676),
+    ("qtft-qlstm", False): ([12.316901692587749, 12.241902221627528],
+                            15.798152221627529, 538),
+    ("qtft-qlstm", True): ([12.604041647757281, 12.529042704361231],
+                           16.085292704361233, 724),
+}
+
+
+@pytest.mark.parametrize("kind,non_default", sorted(PINNED_RUNS))
+def test_short_run_results_are_pinned(axis_csv, kind, non_default):
+    from qtft import data_io
+    table = data_io.load_csv(axis_csv, ["Open", "High", "Low", "Last"], "Close")
+    cfg = TrainConfig(epochs=1, model_kind=kind, **(NON_DEFAULT if non_default else {}))
+    train_w, test_w = build_stock_windows(table.rows, table.column_index("Close"), cfg)
+    model = build_model(cfg, 5, 1, 1)
+    want_history, want_test, want_count = PINNED_RUNS[kind, non_default]
+    assert train(model, train_w, cfg) == pytest.approx(want_history, rel=1e-12, abs=0)
+    assert evaluate(model, test_w, cfg.quantile) == pytest.approx(want_test, rel=1e-12, abs=0)
+    assert model.param_count() == want_count

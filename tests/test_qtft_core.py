@@ -7,9 +7,8 @@ import pytest
 import oracles
 from qtft import grad
 from qtft.grad import backward, param
-from qtft.quantum_sim import measure_all_z, run_circuit
+from qtft.quantum_sim import compose, measure_all_z, run_circuit
 from qtft.qtft_core import (
-    PreparedState,
     QTFTConfig,
     QTFTModel,
     init_qattention,
@@ -109,19 +108,22 @@ def test_qglu_gradients(rng):
     fd_check(lambda: grad.pinball(y, qglu(x, p), 0.5), leaves)
 
 
-def test_qglu_prepared_state_skips_encoding(rng):
-    # feeding the eta2 prefix directly must match composing by hand
-    g = init_qgrn(rng, 2, 1, with_context=False)
-    eta1 = rng.uniform(-1, 1, 2)
-    prep = PreparedState(g.vqc_eta2.circuit, param(eta1), g.vqc_eta2.weights)
-    out = qglu(prep, g.qglu)
+def test_qgrn_cached_circuits_skip_reencoding(rng):
+    # the cached branch circuits must match composing the eta2 prefix by hand;
+    # three qubits, because a 2-wide layer norm hides all but the signs
+    g = init_qgrn(rng, 3, 1, with_context=False)
+    a = rng.uniform(-1, 1, 3)
+    out = qgrn(a, None, g)
+    a2 = measure_all_z(run_circuit(g.vqc_a.circuit, a, g.vqc_a.weights.value))
+    eta1 = np.where(a2 >= 0.0, a2, np.exp(np.minimum(a2, 0.0)) - 1.0)
     gate_z = measure_all_z(run_circuit(
-        g.gate_circuit, eta1,
+        compose(g.vqc_eta2.circuit, g.qglu.branch_gate.ansatz), eta1,
         np.concatenate([g.vqc_eta2.weights.value, g.qglu.branch_gate.weights.value])))
     lin_z = measure_all_z(run_circuit(
-        g.lin_circuit, eta1,
+        compose(g.vqc_eta2.circuit, g.qglu.branch_lin.ansatz), eta1,
         np.concatenate([g.vqc_eta2.weights.value, g.qglu.branch_lin.weights.value])))
-    want = (1 / (1 + np.exp(-gate_z))) * lin_z
+    residual = a + (1 / (1 + np.exp(-gate_z))) * lin_z
+    want = (residual - residual.mean()) / np.sqrt(residual.var() + 1e-5)
     np.testing.assert_allclose(out.value, want, atol=1e-12)
 
 

@@ -156,7 +156,7 @@ def test_zz_feature_map_two_qubit_gate_sequence():
     pair = circ.ops[5].angle
     assert isinstance(pair, PairInteractionAngle) and (pair.i, pair.j) == (0, 1)
     v = np.array([0.3, -0.7])
-    assert pair.resolve(v, []) == pytest.approx(2 * (math.pi - 0.3) * (math.pi + 0.7))
+    assert bind_angles(circ, v, [])[5] == pytest.approx(2 * (math.pi - 0.3) * (math.pi + 0.7))
 
 
 def test_zz_feature_map_pair_order_three_qubits():

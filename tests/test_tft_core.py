@@ -13,7 +13,6 @@ from qtft.tft_core import (
     DenseParams,
     GLUParams,
     GRNParams,
-    LayerNormParams,
     TFTConfig,
     TFTModel,
     attention,
@@ -95,7 +94,6 @@ def zero_grn(dim, context_dim=None):
         context=param(np.zeros((dim, context_dim))) if context_dim else None,
         out=dense_of(np.zeros((dim, dim)), np.zeros(dim)),
         glu=zero_glu(dim),
-        norm=LayerNormParams(),
     )
 
 
