@@ -219,29 +219,38 @@ def cmd_train(args) -> int:
     return 0
 
 
-# Snapshot config keys that eval needs to rebuild the run's windows and model.
-EVAL_CONFIG_KEYS = ("model", "epochs", "lr", "quantile", "past_steps", "forecast_steps",
-                    "train_range", "test_range", "d_model", "ansatz_layers", "heads",
-                    "encoding", "ansatz", "scale", "causal_mask", "features", "target")
+# Snapshot config keys that eval reads to rebuild the run's windows and model, and
+# their types.  Every key but the seed (default 1) must be present.
+EVAL_CONFIG_TYPES = {"model": str, "seed": int, "epochs": int, "lr": float, "quantile": float,
+                     "past_steps": int, "forecast_steps": int, "train_range": str,
+                     "test_range": str, "d_model": int, "ansatz_layers": int, "heads": int,
+                     "encoding": str, "ansatz": str, "scale": bool, "causal_mask": bool,
+                     "features": str, "target": str}
+EVAL_CONFIG_KEYS = tuple(key for key in EVAL_CONFIG_TYPES if key != "seed")
+_BOOLS = {"True": True, "False": False}
+
+
+def _typed_config(config: dict[str, str], path: str) -> dict[str, object]:
+    """The values of ``EVAL_CONFIG_TYPES``; one that does not parse is a SnapshotError."""
+    typed = {}
+    for key, kind in EVAL_CONFIG_TYPES.items():
+        text = config.get(key, "1")   # only the seed may be absent
+        try:
+            typed[key] = _BOOLS[text] if kind is bool else kind(text)
+        except (KeyError, ValueError):
+            expected = "True or False" if kind is bool else f"a value of type {kind.__name__}"
+            raise data_io.SnapshotError(f"snapshot {path} has config.{key} = {text}, "
+                                        f"expected {expected}") from None
+    return typed
 
 
 def cmd_eval(args) -> int:
     config, arrays = data_io.load_params(args.snapshot, EVAL_CONFIG_KEYS)
-    ns = argparse.Namespace(
-        data=args.data,
-        epochs=int(config["epochs"]), lr=float(config["lr"]),
-        quantile=float(config["quantile"]), seed=int(config.get("seed", "1")),
-        past_steps=int(config["past_steps"]), forecast_steps=int(config["forecast_steps"]),
-        train_range=config["train_range"], test_range=config["test_range"],
-        d_model=int(config["d_model"]), ansatz_layers=int(config["ansatz_layers"]),
-        heads=int(config["heads"]), encoding=config["encoding"], ansatz=config["ansatz"],
-        scale=config["scale"] == "True", causal_mask=config["causal_mask"] == "True",
-        features=config["features"], target=config["target"],
-    )
+    ns = argparse.Namespace(**_typed_config(config, args.snapshot))
     # an explicit --range evaluates that interval in place of the snapshot's test range
     if args.range:
         ns.test_range = args.range
-    cfg = _config_from_args(ns, config["model"])
+    cfg = _config_from_args(ns, ns.model)
     features = [s.strip() for s in ns.features.split(",") if s.strip()]
     table = data_io.load_csv(args.data, features, ns.target)
     target_idx = table.column_index(ns.target)
@@ -417,18 +426,14 @@ def _deviation_over_leaves(loss_node_fn, leaves) -> float:
     for p in leaves:
         p.grad = None
     worst = 0.0
-    h = 1e-4
     for p, got in zip(leaves, analytic):
-        fd = np.zeros_like(p.value)
-        base = p.value.copy()
-        for i in range(p.value.size):
-            p.value = base.copy()
-            p.value.flat[i] += h
-            up = float(loss_node_fn().value[0])
-            p.value = base.copy()
-            p.value.flat[i] -= h
-            down = float(loss_node_fn().value[0])
-            fd.flat[i] = (up - down) / (2 * h)
+        base = p.value
+
+        def loss_at(value):
+            p.value = value
+            return float(loss_node_fn().value[0])
+
+        fd = reference.central_difference(loss_at, base)
         p.value = base
         worst = max(worst, reference.grad_deviation(got, fd))
     return worst

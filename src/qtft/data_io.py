@@ -9,6 +9,7 @@ Wall-clock timing is deliberately kept out of the canonical report file
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 
@@ -253,11 +254,12 @@ def save_params(named_leaves: list[tuple[str, object]], config: dict[str, object
 
 def load_params(path: str, required_config: tuple[str, ...] = ()
                 ) -> tuple[dict[str, str], dict[str, np.ndarray]]:
-    """Read a snapshot back; the first of ``required_config`` it lacks is an error."""
+    """Read a snapshot back; the first of ``required_config`` it lacks is an error,
+    and so is a leaf line that is not ``name | shape | values`` (naming the line)."""
     config: dict[str, str] = {}
     arrays: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
@@ -265,11 +267,16 @@ def load_params(path: str, required_config: tuple[str, ...] = ()
                 key, _, value = line.partition(" = ")
                 config[key[len("config."):]] = value
                 continue
-            name, shape_s, flat = (part.strip() for part in line.split("|"))
-            values = np.array([float(tok) for tok in flat.split()], dtype=float)
-            if shape_s != "scalar":
-                values = values.reshape(tuple(int(s) for s in shape_s.split("x")))
-            arrays[name] = values
+            try:
+                name, shape_s, flat = (part.strip() for part in line.split("|"))
+                shape = () if shape_s == "scalar" else tuple(int(s) for s in shape_s.split("x"))
+                values = np.array([float(tok) for tok in flat.split()], dtype=float)
+                if values.size != math.prod(shape):
+                    raise ValueError(f"{values.size} values for shape {shape_s}")
+                arrays[name] = values.reshape(shape)
+            except ValueError as exc:
+                raise SnapshotError(f"snapshot {path} line {line_no}: expected "
+                                    f"'name | shape | values' ({exc})") from None
     missing = [key for key in required_config if key not in config]
     if missing:
         raise SnapshotError(f"snapshot {path} has no config.{missing[0]} line")

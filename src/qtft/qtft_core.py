@@ -13,7 +13,9 @@ two gated-linear-unit branch circuits with no measurement in between
 (two executions share the same circuit prefix).
 
 ``QTFTModel`` keeps the forward wiring of :class:`qtft.tft_core.TFTModel`
-and overrides only its block methods.
+and overrides only its block methods.  Variable selection and the LSTM
+recursion are tft_core's own bodies, handed the QGRN or the circuit gate
+map in place of the dense one.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grad
-from .grad import Node, as_node, quantum_forward, softmax
+from .grad import Node, as_node, quantum_forward
 from .quantum_sim import (
     ParameterizedCircuit,
     angle_embedding,
@@ -35,14 +37,17 @@ from .quantum_sim import (
 )
 from .tft_core import (
     DenseParams,
+    LSTMParams,
     TFTConfig,
     TFTModel,
     TFTParams,
+    VariableSelectionParams,
     attention,
     dense,
     init_dense,
     init_lstm,
     lstm_seq,
+    variable_selection,
 )
 
 ENCODINGS = ("angle", "zz")
@@ -55,39 +60,36 @@ ANSATZE = ("basic", "nlocal")
 
 @dataclass
 class VQCBlockParams:
-    """Encoding + ansatz + trainable angles for one circuit block."""
+    """Ansatz + trainable angles for one circuit block, with its encoding prepended."""
 
-    encoding: ParameterizedCircuit
     ansatz: ParameterizedCircuit
     circuit: ParameterizedCircuit     # compose(encoding, ansatz), cached
     weights: Node
     num_qubits: int
 
 
-def build_encoding(num_qubits: int, kind: str, rotation: str = "RX") -> ParameterizedCircuit:
+def build_encoding(num_qubits: int, kind: str) -> ParameterizedCircuit:
     if kind == "angle":
-        return angle_embedding(num_qubits, rotation)
+        return angle_embedding(num_qubits, "RX")
     if kind == "zz":
         return zz_feature_map(num_qubits, reps=1)
     raise ValueError(f"unknown encoding {kind!r}")
 
 
-def build_ansatz(num_qubits: int, num_layers: int, kind: str,
-                 rotation: str = "RY") -> ParameterizedCircuit:
+def build_ansatz(num_qubits: int, num_layers: int, kind: str) -> ParameterizedCircuit:
     if kind == "basic":
-        return basic_entangler_layers(num_qubits, num_layers, rotation)
+        return basic_entangler_layers(num_qubits, num_layers, "RY")
     if kind == "nlocal":
         return n_local(num_qubits, num_layers)
     raise ValueError(f"unknown ansatz {kind!r}")
 
 
 def init_vqc_block(rng: np.random.Generator, num_qubits: int, num_layers: int,
-                   encoding: str = "angle", ansatz: str = "basic",
-                   enc_rotation: str = "RX", ansatz_rotation: str = "RY") -> VQCBlockParams:
-    enc = build_encoding(num_qubits, encoding, enc_rotation)
-    anz = build_ansatz(num_qubits, num_layers, ansatz, ansatz_rotation)
+                   encoding: str = "angle", ansatz: str = "basic") -> VQCBlockParams:
+    enc = build_encoding(num_qubits, encoding)
+    anz = build_ansatz(num_qubits, num_layers, ansatz)
     weights = grad.param(rng.uniform(-math.pi, math.pi, size=anz.num_weight_slots))
-    return VQCBlockParams(enc, anz, compose(enc, anz), weights, num_qubits)
+    return VQCBlockParams(anz, compose(enc, anz), weights, num_qubits)
 
 
 def vqc_apply(x, p: VQCBlockParams) -> Node:
@@ -176,54 +178,24 @@ def qgrn(a, c, p: QGRNParams) -> Node:
 
 
 # --------------------------------------------------------------------------
-# Selection, encoders, attention, recurrence
+# Selection, attention, recurrence
 # --------------------------------------------------------------------------
 
-@dataclass
-class QVariableSelectionParams:
-    var_qgrns: list[QGRNParams]
-    flatten_proj: DenseParams            # (m * d -> m), classical glue
-    context_proj: DenseParams | None     # (d -> m), classical glue for the context
-    weight_qgrn: QGRNParams              # width m
-
-
 def init_qvsn(rng, d_model: int, num_vars: int, with_context: bool,
-              num_layers: int, encoding: str, ansatz: str) -> QVariableSelectionParams:
-    return QVariableSelectionParams(
-        var_qgrns=[init_qgrn(rng, d_model, num_layers, False, encoding, ansatz)
-                   for _ in range(num_vars)],
+              num_layers: int, encoding: str, ansatz: str) -> VariableSelectionParams:
+    """Selection parameters with QGRNs; the context is mapped to width m classically."""
+    return VariableSelectionParams(
+        var_grns=[init_qgrn(rng, d_model, num_layers, False, encoding, ansatz)
+                  for _ in range(num_vars)],
         flatten_proj=init_dense(rng, num_vars, num_vars * d_model),
         context_proj=init_dense(rng, num_vars, d_model) if with_context else None,
-        weight_qgrn=init_qgrn(rng, num_vars, num_layers, with_context, encoding, ansatz),
+        weight_grn=init_qgrn(rng, num_vars, num_layers, with_context, encoding, ansatz),
     )
 
 
-def q_variable_selection(embeddings, c_s, p: QVariableSelectionParams):
-    """Variable selection with every GRN replaced by its quantum analogue.
-
-    The flattened concatenation and the context are first mapped to width
-    m by classical dense layers so the weight block can run on m qubits.
-    """
-    embeddings = [as_node(e) for e in embeddings]
-    if len(embeddings) != len(p.var_qgrns):
-        raise ValueError(f"expected {len(p.var_qgrns)} embeddings, got {len(embeddings)}")
-    flat = grad.concat(embeddings) if len(embeddings) > 1 else embeddings[0]
-    ctx = None
-    if c_s is not None:
-        if p.context_proj is None:
-            raise ValueError("selection block got a context vector but was built without one")
-        ctx = dense(p.context_proj, c_s)
-    weights = softmax(qgrn(dense(p.flatten_proj, flat), ctx, p.weight_qgrn))
-    processed = [qgrn(e, None, g) for e, g in zip(embeddings, p.var_qgrns)]
-    return grad.weighted_sum(weights, processed), weights
-
-
-def q_static_covariate_encoder(xi, encoders: list[QGRNParams]):
-    """Four independent quantum GRNs on the selected static vector."""
-    xi = as_node(xi)
-    if len(encoders) != 4:
-        raise ValueError("static covariate encoder needs exactly four QGRNs")
-    return tuple(qgrn(xi, None, enc) for enc in encoders)
+def q_variable_selection(embeddings, c_s, p: VariableSelectionParams):
+    """Variable selection with every GRN replaced by its quantum analogue."""
+    return variable_selection(embeddings, c_s, p, qgrn)
 
 
 @dataclass
@@ -273,44 +245,25 @@ class QLSTMGateParams:
     vqc: VQCBlockParams
 
 
-@dataclass
-class QLSTMParams:
-    input_gate: QLSTMGateParams
-    forget_gate: QLSTMGateParams
-    cell_gate: QLSTMGateParams
-    output_gate: QLSTMGateParams
-    hidden: int
-
-
 def init_qlstm(rng, input_dim: int, hidden: int, num_layers: int,
-               encoding: str, ansatz: str) -> QLSTMParams:
+               encoding: str, ansatz: str) -> LSTMParams:
     def gate():
         return QLSTMGateParams(
             proj=init_dense(rng, hidden, input_dim + hidden),
             vqc=init_vqc_block(rng, hidden, num_layers, encoding, ansatz),
         )
 
-    return QLSTMParams(gate(), gate(), gate(), gate(), hidden)
+    return LSTMParams(gate(), gate(), gate(), gate(), hidden)
 
 
-def qlstm_step(x, h, c, p: QLSTMParams):
-    """LSTM gate equations with each affine map replaced by a circuit block."""
-    xh = grad.concat([as_node(x), h])
-
-    def gate_expect(gp: QLSTMGateParams) -> Node:
-        return vqc_apply(dense(gp.proj, xh), gp.vqc)
-
-    i = grad.sigmoid(gate_expect(p.input_gate))
-    f = grad.sigmoid(gate_expect(p.forget_gate))
-    g = grad.tanh(gate_expect(p.cell_gate))
-    o = grad.sigmoid(gate_expect(p.output_gate))
-    c_new = grad.add(grad.mul(f, c), grad.mul(i, g))
-    h_new = grad.mul(o, grad.tanh(c_new))
-    return h_new, c_new
+def qlstm_gate(gp: QLSTMGateParams, xh) -> Node:
+    """The QLSTM's gate map: a circuit block on the projected concat(x, h)."""
+    return vqc_apply(dense(gp.proj, xh), gp.vqc)
 
 
-def qlstm_seq(inputs, h0, c0, p: QLSTMParams):
-    return lstm_seq(inputs, h0, c0, p, qlstm_step)
+def qlstm_seq(inputs, h0, c0, p: LSTMParams):
+    """The LSTM recursion with each affine gate map replaced by a circuit block."""
+    return lstm_seq(inputs, h0, c0, p, qlstm_gate)
 
 
 # --------------------------------------------------------------------------
@@ -380,9 +333,6 @@ class QTFTModel(TFTModel):
 
     def select(self, embeddings, c_s, p) -> Node:
         return q_variable_selection(embeddings, c_s, p)[0]
-
-    def encode_static(self, xi, encoders):
-        return q_static_covariate_encoder(xi, encoders)
 
     def recur(self, inputs, h0, c0, p):
         return (qlstm_seq if self.cfg.use_qlstm else lstm_seq)(inputs, h0, c0, p)

@@ -473,23 +473,12 @@ def basic_entangler_layers(num_qubits: int, num_layers: int, rotation: str = "RX
 
 
 def n_local(num_qubits: int, num_layers: int) -> ParameterizedCircuit:
-    """RY rotations plus a CNOT ring per layer, with a final RY rotation layer.
-
-    Dropping the trailing rotation layer reproduces
-    ``basic_entangler_layers(num_qubits, num_layers, "RY")`` gate for gate.
-    """
-    if num_layers < 1:
-        raise CircuitError("num_layers must be >= 1")
-    ops: list[Gate] = []
-    for layer in range(num_layers):
-        for q in range(num_qubits):
-            ops.append(Gate("RY", (q,), SlotAngle(WEIGHT, layer * num_qubits + q)))
-        if num_qubits >= 2:
-            ops.extend(_cnot_ring(num_qubits))
-    for q in range(num_qubits):
-        ops.append(Gate("RY", (q,), SlotAngle(WEIGHT, num_layers * num_qubits + q)))
-    return ParameterizedCircuit(num_qubits, tuple(ops),
-                                num_weight_slots=(num_layers + 1) * num_qubits)
+    """``basic_entangler_layers(num_qubits, num_layers, "RY")`` plus a final RY layer."""
+    base = basic_entangler_layers(num_qubits, num_layers, "RY")
+    final = tuple(Gate("RY", (q,), SlotAngle(WEIGHT, base.num_weight_slots + q))
+                  for q in range(num_qubits))
+    return ParameterizedCircuit(num_qubits, base.ops + final,
+                                num_weight_slots=base.num_weight_slots + num_qubits)
 
 
 # --------------------------------------------------------------------------

@@ -60,7 +60,7 @@ class AttentionParams:
 
 @dataclass
 class LSTMParams:
-    wi: DenseParams
+    wi: DenseParams                 # gate maps; each holds a QLSTMGateParams in the QLSTM
     wf: DenseParams
     wg: DenseParams
     wo: DenseParams
@@ -69,8 +69,9 @@ class LSTMParams:
 
 @dataclass
 class VariableSelectionParams:
-    var_grns: list[GRNParams]       # one per input variable, applied to its embedding
+    var_grns: list[GRNParams]       # one per input variable (QGRNs in the circuit model)
     flatten_proj: DenseParams       # (m*d -> m) map feeding the weight GRN
+    context_proj: DenseParams | None  # (d -> m) map of the context; None in the dense model
     weight_grn: GRNParams           # width m; context enters through its W2
 
 
@@ -132,49 +133,46 @@ def grn(a, c, p: GRNParams) -> Node:
     return grad.layer_norm(grad.add(a, eta3))
 
 
-def variable_selection(embeddings, c_s, p: VariableSelectionParams):
+def variable_selection(embeddings, c_s, p: VariableSelectionParams, block=grn):
     """Softmax-weighted combination of per-variable GRN outputs.
 
     Selection weights come from a GRN (width m) over a dense projection of
     the flattened concatenation; the static context, when given, enters
-    that GRN.  Returns ``(selected, weights)``.
+    that GRN, through ``context_proj`` when that is set.  ``block``
+    is the GRN function (the circuit model passes its QGRN).  Returns
+    ``(selected, weights)``.
     """
     embeddings = [as_node(e) for e in embeddings]
     if len(embeddings) != len(p.var_grns):
         raise ValueError(f"expected {len(p.var_grns)} embeddings, got {len(embeddings)}")
     flat = grad.concat(embeddings) if len(embeddings) > 1 else embeddings[0]
-    weights = softmax(grn(dense(p.flatten_proj, flat), c_s, p.weight_grn))
-    processed = [grn(e, None, g) for e, g in zip(embeddings, p.var_grns)]
+    if c_s is not None and p.context_proj is not None:
+        c_s = dense(p.context_proj, c_s)
+    weights = softmax(block(dense(p.flatten_proj, flat), c_s, p.weight_grn))
+    processed = [block(e, None, g) for e, g in zip(embeddings, p.var_grns)]
     return grad.weighted_sum(weights, processed), weights
 
 
-def static_covariate_encoder(xi, encoders: list[GRNParams]):
-    """Four independent GRNs on the selected static vector: c_s, c_e, c_c, c_h."""
-    xi = as_node(xi)
-    if len(encoders) != 4:
-        raise ValueError("static covariate encoder needs exactly four GRNs")
-    return tuple(grn(xi, None, enc) for enc in encoders)
-
-
-def lstm_step(x, h, c, p: LSTMParams):
+def lstm_step(x, h, c, p: LSTMParams, gate=dense):
+    """One LSTM cell; ``gate(params, concat(x, h))`` is each gate's pre-activation map."""
     xh = grad.concat([as_node(x), h])
-    i = grad.sigmoid(dense(p.wi, xh))
-    f = grad.sigmoid(dense(p.wf, xh))
-    g = grad.tanh(dense(p.wg, xh))
-    o = grad.sigmoid(dense(p.wo, xh))
+    i = grad.sigmoid(gate(p.wi, xh))
+    f = grad.sigmoid(gate(p.wf, xh))
+    g = grad.tanh(gate(p.wg, xh))
+    o = grad.sigmoid(gate(p.wo, xh))
     c_new = grad.add(grad.mul(f, c), grad.mul(i, g))
     h_new = grad.mul(o, grad.tanh(c_new))
     return h_new, c_new
 
 
-def lstm_seq(inputs, h0, c0, p: LSTMParams, step=lstm_step):
-    """LSTM recursion of the cell ``step``; returns (hidden outputs, (h_T, c_T))."""
+def lstm_seq(inputs, h0, c0, p: LSTMParams, gate=dense):
+    """LSTM recursion with gate map ``gate``; returns (hidden outputs, (h_T, c_T))."""
     if not inputs:
         raise ValueError("lstm_seq needs a nonempty input sequence")
     h, c = as_node(h0), as_node(c0)
     outputs = []
     for x in inputs:
-        h, c = step(x, h, c, p)
+        h, c = lstm_step(x, h, c, p, gate)
         outputs.append(h)
     return outputs, (h, c)
 
@@ -247,6 +245,7 @@ def init_vsn(rng, d_model: int, num_vars: int,
     return VariableSelectionParams(
         var_grns=[init_grn(rng, d_model, None) for _ in range(num_vars)],
         flatten_proj=init_dense(rng, num_vars, num_vars * d_model),
+        context_proj=None,
         weight_grn=init_grn(rng, num_vars, context_dim),
     )
 
@@ -361,9 +360,6 @@ class TFTModel:
     def select(self, embeddings, c_s, p) -> Node:
         return variable_selection(embeddings, c_s, p)[0]
 
-    def encode_static(self, xi, encoders):
-        return static_covariate_encoder(xi, encoders)
-
     def recur(self, inputs, h0, c0, p):
         return lstm_seq(inputs, h0, c0, p)
 
@@ -387,7 +383,7 @@ class TFTModel:
             return grad.layer_norm(grad.add(skip, self.glu(x, glu_p)))
 
         xi_static = self.select(embed(static_vars, p.static_embed), None, p.static_vsn)
-        c_s, c_e, c_c, c_h = self.encode_static(xi_static, p.static_encoders)
+        c_s, c_e, c_c, c_h = [self.grn(xi_static, None, enc) for enc in p.static_encoders]
 
         past_emb = [embed(row, p.past_embed) for row in past_vars]
         past_sel = [self.select(emb, c_s, p.past_vsn) for emb in past_emb]

@@ -1,5 +1,7 @@
 import os
 
+import pytest
+
 from qtft.cli import format_compare, gradcheck_suite, main
 from qtft.data_io import read_report
 
@@ -122,6 +124,22 @@ def test_eval_names_missing_snapshot_config_key(axis_csv, tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", "--snapshot", snap, "--data", axis_csv]) == 1
     assert "config.epochs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("d_model", "two"), ("scale", "yes")])
+def test_eval_names_mistyped_snapshot_config_value(axis_csv, tmp_path, capsys, key, value):
+    out = str(tmp_path / "run")
+    assert main(train_args(axis_csv, out)) == 0
+    snap = os.path.join(out, "params.txt")
+    with open(snap, encoding="utf-8") as fh:
+        lines = [f"config.{key} = {value}\n" if line.startswith(f"config.{key} ") else line
+                 for line in fh]
+    with open(snap, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    capsys.readouterr()
+    assert main(["eval", "--snapshot", snap, "--data", axis_csv]) == 1
+    err = capsys.readouterr().err
+    assert f"config.{key}" in err and value in err
 
 
 def test_eval_deterministic_repeat(axis_csv, tmp_path, capsys):

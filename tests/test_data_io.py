@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -191,3 +193,17 @@ def test_params_snapshot_names_first_missing_config_key(tmp_path):
         load_params(path, ("model", "epochs", "lr", "quantile"))
     config, _ = load_params(path, ("model", "lr"))
     assert config["lr"] == "0.1"
+
+
+@pytest.mark.parametrize("line", [
+    "block.b 0.5",
+    "block.b | 2 | 0.5",
+    "block.b | 1 | half",
+    "block.b | 1xb | 0.5",
+], ids=["no-separators", "too-few-values", "not-a-float", "bad-shape"])
+def test_params_snapshot_names_malformed_leaf_line(tmp_path, line):
+    path = tmp_path / "params.txt"
+    path.write_text("# qtft parameter snapshot\nconfig.model = tft\n"
+                    f"block.W | 1x2 | 1.0 2.0\n{line}\n", encoding="utf-8")
+    with pytest.raises(SnapshotError, match=rf"{re.escape(str(path))} line 4:"):
+        load_params(str(path))

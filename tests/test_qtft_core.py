@@ -18,15 +18,14 @@ from qtft.qtft_core import (
     init_qvsn,
     init_vqc_block,
     q_interpretable_multi_head,
-    q_static_covariate_encoder,
     q_variable_selection,
     qglu,
     qgrn,
+    qlstm_gate,
     qlstm_seq,
-    qlstm_step,
     vqc_apply,
 )
-from qtft.tft_core import attention, named_leaves
+from qtft.tft_core import TFTConfig, TFTModel, attention, lstm_step, named_leaves
 
 
 def fd_check(loss_fn, leaves):
@@ -181,7 +180,7 @@ def test_q_variable_selection_simplex_and_hull(rng):
     selected, weights = q_variable_selection(embeds, c_s, p)
     assert np.all(weights.value >= 0)
     assert weights.value.sum() == pytest.approx(1.0, abs=1e-12)
-    processed = np.stack([qgrn(e, None, g).value for e, g in zip(embeds, p.var_qgrns)])
+    processed = np.stack([qgrn(e, None, g).value for e, g in zip(embeds, p.var_grns)])
     assert np.all(selected.value >= processed.min(axis=0) - 1e-12)
     assert np.all(selected.value <= processed.max(axis=0) + 1e-12)
 
@@ -190,7 +189,7 @@ def test_q_static_covariate_encoder(rng):
     base = init_qgrn(rng, 2, 1, with_context=False)
     encoders = [base] + [copy.deepcopy(base) for _ in range(3)]
     xi = rng.uniform(-1, 1, 2)
-    outs = q_static_covariate_encoder(xi, encoders)
+    outs = [qgrn(xi, None, enc) for enc in encoders]
     assert all(c.value.shape == (2,) for c in outs)
     for other in outs[1:]:
         np.testing.assert_allclose(outs[0].value, other.value, atol=0)
@@ -202,7 +201,7 @@ def test_q_static_covariate_encoder_gradients(rng):
     y = rng.uniform(-1, 1, 2)
 
     def loss():
-        c_s, c_e, c_c, c_h = q_static_covariate_encoder(xi, encoders)
+        c_s, c_e, c_c, c_h = [qgrn(xi, None, enc) for enc in encoders]
         return grad.pinball(y, grad.add(grad.add(c_s, c_e), grad.add(c_c, c_h)), 0.5)
 
     fd_check(loss, collect(encoders))
@@ -244,7 +243,7 @@ def test_q_attention_gradients(rng):
 
 def test_qlstm_zero_projection_closed_form(rng):
     p = init_qlstm(rng, 2, 2, 1, "angle", "basic")
-    for gp in (p.input_gate, p.forget_gate, p.cell_gate, p.output_gate):
+    for gp in (p.wi, p.wf, p.wg, p.wo):
         gp.proj.W.value = np.zeros_like(gp.proj.W.value)
         gp.proj.b.value = np.zeros_like(gp.proj.b.value)
     # all gates see the zero vector, so they are constants of the circuits
@@ -253,12 +252,12 @@ def test_qlstm_zero_projection_closed_form(rng):
         return squash(z)
 
     sig = lambda v: 1 / (1 + np.exp(-v))
-    i = const_gate(p.input_gate, sig)
-    f = const_gate(p.forget_gate, sig)
-    g = const_gate(p.cell_gate, np.tanh)
-    o = const_gate(p.output_gate, sig)
+    i = const_gate(p.wi, sig)
+    f = const_gate(p.wf, sig)
+    g = const_gate(p.wg, np.tanh)
+    o = const_gate(p.wo, sig)
     c0, h0 = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
-    h1, c1 = qlstm_step(rng.uniform(-1, 1, 2), param(h0), param(c0), p)
+    h1, c1 = lstm_step(rng.uniform(-1, 1, 2), param(h0), param(c0), p, qlstm_gate)
     c_want = f * c0 + i * g
     np.testing.assert_allclose(c1.value, c_want, atol=1e-12)
     np.testing.assert_allclose(h1.value, o * np.tanh(c_want), atol=1e-12)
@@ -268,7 +267,7 @@ def test_qlstm_hidden_state_bounded(rng):
     p = init_qlstm(rng, 2, 2, 1, "angle", "basic")
     h, c = param(np.zeros(2)), param(np.zeros(2))
     for _ in range(4):
-        h, c = qlstm_step(rng.uniform(-2, 2, 2), h, c, p)
+        h, c = lstm_step(rng.uniform(-2, 2, 2), h, c, p, qlstm_gate)
         assert np.all(np.abs(h.value) < 1.0)
 
 
@@ -285,6 +284,20 @@ def test_qlstm_gradients_two_steps(rng):
 
 
 # ------------------------------------------------------------------ full model
+
+def test_leaf_names_follow_the_dense_model():
+    names = [name for name, _ in
+             QTFTModel(QTFTConfig(use_qlstm=True), np.random.default_rng(0)).named_leaves()]
+    for expected in ("past_vsn.var_grns.0.vqc_a.weights", "past_vsn.context_proj.W",
+                     "past_vsn.weight_grn.vqc_c.weights", "encoder_lstm.wi.proj.W",
+                     "encoder_lstm.wf.vqc.weights", "decoder_lstm.wg.proj.b",
+                     "decoder_lstm.wo.vqc.weights"):
+        assert expected in names
+    assert not [n for n in names if "qgrn" in n or "input_gate" in n or "output_gate" in n]
+    tft_vsn = [name for name, _ in TFTModel(TFTConfig(), np.random.default_rng(0)).named_leaves()
+               if name.startswith("past_vsn.")]
+    assert tft_vsn and not [n for n in tft_vsn if "context_proj" in n]
+
 
 def test_qtft_forward_shape(rng):
     model = QTFTModel(QTFTConfig(quantiles=(0.1, 0.5, 0.9)), np.random.default_rng(3))

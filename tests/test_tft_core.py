@@ -25,7 +25,6 @@ from qtft.tft_core import (
     lstm_seq,
     named_leaves,
     softmax,
-    static_covariate_encoder,
     variable_selection,
 )
 
@@ -182,14 +181,14 @@ def test_static_encoder_identical_parameters(rng):
     base = init_grn(rng, 2)
     encoders = [base] + [copy.deepcopy(base) for _ in range(3)]
     xi = rng.uniform(-1, 1, 2)
-    c_s, c_e, c_c, c_h = static_covariate_encoder(xi, encoders)
+    c_s, c_e, c_c, c_h = [grn(xi, None, enc) for enc in encoders]
     for other in (c_e, c_c, c_h):
         np.testing.assert_allclose(c_s.value, other.value, atol=0)
 
 
 def test_static_encoder_zero_weights_reduces_to_normalization(rng):
     encoders = [zero_grn(2) for _ in range(4)]
-    out = static_covariate_encoder(np.array([1.0, -1.0]), encoders)
+    out = [grn(np.array([1.0, -1.0]), None, enc) for enc in encoders]
     for c in out:
         np.testing.assert_allclose(c.value, [1.0, -1.0], atol=1e-5)
 
@@ -200,7 +199,7 @@ def test_static_encoder_gradients(rng):
     y = rng.uniform(-1, 1, 2)
 
     def loss():
-        c_s, c_e, c_c, c_h = static_covariate_encoder(xi, encoders)
+        c_s, c_e, c_c, c_h = [grn(xi, None, enc) for enc in encoders]
         total = grad.add(grad.add(c_s, c_e), grad.add(c_c, c_h))
         return grad.pinball(y, total, 0.4)
 
