@@ -35,8 +35,15 @@ COMPARE_LABELS = {
 
 
 def _parse_range(text: str) -> tuple[int, int]:
+    """``FIRST:LAST`` as two ints with FIRST <= LAST; a ValueError saying which rule failed."""
     first, _, last = text.partition(":")
-    return int(first), int(last)
+    try:
+        a, b = int(first), int(last)
+    except ValueError:
+        raise ValueError("ranges must look like FIRST:LAST") from None
+    if a > b:
+        raise ValueError("ranges must satisfy FIRST <= LAST")
+    return a, b
 
 
 def _add_train_flags(p: argparse.ArgumentParser, with_model: bool = True):
@@ -112,10 +119,8 @@ def _validate_train_flags(args) -> str | None:
     try:
         a, b = _parse_range(args.train_range)
         c, d = _parse_range(args.test_range)
-    except ValueError:
-        return "ranges must look like FIRST:LAST"
-    if a > b or c > d:
-        return "ranges must satisfy FIRST <= LAST"
+    except ValueError as exc:
+        return str(exc)
     if max(a, c) <= min(b, d):
         return "train and test ranges must be disjoint"
     if not [s for s in args.features.split(",") if s.strip()]:
@@ -220,14 +225,16 @@ def cmd_train(args) -> int:
 
 
 # Snapshot config keys that eval reads to rebuild the run's windows and model, and
-# their types.  Every key but the seed (default 1) must be present.
+# their types (a range stays text, once ``_parse_range`` accepts it).  Every key but
+# the seed (default 1) must be present.
 EVAL_CONFIG_TYPES = {"model": str, "seed": int, "epochs": int, "lr": float, "quantile": float,
-                     "past_steps": int, "forecast_steps": int, "train_range": str,
-                     "test_range": str, "d_model": int, "ansatz_layers": int, "heads": int,
-                     "encoding": str, "ansatz": str, "scale": bool, "causal_mask": bool,
-                     "features": str, "target": str}
+                     "past_steps": int, "forecast_steps": int, "train_range": _parse_range,
+                     "test_range": _parse_range, "d_model": int, "ansatz_layers": int,
+                     "heads": int, "encoding": str, "ansatz": str, "scale": bool,
+                     "causal_mask": bool, "features": str, "target": str}
 EVAL_CONFIG_KEYS = tuple(key for key in EVAL_CONFIG_TYPES if key != "seed")
 _BOOLS = {"True": True, "False": False}
+_EXPECTED = {bool: "True or False", _parse_range: "FIRST:LAST with FIRST <= LAST"}
 
 
 def _typed_config(config: dict[str, str], path: str) -> dict[str, object]:
@@ -236,19 +243,26 @@ def _typed_config(config: dict[str, str], path: str) -> dict[str, object]:
     for key, kind in EVAL_CONFIG_TYPES.items():
         text = config.get(key, "1")   # only the seed may be absent
         try:
-            typed[key] = _BOOLS[text] if kind is bool else kind(text)
+            value = _BOOLS[text] if kind is bool else kind(text)
         except (KeyError, ValueError):
-            expected = "True or False" if kind is bool else f"a value of type {kind.__name__}"
+            expected = _EXPECTED.get(kind) or f"a value of type {kind.__name__}"
             raise data_io.SnapshotError(f"snapshot {path} has config.{key} = {text}, "
                                         f"expected {expected}") from None
+        typed[key] = text if kind is _parse_range else value
     return typed
 
 
 def cmd_eval(args) -> int:
+    # an explicit --range evaluates that interval in place of the snapshot's test range
+    if args.range is not None:
+        try:
+            _parse_range(args.range)
+        except ValueError as exc:
+            print(f"error: --range: {exc}", file=sys.stderr)
+            return 2
     config, arrays = data_io.load_params(args.snapshot, EVAL_CONFIG_KEYS)
     ns = argparse.Namespace(**_typed_config(config, args.snapshot))
-    # an explicit --range evaluates that interval in place of the snapshot's test range
-    if args.range:
+    if args.range is not None:
         ns.test_range = args.range
     cfg = _config_from_args(ns, ns.model)
     features = [s.strip() for s in ns.features.split(",") if s.strip()]

@@ -178,13 +178,19 @@ def build_model(cfg: TrainConfig, num_past_vars: int, num_future_vars: int,
     ), rng)
 
 
+def stack_windows(samples):
+    """(static, past, future_known, targets) of all windows, each stacked on a leading axis."""
+    return tuple(np.stack([getattr(s, name) for s in samples])
+                 for name in ("static", "past", "future_known", "targets"))
+
+
 def batch_loss_node(model, samples, q: float) -> grad.Node:
-    """Mean quantile loss over all windows and forecast steps, as a graph node."""
-    per_window = []
-    for s in samples:
-        preds = model.predict_nodes(s.static, s.past, s.future_known)
-        per_window.append(grad.pinball(s.targets, preds[0], q))
-    return grad.mean_scalars(per_window)
+    """Mean quantile loss over all windows and forecast steps, as one graph node.
+
+    All windows go through one batched forward pass.
+    """
+    static, past, future, targets = stack_windows(samples)
+    return grad.pinball(targets, model.predict_nodes(static, past, future)[0], q)
 
 
 def train(model, samples, cfg: TrainConfig) -> list[float]:
@@ -212,22 +218,25 @@ def train(model, samples, cfg: TrainConfig) -> list[float]:
     return history
 
 
+def _forecast(model, samples):
+    """(targets, first-quantile predictions), both (windows, tau), from one batched call.
+
+    A prediction without a window axis applies to every window.
+    """
+    static, past, future, targets = stack_windows(samples)
+    return targets, np.broadcast_to(model.predict(static, past, future)[0], targets.shape)
+
+
 def evaluate(model, samples, q: float) -> float:
     """Mean quantile loss over the given windows, no parameter updates."""
     if not samples:
         raise ValueError("evaluate needs at least one window")
-    total = 0.0
-    for s in samples:
-        preds = model.predict(s.static, s.past, s.future_known)
-        total += quantile_loss(s.targets, preds[0], q)
-    return total / len(samples)
+    return quantile_loss(*_forecast(model, samples), q)
 
 
 def window_predictions(model, samples) -> list[tuple[int, float, float]]:
     """(global time index, true value, predicted value) per window and step."""
-    rows = []
-    for s in samples:
-        preds = model.predict(s.static, s.past, s.future_known)[0]
-        for i in range(s.targets.shape[0]):
-            rows.append((s.anchor + 1 + i, float(s.targets[i]), float(preds[i])))
-    return rows
+    targets, preds = _forecast(model, samples)
+    return [(s.anchor + 1 + i, float(y), float(p))
+            for s, ys, ps in zip(samples, targets, preds)
+            for i, (y, p) in enumerate(zip(ys, ps))]

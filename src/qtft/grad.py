@@ -1,4 +1,4 @@
-"""Reverse-mode differentiation over vectors with quantum circuits as nodes.
+"""Reverse-mode differentiation over (batches of) vectors, with quantum circuits as nodes.
 
 Classical operations record closed-form backward rules on a dynamically
 built graph.  Quantum circuit evaluations enter the graph as
@@ -18,6 +18,8 @@ bit-identical gradients.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 
 import numpy as np
@@ -41,6 +43,24 @@ _SHIFTS = np.array([_HALF_PI, -_HALF_PI])   # the plus and the minus row of a ga
 # Graph nodes
 # --------------------------------------------------------------------------
 
+_taping = contextvars.ContextVar("taping", default=True)
+
+
+@contextlib.contextmanager
+def no_tape():
+    """Compute values only: nodes built inside record no parents and no rule.
+
+    Each intermediate node is then freed as soon as nothing downstream
+    holds it, so a forward-only pass keeps no graph alive and hands the
+    garbage collector almost nothing to scan.
+    """
+    token = _taping.set(False)
+    try:
+        yield
+    finally:
+        _taping.reset(token)
+
+
 class Node:
     """A value in the computation graph plus its gradient accumulator.
 
@@ -53,8 +73,11 @@ class Node:
     def __init__(self, value, parents=(), backward_rule=None, name=""):
         self.value = np.asarray(value, dtype=float)
         self.grad = None
-        self.parents = tuple(parents)
-        self.backward_rule = backward_rule
+        if _taping.get():
+            self.parents = tuple(parents)
+            self.backward_rule = backward_rule
+        else:
+            self.parents, self.backward_rule = (), None
         self.name = name
 
     def __repr__(self):
@@ -143,21 +166,39 @@ def sgd_step(params, lr: float) -> None:
 # --------------------------------------------------------------------------
 # Classical operations
 # --------------------------------------------------------------------------
+#
+# Every operation acts on the last axis of its operands (the last two for
+# ``matmul`` and ``transpose``, whose operands are matrices) and treats any
+# leading axes as a batch, so one graph can carry many windows.  Leaves are
+# unbatched and broadcast against batched operands; a backward rule sums
+# the axes that broadcasting added, so each gradient has its node's shape.
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``g`` summed over the axes broadcasting added to an operand of ``shape``."""
+    if g.shape == shape:
+        return g
+    g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    kept = tuple(i for i, size in enumerate(shape) if size == 1 and g.shape[i] != 1)
+    return g.sum(axis=kept, keepdims=True) if kept else g
+
 
 def add(a: Node, b: Node) -> Node:
     a, b = as_node(a), as_node(b)
-    return Node(a.value + b.value, (a, b), lambda u: (u, u))
+    return Node(a.value + b.value, (a, b),
+                lambda u: (_unbroadcast(u, a.value.shape), _unbroadcast(u, b.value.shape)))
 
 
 def sub(a: Node, b: Node) -> Node:
     a, b = as_node(a), as_node(b)
-    return Node(a.value - b.value, (a, b), lambda u: (u, -u))
+    return Node(a.value - b.value, (a, b),
+                lambda u: (_unbroadcast(u, a.value.shape), _unbroadcast(-u, b.value.shape)))
 
 
 def mul(a: Node, b: Node) -> Node:
     a, b = as_node(a), as_node(b)
     return Node(a.value * b.value, (a, b),
-                lambda u: (u * b.value, u * a.value))
+                lambda u: (_unbroadcast(u * b.value, a.value.shape),
+                           _unbroadcast(u * a.value, b.value.shape)))
 
 
 def scale(a: Node, c: float) -> Node:
@@ -165,38 +206,57 @@ def scale(a: Node, c: float) -> Node:
     return Node(c * a.value, (a,), lambda u: (c * u,))
 
 
+def _matvec_grads(w: Node, x: Node, u: np.ndarray):
+    """Gradients of ``W x`` with respect to ``W`` (summed over the batch) and ``x``."""
+    rows = u.reshape(math.prod(u.shape[:-1]), u.shape[-1])
+    return rows.T @ x.value.reshape(rows.shape[0], x.value.shape[-1]), u @ w.value
+
+
 def matvec(w: Node, x: Node) -> Node:
+    """``W x`` for an unbatched matrix ``W`` and a (batch of) vector(s) ``x``."""
     w, x = as_node(w), as_node(x)
-    return Node(w.value @ x.value, (w, x),
-                lambda u: (np.outer(u, x.value), w.value.T @ u))
+    return Node(x.value @ w.value.T, (w, x), lambda u: _matvec_grads(w, x, u))
+
+
+def affine(w: Node, x: Node, b: Node) -> Node:
+    """``W x + b``: :func:`matvec` and :func:`add` fused into one node."""
+    w, x, b = as_node(w), as_node(x), as_node(b)
+    return Node(x.value @ w.value.T + b.value, (w, x, b),
+                lambda u: _matvec_grads(w, x, u) + (_unbroadcast(u, b.value.shape),))
+
+
+def _swap(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m, -1, -2)
 
 
 def matmul(a: Node, b: Node) -> Node:
     a, b = as_node(a), as_node(b)
     return Node(a.value @ b.value, (a, b),
-                lambda u: (u @ b.value.T, a.value.T @ u))
+                lambda u: (_unbroadcast(u @ _swap(b.value), a.value.shape),
+                           _unbroadcast(_swap(a.value) @ u, b.value.shape)))
 
 
 def transpose(a: Node) -> Node:
     a = as_node(a)
-    return Node(a.value.T, (a,), lambda u: (u.T,))
+    return Node(_swap(a.value), (a,), lambda u: (_swap(u),))
 
 
 def concat(nodes) -> Node:
+    """Concatenation along the last axis; leading axes must agree."""
     nodes = [as_node(x) for x in nodes]
-    sizes = [n.value.size for n in nodes]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [n.value.shape[-1] for n in nodes])
 
     def rule(u):
-        return tuple(u[offsets[i]:offsets[i + 1]] for i in range(len(nodes)))
+        return tuple(u[..., offsets[i]:offsets[i + 1]] for i in range(len(nodes)))
 
-    return Node(np.concatenate([n.value for n in nodes]), tuple(nodes), rule)
+    return Node(np.concatenate([n.value for n in nodes], axis=-1), tuple(nodes), rule)
 
 
 def stack_rows(nodes) -> Node:
+    """Vectors stacked as the rows of a matrix (second-to-last axis)."""
     nodes = [as_node(x) for x in nodes]
-    return Node(np.stack([n.value for n in nodes]), tuple(nodes),
-                lambda u: tuple(u[i] for i in range(len(nodes))))
+    return Node(np.stack([n.value for n in nodes], axis=-2), tuple(nodes),
+                lambda u: tuple(u[..., i, :] for i in range(len(nodes))))
 
 
 def row(m: Node, i: int) -> Node:
@@ -204,21 +264,23 @@ def row(m: Node, i: int) -> Node:
 
     def rule(u):
         g = np.zeros_like(m.value)
-        g[i] = u
+        g[..., i, :] = u
         return (g,)
 
-    return Node(m.value[i], (m,), rule)
+    return Node(m.value[..., i, :], (m,), rule)
 
 
 def weighted_sum(weights: Node, vectors) -> Node:
-    """Sum_j weights[j] * vectors[j] for vector nodes of equal length."""
+    """Sum_j weights[..., j] * vectors[j] for vector nodes of equal length."""
     weights = as_node(weights)
     vectors = [as_node(v) for v in vectors]
-    value = sum(w * v.value for w, v in zip(weights.value, vectors))
+    value = sum(weights.value[..., j:j + 1] * v.value for j, v in enumerate(vectors))
 
     def rule(u):
-        dw = np.array([float(v.value @ u) for v in vectors])
-        return (dw,) + tuple(weights.value[j] * u for j in range(len(vectors)))
+        dw = np.stack([np.sum(v.value * u, axis=-1) for v in vectors], axis=-1)
+        return (_unbroadcast(dw, weights.value.shape),) + tuple(
+            _unbroadcast(weights.value[..., j:j + 1] * u, v.value.shape)
+            for j, v in enumerate(vectors))
 
     return Node(value, (weights, *vectors), rule)
 
@@ -245,31 +307,22 @@ def tanh(x: Node) -> Node:
 
 
 def softmax(x: Node) -> Node:
-    """Stable softmax of a vector (max subtraction before exponentiation)."""
+    """Stable softmax over the last axis (max subtraction before exponentiation)."""
     x = as_node(x)
-    z = np.exp(x.value - np.max(x.value))
-    s = z / z.sum()
-    return Node(s, (x,), lambda u: (s * (u - float(u @ s)),))
-
-
-def softmax_rows(x: Node) -> Node:
-    """Row-wise stable softmax of a matrix."""
-    x = as_node(x)
-    z = np.exp(x.value - x.value.max(axis=1, keepdims=True))
-    s = z / z.sum(axis=1, keepdims=True)
-    return Node(s, (x,), lambda u: (s * (u - (u * s).sum(axis=1, keepdims=True)),))
+    z = np.exp(x.value - x.value.max(axis=-1, keepdims=True))
+    s = z / z.sum(axis=-1, keepdims=True)
+    return Node(s, (x,), lambda u: (s * (u - (u * s).sum(axis=-1, keepdims=True)),))
 
 
 def layer_norm(x: Node, eps: float = 1e-5) -> Node:
-    """Population-variance layer normalization (no gain or bias)."""
+    """Population-variance layer normalization over the last axis (no gain or bias)."""
     x = as_node(x)
-    mu = x.value.mean()
-    centered = x.value - mu
-    var = float((centered ** 2).mean())
-    inv = 1.0 / math.sqrt(var + eps)
+    d = x.value.shape[-1]
+    centered = x.value - x.value.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / d + eps)
     y = centered * inv
-    d = x.value.size
-    return Node(y, (x,), lambda u: ((inv / d) * (d * u - u.sum() - y * float(u @ y)),))
+    return Node(y, (x,), lambda u: ((inv / d) * (d * u - u.sum(axis=-1, keepdims=True)
+                                                 - y * (u * y).sum(axis=-1, keepdims=True)),))
 
 
 def mean_all(x: Node) -> Node:
@@ -279,18 +332,12 @@ def mean_all(x: Node) -> Node:
                 lambda u: (np.full_like(x.value, u[0] / m),))
 
 
-def sum_scalars(nodes) -> Node:
-    nodes = [as_node(x) for x in nodes]
-    total = np.array([sum(float(n.value.reshape(-1)[0]) for n in nodes)])
-    return Node(total, tuple(nodes), lambda u: tuple(u for _ in nodes))
-
-
-def mean_scalars(nodes) -> Node:
-    return scale(sum_scalars(nodes), 1.0 / len(nodes))
-
-
 def pinball(targets, predictions: Node, q: float) -> Node:
-    """Mean quantile (pinball) loss max((q-1)e, qe) with e = y - yhat."""
+    """Mean quantile (pinball) loss max((q-1)e, qe) with e = y - yhat.
+
+    The mean runs over every entry of ``e``, so a batch of windows gives
+    the mean over all windows and forecast steps.
+    """
     predictions = as_node(predictions)
     y = np.asarray(targets, dtype=float)
     e = y - predictions.value
@@ -300,7 +347,7 @@ def pinball(targets, predictions: Node, q: float) -> Node:
     coeff = np.where(e > 0.0, q, q - 1.0)
 
     def rule(u):
-        return ((-coeff) * (u[0] / m),)
+        return (_unbroadcast((-coeff) * (u[0] / m), predictions.value.shape),)
 
     return Node(np.array([value.mean()]), (predictions,), rule)
 
@@ -325,34 +372,41 @@ def shift_rule_jacobians(circuit: ParameterizedCircuit, features, weights):
     """Full parameter-shift Jacobians of the per-qubit <Z> vector.
 
     Returns ``(J_features, J_weights)`` with shapes (num_feature_slots, n)
-    and (num_weight_slots, n).  Every gate whose angle depends on a slot
-    is shifted once each way, all shifted circuits run as one batch, and
-    each gate's difference reaches its slots through d angle / d slot.
+    and (num_weight_slots, n), behind any leading batch axes of the
+    features or weights.  Every gate whose angle depends on a slot is
+    shifted once each way for every row, all shifted circuits run as one
+    batch, and each gate's difference reaches its slots through
+    d angle / d slot.
     """
     plan = circuit.plan
     values = plan.slot_values(features, weights)
-    base = plan.angles(values)
+    lead = values.shape[:-1]
+    values = values.reshape(math.prod(lead), values.shape[-1])
     if plan.crz_slots:
         raise CircuitError("parameter-shift rule is not defined for CRZ slots")
     n, gates = circuit.num_qubits, plan.shift_gates
-    jac = np.zeros((values.size, n))
-    if gates.size:
-        rows = np.tile(base, (2 * gates.size, 1))
-        rows.reshape(gates.size, 2, -1)[np.arange(gates.size), :, gates] += _SHIFTS
+    batch, g = values.shape[0], gates.size
+    jac = np.zeros((batch, values.shape[1], n))
+    if g:
+        rows = np.repeat(plan.angles(values), 2 * g, axis=0)
+        rows.reshape(batch, g, 2, -1)[:, np.arange(g), :, gates] += _SHIFTS
         z = all_z_from_amplitudes(run_bound_batch(circuit, rows), n)
-        diff = z[0::2] - z[1::2]
-        np.add.at(jac, plan.part_slot,
-                  (plan.angle_partials(values) * 0.5)[:, None] * diff[plan.part_row])
+        diff = (z[0::2] - z[1::2]).reshape(batch, g, n)
+        np.add.at(jac, (slice(None), plan.part_slot),
+                  (plan.angle_partials(values) * 0.5)[:, :, None] * diff[:, plan.part_row])
+    jac = jac.reshape(lead + jac.shape[1:])
     nf = circuit.num_feature_slots
-    return jac[:nf], jac[nf:]
+    return jac[..., :nf, :], jac[..., nf:, :]
 
 
 def quantum_forward(circuit: ParameterizedCircuit, feature_node: Node,
                     weight_node: Node) -> QuantumNode:
     """Run a circuit inside the graph; value is the per-qubit <Z> vector.
 
-    Jacobians are computed lazily at backward time, so forward-only
-    evaluation (e.g. finite-difference probing) never pays for shifts.
+    Features and weights may carry leading batch axes; the circuit then
+    runs once per row, in one call.  Jacobians are computed lazily at
+    backward time, so forward-only evaluation (e.g. finite-difference
+    probing) never pays for shifts.
     """
     feature_node = as_node(feature_node)
     weight_node = as_node(weight_node)
@@ -363,6 +417,8 @@ def quantum_forward(circuit: ParameterizedCircuit, feature_node: Node,
 
     def rule(u):
         jf, jw = shift_rule_jacobians(circuit, features, weights)
-        return (jf @ u, jw @ u)
+        u = u[..., None]
+        return (_unbroadcast((jf @ u)[..., 0], features.shape),
+                _unbroadcast((jw @ u)[..., 0], weights.shape))
 
     return QuantumNode(circuit, feature_node, weight_node, value, rule)

@@ -93,9 +93,9 @@ def init_vqc_block(rng: np.random.Generator, num_qubits: int, num_layers: int,
 
 
 def vqc_apply(x, p: VQCBlockParams) -> Node:
-    """Encode x, run the ansatz, measure every qubit with Pauli-Z."""
+    """Encode x, run the ansatz, measure every qubit with Pauli-Z (per row of a batch)."""
     x = as_node(x)
-    if x.value.shape != (p.num_qubits,):
+    if x.value.shape[-1:] != (p.num_qubits,):
         raise ValueError(f"block of {p.num_qubits} qubits got input shape {x.value.shape}")
     return quantum_forward(p.circuit, x, p.weights)
 

@@ -17,17 +17,21 @@ time) or from a weight slot (trainable), optionally through a fixed
 angle map such as the pairwise interaction used by the ZZ feature map.
 
 Every run goes through a :class:`CircuitPlan`, compiled from the gate list
-on first use and cached on the circuit.  The plan binds angles with
-vectorised gathers, folds CNOTs into a relabelling of the amplitude
+on first use and shared by every equal circuit.  The plan binds angles
+with vectorised gathers, folds CNOTs into a relabelling of the amplitude
 columns, and applies every other gate as one elementwise update over all
 columns of a (batch, 2**n) array.
+
+Bindings, states and expectations may carry leading batch axes: features
+of shape (..., num_feature_slots) give states of shape (..., 2**n) and
+<Z> vectors of shape (..., n), one row per binding, from one plan run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -144,8 +148,14 @@ class ParameterizedCircuit:
 
     @cached_property
     def plan(self) -> CircuitPlan:
-        """The compiled form every run uses, built on first access."""
-        return CircuitPlan(self)
+        """The compiled form every run uses, shared by all equal circuits."""
+        return _compiled(self)
+
+
+@lru_cache(maxsize=256)
+def _compiled(circuit: ParameterizedCircuit) -> CircuitPlan:
+    """One plan per distinct gate list; the bound keeps one-off circuits from piling up."""
+    return CircuitPlan(circuit)
 
 
 def compose(first: ParameterizedCircuit, second: ParameterizedCircuit) -> ParameterizedCircuit:
@@ -176,7 +186,7 @@ def compose(first: ParameterizedCircuit, second: ParameterizedCircuit) -> Parame
 
 
 def bind_angles(circuit: ParameterizedCircuit, features, weights) -> np.ndarray:
-    """Per-gate bound angles as a float array (NaN for fixed gates)."""
+    """Per-gate bound angles (NaN for fixed gates), one row per binding."""
     plan = circuit.plan
     return plan.angles(plan.slot_values(features, weights))
 
@@ -187,7 +197,11 @@ def bind_angles(circuit: ParameterizedCircuit, features, weights) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Complex amplitudes over the 2^n computational basis states."""
+    """Complex amplitudes over the 2^n computational basis states.
+
+    ``amplitudes`` has shape (2**n,), or (..., 2**n) for a batch of states;
+    every row must be normalized.
+    """
 
     num_qubits: int
     amplitudes: np.ndarray
@@ -196,12 +210,13 @@ class StateVector:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if self.num_qubits < 1:
             raise CircuitError("state needs at least one qubit")
-        if amps.shape != (2 ** self.num_qubits,):
+        if amps.shape[-1:] != (2 ** self.num_qubits,):
             raise CircuitError(
                 f"state of {self.num_qubits} qubits needs {2 ** self.num_qubits} amplitudes"
             )
-        norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > 1e-10:
+        norms = (np.abs(amps) ** 2).sum(axis=-1)
+        if np.abs(norms - 1.0).max() > 1e-10:
+            norm = float(norms[np.abs(norms - 1.0) > 1e-10].flat[0])   # the first bad row's
             raise CircuitError(f"state not normalized: sum |a_i|^2 = {norm!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -218,6 +233,8 @@ def zero_state(num_qubits: int) -> StateVector:
 # --------------------------------------------------------------------------
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# Largest (steps, rows, 4 * 2**n) float64 coefficient tensor one plan run builds.
+COEFF_BYTES = 2 << 20
 
 
 class CircuitPlan:
@@ -281,9 +298,9 @@ class CircuitPlan:
                                   dtype=np.intp)
         self.trig_scale = np.array([1.0 if ops[gi].kind == "PHASE" else 0.5
                                     for gi in self.par_gates])
-        # recipe[k, t, 0 | 1, column]: the a | b coefficient of step k per unit of
+        # recipe[k, 0 | 1, t, column]: the a | b coefficient of step k per unit of
         # cos t (t = 0), sin t (t = 1) and 1 (t = 2).
-        recipe = np.zeros((len(steps), 3, 2, dim), dtype=complex)
+        recipe = np.zeros((len(steps), 2, 3, dim), dtype=complex)
         loc = basis
         self.flips = []
         for g in ops:
@@ -293,7 +310,7 @@ class CircuitPlan:
                 continue
             state = np.argsort(loc)               # basis state held by each column
             low = (state & masks[-1]) == 0         # its target bit is clear
-            a, b = recipe[len(self.flips), :, 0], recipe[len(self.flips), :, 1]
+            a, b = recipe[len(self.flips)]
             self.flips.append(loc[state ^ masks[-1]] if g.kind in ("H", "RX", "RY") else None)
             # Coefficients where the target bit is clear | set, c = cos t, s = sin t.
             if g.kind == "H":        # a = 1/sqrt2 | -1/sqrt2, b = 1/sqrt2
@@ -309,52 +326,76 @@ class CircuitPlan:
             else:                    # CRZ: a = 1 where the control is clear, else as RZ
                 on = (state & masks[0]) != 0
                 a[0], a[1], a[2] = on, np.where(on, np.where(low, -1j, 1j), 0.0), ~on
-        self.recipe = recipe.view(float).reshape(len(steps), 3, 4 * dim)
+        self.recipe = recipe.view(float)   # (steps, 2, 3, 2 * dim)
         self.loc = loc
+        self.chunk_rows = max(1, COEFF_BYTES // max(1, self.recipe[:, :, 0].nbytes))
+        for table in [*vars(self).values(), *self.flips]:   # shared by all equal circuits
+            if isinstance(table, np.ndarray):
+                table.setflags(write=False)
 
     def slot_values(self, features, weights) -> np.ndarray:
-        """Feature values followed by weight values, after checking both lengths."""
+        """Feature values followed by weight values, after checking both lengths.
+
+        Either may carry leading batch axes; the two broadcast against each
+        other, giving one row of slot values per binding.
+        """
         features = np.asarray(features, dtype=float)
         weights = np.asarray(weights, dtype=float)
-        if features.shape != (self.num_feature_slots,):
+        if features.shape[-1:] != (self.num_feature_slots,):
             raise BindingError(
                 f"expected {self.num_feature_slots} features, got shape {features.shape}")
-        if weights.shape != (self.num_weight_slots,):
+        if weights.shape[-1:] != (self.num_weight_slots,):
             raise BindingError(
                 f"expected {self.num_weight_slots} weights, got shape {weights.shape}")
-        return np.concatenate((features, weights))
+        if features.shape[:-1] != weights.shape[:-1]:
+            lead = np.broadcast_shapes(features.shape[:-1], weights.shape[:-1])
+            features = np.broadcast_to(features, lead + features.shape[-1:])
+            weights = np.broadcast_to(weights, lead + weights.shape[-1:])
+        return np.concatenate((features, weights), axis=-1)
+
+    # Both maps below work on transposed arrays (slots or gates first), so that
+    # every gather and scatter indexes the first axis, the fastest case for numpy.
 
     def angles(self, values: np.ndarray) -> np.ndarray:
-        """Per-gate angles (NaN for fixed gates) from :meth:`slot_values`."""
-        angles = self.literals.copy()
-        angles[self.slot_gate] = self.slot_coeff * values[self.slot_index]
+        """Per-gate angles (NaN for fixed gates) from :meth:`slot_values`, per row."""
+        vt = values.T
+        angles = np.empty(self.literals.shape + vt.shape[1:])
+        angles.T[...] = self.literals
+        angles[self.slot_gate] = (self.slot_coeff * vt[self.slot_index].T).T
         if self.pair_gate.size:
-            angles[self.pair_gate] = (2.0 * (math.pi - values[self.pair_i])
-                                      * (math.pi - values[self.pair_j]))
-        return angles
+            angles[self.pair_gate] = 2.0 * (math.pi - vt[self.pair_i]) * (math.pi - vt[self.pair_j])
+        return angles.T
 
     def angle_partials(self, values: np.ndarray) -> np.ndarray:
-        """d angle / d slot for every (gate, slot) dependence, in gate order.
+        """d angle / d slot for every (gate, slot) dependence, in gate order, per row.
 
         Entry ``k`` belongs to gate ``shift_gates[part_row[k]]`` and slot
         ``part_slot[k]`` of :meth:`slot_values`.
         """
-        d = self.part_coeff.copy()
+        vt = values.T
+        d = np.empty(self.part_coeff.shape + vt.shape[1:])
+        d.T[...] = self.part_coeff
         if self.part_pair.size:
-            d[self.part_pair] = -2.0 * (math.pi - values[self.part_partner])
-        return d
+            d[self.part_pair] = -2.0 * (math.pi - vt[self.part_partner])
+        return d.T
 
     def run(self, angle_rows: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
         """(B, 2**n) amplitudes for a (B, num_gates) array of angles.
 
         The circuit acts on |0...0>, or on ``start`` (a (B, 2**n) array).
+        Rows run in chunks whose gate coefficients fit in ``COEFF_BYTES``.
         """
-        batch, dim = angle_rows.shape[0], self.loc.size
-        phi = (angle_rows[:, self.par_gates] * self.trig_scale).T
-        trig = np.ones((len(self.flips), batch, 3))
-        trig[self.par_steps, :, 0] = np.cos(phi)
-        trig[self.par_steps, :, 1] = np.sin(phi)
-        coeff = (trig @ self.recipe).view(complex)   # (steps, batch, 2 * dim): a, then b
+        batch, dim, chunk = angle_rows.shape[0], self.loc.size, self.chunk_rows
+        if batch > chunk:
+            return np.concatenate([
+                self.run(angle_rows[i:i + chunk], None if start is None else start[i:i + chunk])
+                for i in range(0, batch, chunk)])
+        phi = angle_rows.take(self.par_gates, axis=1).T * self.trig_scale[:, None]
+        trig = np.ones((len(self.flips), 1, batch, 3))
+        trig[self.par_steps, 0, :, 0] = np.cos(phi)
+        trig[self.par_steps, 0, :, 1] = np.sin(phi)
+        # a[k] and b[k] are contiguous (batch, dim) arrays, which the updates run fastest on.
+        a, b = (trig @ self.recipe).view(complex).swapaxes(0, 1)
         if start is None:
             st = np.zeros((batch, dim), dtype=complex)
             st[:, 0] = 1.0
@@ -362,10 +403,10 @@ class CircuitPlan:
             st = start
         for k, flip in enumerate(self.flips):
             if flip is None:
-                st = st * coeff[k, :, :dim]
+                st = a[k] * st
             else:
-                st = coeff[k, :, :dim] * st + coeff[k, :, dim:] * st[:, flip]
-        return st[:, self.loc]
+                st = a[k] * st + b[k] * st.take(flip, axis=1)
+        return st.take(self.loc, axis=1)
 
 
 def _columns(records, *dtypes):
@@ -386,14 +427,20 @@ def apply_gate(state: StateVector, gate: Gate, bound_angle: float | None = None)
         raise BindingError(f"{gate.kind} takes no angle")
     angle = LiteralAngle(float(bound_angle)) if parametric else None
     one_gate = ParameterizedCircuit(state.num_qubits, (Gate(gate.kind, gate.targets, angle),))
-    amps = one_gate.plan.run(bind_angles(one_gate, (), ())[None, :], state.amplitudes[None, :])
-    return StateVector(state.num_qubits, amps[0])
+    start = state.amplitudes.reshape(-1, state.amplitudes.shape[-1])
+    rows = np.broadcast_to(bind_angles(one_gate, (), ()), (start.shape[0], 1))
+    amps = one_gate.plan.run(rows, start)
+    return StateVector(state.num_qubits, amps.reshape(state.amplitudes.shape))
 
 
 def run_circuit(circuit: ParameterizedCircuit, features=(), weights=()) -> StateVector:
-    """Exact statevector after the circuit acts on |0...0> with the given bindings."""
+    """Exact statevector after the circuit acts on |0...0> with the given bindings.
+
+    Batched bindings give a batched state, one row per binding.
+    """
     angles = bind_angles(circuit, features, weights)
-    return StateVector(circuit.num_qubits, circuit.plan.run(angles[None, :])[0])
+    amps = circuit.plan.run(angles.reshape(math.prod(angles.shape[:-1]), angles.shape[-1]))
+    return StateVector(circuit.num_qubits, amps.reshape(angles.shape[:-1] + amps.shape[-1:]))
 
 
 def run_bound_batch(circuit: ParameterizedCircuit, angle_rows: np.ndarray) -> np.ndarray:
@@ -486,20 +533,26 @@ def n_local(num_qubits: int, num_layers: int) -> ParameterizedCircuit:
 # --------------------------------------------------------------------------
 
 def sampler_probabilities(state: StateVector) -> np.ndarray:
-    """Computational-basis probabilities |<k|psi>|^2."""
+    """Computational-basis probabilities |<k|psi>|^2 (per row of a batched state)."""
     return np.abs(state.amplitudes) ** 2
 
 
-def pauli_z_expectation(state: StateVector, qubit: int) -> float:
-    """<Z_q>: probability mass with bit q = 0 minus mass with bit q = 1."""
+def pauli_z_expectation(state: StateVector, qubit: int):
+    """<Z_q>: probability mass with bit q = 0 minus mass with bit q = 1.
+
+    A float, or an array of one value per row of a batched state.
+    """
     if not 0 <= qubit < state.num_qubits:
         raise CircuitError(f"qubit {qubit} out of range for {state.num_qubits}-qubit state")
-    return float(all_z_from_amplitudes(state.amplitudes[None, :], state.num_qubits)[0, qubit])
+    z = measure_all_z(state)[..., qubit]
+    return float(z) if z.ndim == 0 else z
 
 
 def measure_all_z(state: StateVector) -> np.ndarray:
-    """Vector of <Z_q> for every qubit, qubit 0 first."""
-    return all_z_from_amplitudes(state.amplitudes[None, :], state.num_qubits)[0]
+    """Vector of <Z_q> for every qubit, qubit 0 first (per row of a batched state)."""
+    amps = state.amplitudes
+    z = all_z_from_amplitudes(amps.reshape(-1, amps.shape[-1]), state.num_qubits)
+    return z.reshape(amps.shape[:-1] + z.shape[-1:])
 
 
 @cache

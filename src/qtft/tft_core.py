@@ -10,7 +10,8 @@ subclasses ``TFTModel`` and swaps the blocks.
 
 All operations accept and return graph nodes; plain arrays are wrapped
 automatically, so the blocks can be probed numerically without touching
-the tape API.
+the tape API.  Like the tape, every block treats leading axes as a batch,
+so one forward pass can cover many windows.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class TFTParams:
 # --------------------------------------------------------------------------
 
 def dense(p: DenseParams, x) -> Node:
-    return grad.add(grad.matvec(p.W, as_node(x)), p.b)
+    return grad.affine(p.W, x, p.b)
 
 
 def glu(x, p: GLUParams) -> Node:
@@ -185,12 +186,12 @@ def causal_mask(n: int) -> np.ndarray:
 
 
 def attention(q, k, v, d_attn: float, mask: np.ndarray | None = None) -> Node:
-    """Scaled dot-product attention: row-softmax(Q K^T / sqrt(d_attn)) V."""
+    """Scaled dot-product attention: row-wise softmax(Q K^T / sqrt(d_attn)) V."""
     q, k, v = as_node(q), as_node(k), as_node(v)
     scores = grad.scale(grad.matmul(q, grad.transpose(k)), 1.0 / math.sqrt(d_attn))
     if mask is not None:
         scores = grad.add(scores, grad.const(mask))
-    return grad.matmul(grad.softmax_rows(scores), v)
+    return grad.matmul(softmax(scores), v)
 
 
 def interpretable_multi_head(s, p: AttentionParams, mask: np.ndarray | None = None) -> Node:
@@ -367,17 +368,25 @@ class TFTModel:
         return interpretable_multi_head(grad.stack_rows(rows), p, mask)
 
     def predict_nodes(self, static_vars, past_vars, future_vars) -> list[Node]:
-        """Forward pass returning one (tau,) prediction node per quantile."""
+        """Forward pass returning one (tau,) prediction node per quantile.
+
+        The inputs are one window, shaped (m_static,), (k, m_past) and
+        (tau, m_future), or a batch of windows with one leading axis more
+        each; the predictions then have shape (batch, tau).
+        """
         p = self.params
         static_vars = np.asarray(static_vars, dtype=float)
         past_vars = np.asarray(past_vars, dtype=float)
         future_vars = np.asarray(future_vars, dtype=float)
-        k, tau = past_vars.shape[0], future_vars.shape[0]
+        k, tau = past_vars.shape[-2], future_vars.shape[-2]
         mask = causal_mask(k + tau) if self.cfg.use_causal_mask else None
 
         def embed(row, embeds):
             """One linear d_model embedding per scalar variable."""
-            return [self.dense(emb, np.array([v])) for v, emb in zip(row, embeds)]
+            return [self.dense(emb, row[..., j:j + 1]) for j, emb in enumerate(embeds)]
+
+        def steps(series):
+            return [series[..., t, :] for t in range(series.shape[-2])]
 
         def gated_skip(skip, x, glu_p):
             return grad.layer_norm(grad.add(skip, self.glu(x, glu_p)))
@@ -385,9 +394,9 @@ class TFTModel:
         xi_static = self.select(embed(static_vars, p.static_embed), None, p.static_vsn)
         c_s, c_e, c_c, c_h = [self.grn(xi_static, None, enc) for enc in p.static_encoders]
 
-        past_emb = [embed(row, p.past_embed) for row in past_vars]
+        past_emb = [embed(row, p.past_embed) for row in steps(past_vars)]
         past_sel = [self.select(emb, c_s, p.past_vsn) for emb in past_emb]
-        future_emb = [embed(row, p.future_embed) for row in future_vars]
+        future_emb = [embed(row, p.future_embed) for row in steps(future_vars)]
         future_sel = [self.select(emb, c_s, p.future_vsn) for emb in future_emb]
 
         enc_out, (h_T, c_T) = self.recur(past_sel, c_h, c_c, p.encoder_lstm)
@@ -405,8 +414,10 @@ class TFTModel:
         return [grad.concat([self.dense(head, r) for r in future_repr]) for head in p.heads]
 
     def predict(self, static_vars, past_vars, future_vars) -> np.ndarray:
-        """Quantile forecasts as a (num_quantiles, tau) array."""
-        return np.stack([n.value for n in self.predict_nodes(static_vars, past_vars, future_vars)])
+        """Quantile forecasts as a (num_quantiles, tau) array, or (num_quantiles, batch, tau)."""
+        with grad.no_tape():
+            nodes = self.predict_nodes(static_vars, past_vars, future_vars)
+        return np.stack([n.value for n in nodes])
 
     def named_leaves(self) -> list[tuple[str, Node]]:
         return named_leaves(self.params)

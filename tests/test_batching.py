@@ -1,0 +1,131 @@
+"""A batch of windows or bindings computes what one at a time computes.
+
+Training, evaluation and prediction run every window through one graph
+whose values carry a leading window axis, and every circuit block runs
+all its rows in one simulator call.  These properties pin the batched
+paths to the per-window and per-row paths they replace.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from qtft import forecasting, grad
+from qtft.forecasting import TrainConfig, WindowedSample
+from qtft.quantum_sim import (
+    CircuitError,
+    LiteralAngle,
+    StateVector,
+    measure_all_z,
+    run_circuit,
+)
+
+
+def random_windows(rng, count, k=2, tau=2):
+    return [WindowedSample(past=rng.uniform(20, 30, (k, 5)),
+                           future_known=rng.uniform(0, 1, (tau, 1)),
+                           static=np.array([1.0]), targets=rng.uniform(20, 30, tau))
+            for _ in range(count)]
+
+
+def leaf_grads(model, loss):
+    grad.backward(loss)
+    out = [np.zeros_like(leaf.value) if leaf.grad is None else leaf.grad
+           for leaf in model.leaves()]
+    for leaf in model.leaves():
+        leaf.grad = None
+    return out
+
+
+@pytest.mark.parametrize("kind", ["tft", "qtft"])
+@settings(max_examples=15, deadline=None)
+@given(count=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_forward_and_gradient_match_per_window(kind, count, seed):
+    rng = np.random.default_rng(seed)
+    cfg = TrainConfig(model_kind=kind, seed=int(rng.integers(100)))
+    model = forecasting.build_model(cfg, 5, 1, 1)
+    windows = random_windows(rng, count)
+    static, past, future, _ = forecasting.stack_windows(windows)
+
+    batched = model.predict_nodes(static, past, future)[0].value
+    for row, w in zip(batched, windows):
+        np.testing.assert_allclose(row, model.predict(w.static, w.past, w.future_known)[0],
+                                   rtol=1e-12, atol=0)
+
+    got = leaf_grads(model, forecasting.batch_loss_node(model, windows, cfg.quantile))
+    per_window = [leaf_grads(model, forecasting.batch_loss_node(model, [w], cfg.quantile))
+                  for w in windows]
+    scale = max(float(np.max(np.abs(g))) for g in got)
+    for leaf, g, *singles in zip(model.leaves(), got, *per_window):
+        assert g.shape == leaf.value.shape
+        np.testing.assert_allclose(g, sum(singles) / count, rtol=1e-12, atol=1e-12 * scale)
+
+
+def _shiftable(circuit):
+    return not any(g.kind == "CRZ" and not isinstance(g.angle, LiteralAngle)
+                   for g in circuit.ops if g.angle is not None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 6))
+def test_batched_circuit_rows_match_single_rows(seed, rows):
+    rng = np.random.default_rng(seed)
+    circ, feats, wts = oracles.random_circuit(rng, max_qubits=5, max_depth=12)
+    features = rng.uniform(-1.5, 1.5, (rows, circ.num_feature_slots))
+    features[0] = feats
+    # 1-2 qubits agree bit for bit; wider <Z> products may round differently per batch size.
+    tol = 0.0 if circ.num_qubits <= 2 else 1e-15
+
+    state = run_circuit(circ, features, wts)
+    assert state.amplitudes.shape == (rows, 2 ** circ.num_qubits)
+    z = measure_all_z(state)
+    for f, amps, zr in zip(features, state.amplitudes, z):
+        single = run_circuit(circ, f, wts)
+        np.testing.assert_array_equal(amps, single.amplitudes)
+        np.testing.assert_allclose(zr, measure_all_z(single), rtol=0, atol=tol)
+
+    if not _shiftable(circ):
+        return
+    jf, jw = grad.shift_rule_jacobians(circ, features, wts)
+    assert jf.shape == (rows, circ.num_feature_slots, circ.num_qubits)
+    assert jw.shape == (rows, circ.num_weight_slots, circ.num_qubits)
+    for f, jf_row, jw_row in zip(features, jf, jw):
+        jf_one, jw_one = grad.shift_rule_jacobians(circ, f, wts)
+        np.testing.assert_allclose(jf_row, jf_one, rtol=0, atol=tol)
+        np.testing.assert_allclose(jw_row, jw_one, rtol=0, atol=tol)
+
+
+def test_state_vector_rejects_one_unnormalized_row():
+    good = np.array([1.0, 0.0], dtype=complex)
+    StateVector(1, np.stack([good, good / 1j]))
+    with pytest.raises(CircuitError, match="not normalized"):
+        StateVector(1, np.stack([good, good, np.array([math.sqrt(0.5), 0.5])]))
+
+
+def test_single_window_graph_feeds_circuits_one_row():
+    rng = np.random.default_rng(5)
+    cfg = TrainConfig(model_kind="qtft")
+    model = forecasting.build_model(cfg, 5, 1, 1)
+    loss = forecasting.batch_loss_node(model, random_windows(rng, 3), cfg.quantile)
+    w = random_windows(rng, 1)[0]
+    single = grad.pinball(w.targets, model.predict_nodes(w.static, w.past, w.future_known)[0],
+                          cfg.quantile)
+    for root, lead in ((single, ()), (loss, (3,))):
+        seen, stack, circuit_nodes = set(), [root], []
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node.parents)
+                if isinstance(node, grad.QuantumNode):
+                    circuit_nodes.append(node)
+        assert len(circuit_nodes) == 120
+        for node in circuit_nodes:
+            n = node.circuit.num_qubits
+            assert node.feature_parent.value.shape == lead + (node.circuit.num_feature_slots,)
+            assert node.weight_parent.value.ndim == 1
+            assert node.value.shape == lead + (n,)

@@ -142,6 +142,35 @@ def test_eval_names_mistyped_snapshot_config_value(axis_csv, tmp_path, capsys, k
     assert f"config.{key}" in err and value in err
 
 
+@pytest.mark.parametrize("value", ["a:b", "20", "26:20", "1:2:3"])
+def test_eval_range_flag_is_validated(axis_csv, tmp_path, capsys, value):
+    out = str(tmp_path / "run")
+    assert main(train_args(axis_csv, out)) == 0
+    capsys.readouterr()
+    code = main(["eval", "--snapshot", os.path.join(out, "params.txt"), "--data", axis_csv,
+                 "--range", value])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--range" in err and "FIRST" in err and "invalid literal" not in err
+
+
+@pytest.mark.parametrize("key", ["train_range", "test_range"])
+@pytest.mark.parametrize("value", ["a:b", "20", "14:10"])
+def test_eval_names_malformed_snapshot_range(axis_csv, tmp_path, capsys, key, value):
+    out = str(tmp_path / "run")
+    assert main(train_args(axis_csv, out)) == 0
+    snap = os.path.join(out, "params.txt")
+    with open(snap, encoding="utf-8") as fh:
+        lines = [f"config.{key} = {value}\n" if line.startswith(f"config.{key} ") else line
+                 for line in fh]
+    with open(snap, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    capsys.readouterr()
+    assert main(["eval", "--snapshot", snap, "--data", axis_csv]) == 1
+    err = capsys.readouterr().err
+    assert f"config.{key} = {value}" in err and "FIRST:LAST" in err
+
+
 def test_eval_deterministic_repeat(axis_csv, tmp_path, capsys):
     out = str(tmp_path / "run")
     assert main(train_args(axis_csv, out)) == 0

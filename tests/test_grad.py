@@ -128,15 +128,28 @@ def test_matrix_ops_match_finite_differences(rng):
     a0 = rng.uniform(-1, 1, (3, 2))
     b0 = rng.uniform(-1, 1, (2, 4))
     a, b = param(a0), param(b0)
-    out = grad.softmax_rows(grad.matmul(a, b))
+    out = grad.softmax(grad.matmul(a, b))
     backward(grad.mean_all(grad.row(out, 1)))
 
     def f_a(flat):
         m = grad.matmul(Node(flat.reshape(3, 2)), Node(b0))
-        return float(grad.mean_all(grad.row(grad.softmax_rows(m), 1)).value[0])
+        return float(grad.mean_all(grad.row(grad.softmax(m), 1)).value[0])
 
     fd = oracles.central_difference(f_a, a0.reshape(-1))
     assert oracles.grads_close(a.grad.reshape(-1), fd)
+
+
+def test_no_tape_records_no_graph_and_restores_taping():
+    x = param([1.0, 2.0])
+    with grad.no_tape():
+        y = grad.mul(x, x)
+    assert y.parents == () and y.backward_rule is None
+    np.testing.assert_array_equal(y.value, [1.0, 4.0])
+    with pytest.raises(RuntimeError):
+        with grad.no_tape():
+            raise RuntimeError
+    backward(grad.mean_all(grad.mul(x, x)))
+    np.testing.assert_allclose(x.grad, [1.0, 2.0], atol=0)
 
 
 def test_pinball_gradient(rng):

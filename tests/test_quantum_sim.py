@@ -422,4 +422,8 @@ def test_plan_is_built_once_per_circuit():
     plan = circ.plan
     run_bound_batch(circ, np.zeros((2, circ.num_gates)))
     assert circ.plan is plan
-    assert circ == compose(angle_embedding(2), basic_entangler_layers(2, 2))
+    twin = compose(angle_embedding(2), basic_entangler_layers(2, 2))
+    assert twin == circ and twin is not circ
+    assert twin.plan is plan          # equal circuits share one compiled plan
+    other = compose(angle_embedding(2), basic_entangler_layers(2, 2, "RY"))
+    assert other != circ and other.plan is not plan

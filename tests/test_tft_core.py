@@ -281,7 +281,7 @@ def test_attention_rows_are_convex_combinations(rng):
 
 def test_attention_row_softmax_normalized(rng):
     q, k = rng.uniform(-2, 2, (4, 3)), rng.uniform(-2, 2, (4, 3))
-    scores = grad.softmax_rows(grad.scale(grad.matmul(Node(q), grad.transpose(Node(k))),
+    scores = grad.softmax(grad.scale(grad.matmul(Node(q), grad.transpose(Node(k))),
                                           1 / math.sqrt(3)))
     sums = scores.value.sum(axis=1)
     np.testing.assert_allclose(sums, np.ones(4), atol=1e-12)
