@@ -1,10 +1,11 @@
 """Desk-scale stock forecasting with the classical and quantum models.
 
 Trains shortened runs on the bundled sample data so the demo finishes in
-about a minute; the full published-style experiment is
-``qtft compare --data data/axis_bank_2000.csv``.
+a few seconds (about 5 s on a 2-vCPU machine); the full published-style
+experiment is ``qtft compare --data data/axis_bank_2000.csv``.
 
-Run with ``python3 demos/03_stock_forecast.py``.
+Run with ``python3 demos/03_stock_forecast.py`` from the root of the
+checkout, since it opens ``data/axis_bank_2000.csv`` by a relative path.
 """
 
 from qtft import data_io, forecasting

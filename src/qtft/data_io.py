@@ -9,6 +9,7 @@ Wall-clock timing is deliberately kept out of the canonical report file
 from __future__ import annotations
 
 import csv
+import datetime
 import math
 import os
 from dataclasses import dataclass
@@ -32,6 +33,16 @@ class DuplicateColumnError(DataError):
     def __init__(self, column: str, first: str):
         super().__init__(f"column {column!r} is requested twice (also as {first!r})")
         self.column = column
+
+
+class UnorderedDatesError(DataError):
+    """A date that does not come strictly after the date on the row before it."""
+
+    def __init__(self, line: int, date: str, previous_line: int, previous: str):
+        super().__init__(f"line {line}: date {date!r} does not come after {previous!r} "
+                         f"on line {previous_line}")
+        self.line = line
+        self.previous_line = previous_line
 
 
 class SnapshotError(DataError):
@@ -87,7 +98,8 @@ def load_csv(path: str, feature_columns: list[str], target_column: str) -> TimeS
     spelling variants.  Two requested names for one header (a target listed
     among the features included) are an error.  Any non-numeric cell in a
     requested column is a row-level parse error carrying the 1-based line
-    number.
+    number.  With a date column, every date must be an ISO date
+    (YYYY-MM-DD) later than the one on the row before.
     """
     requested = list(feature_columns) + [target_column]
     with open(path, newline="", encoding="utf-8") as fh:
@@ -107,6 +119,7 @@ def load_csv(path: str, feature_columns: list[str], target_column: str) -> TimeS
                 raise DuplicateColumnError(name, requested[indices.index(idx)])
             indices.append(idx)
         rows, dates = [], []
+        previous = None   # (line, date) of the last row
         for line_no, record in enumerate(reader, start=2):
             if not record:
                 continue
@@ -123,7 +136,18 @@ def load_csv(path: str, feature_columns: list[str], target_column: str) -> TimeS
                     raise ParseError(line_no, f"column {name!r} value {cell!r} is not finite")
                 values.append(v)
             rows.append(values)
-            dates.append(record[date_idx].strip() if date_idx is not None else "")
+            if date_idx is None:
+                dates.append("")
+                continue
+            cell = record[date_idx].strip() if date_idx < len(record) else ""
+            try:
+                day = datetime.date.fromisoformat(cell)
+            except ValueError:
+                raise ParseError(line_no, f"date {cell!r} is not an ISO date (YYYY-MM-DD)") from None
+            if previous is not None and day <= previous[1]:
+                raise UnorderedDatesError(line_no, cell, previous[0], dates[-1])
+            previous = (line_no, day)
+            dates.append(cell)
     return TimeSeriesTable(columns=requested, rows=np.array(rows, dtype=float).reshape(len(rows), len(requested)),
                            dates=dates)
 

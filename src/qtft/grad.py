@@ -360,10 +360,16 @@ def param_shift_partial(circuit: ParameterizedCircuit, features, weights,
                         out_qubit: int, slot_kind: str, slot_index: int) -> float:
     """d <Z_out_qubit> / d slot: one entry of :func:`shift_rule_jacobians`.
 
-    A slot no gate uses yields 0.0.
+    A slot no gate uses yields 0.0; a qubit or slot index out of range
+    raises :class:`CircuitError`.
     """
     if slot_kind not in (FEATURE, WEIGHT):
         raise ValueError(f"slot kind must be 'feature' or 'weight', got {slot_kind!r}")
+    if not 0 <= out_qubit < circuit.num_qubits:
+        raise CircuitError(f"qubit {out_qubit} out of range for {circuit.num_qubits}-qubit circuit")
+    slots = circuit.num_feature_slots if slot_kind == FEATURE else circuit.num_weight_slots
+    if not 0 <= slot_index < slots:
+        raise CircuitError(f"{slot_kind} slot {slot_index} out of range for {slots} slots")
     jf, jw = shift_rule_jacobians(circuit, features, weights)
     return float((jf if slot_kind == FEATURE else jw)[slot_index, out_qubit])
 
@@ -390,7 +396,7 @@ def shift_rule_jacobians(circuit: ParameterizedCircuit, features, weights):
     if g:
         rows = np.repeat(plan.angles(values), 2 * g, axis=0)
         rows.reshape(batch, g, 2, -1)[:, np.arange(g), :, gates] += _SHIFTS
-        z = all_z_from_amplitudes(run_bound_batch(circuit, rows), n)
+        z = all_z_from_amplitudes(run_bound_batch(circuit, rows, gates), n)
         diff = (z[0::2] - z[1::2]).reshape(batch, g, n)
         np.add.at(jac, (slice(None), plan.part_slot),
                   (plan.angle_partials(values) * 0.5)[:, :, None] * diff[:, plan.part_row])

@@ -235,6 +235,8 @@ def zero_state(num_qubits: int) -> StateVector:
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # Largest (steps, rows, 4 * 2**n) float64 coefficient tensor one plan run builds.
 COEFF_BYTES = 2 << 20
+# Fewest amplitudes per gate step (shifted rows x 2**n) that run as a prefix sweep.
+PREFIX_SWEEP_AMPLITUDES = 4096
 
 
 class CircuitPlan:
@@ -408,6 +410,102 @@ class CircuitPlan:
                 st = a[k] * st + b[k] * st.take(flip, axis=1)
         return st.take(self.loc, axis=1)
 
+    def run_shifts(self, angle_rows: np.ndarray, gates: np.ndarray) -> np.ndarray:
+        """:meth:`run` of parameter-shift rows, bit for bit, sharing their unshifted prefix.
+
+        ``angle_rows`` holds, for each of B bindings, two rows per gate of
+        ``gates`` (increasing indices of parametric gates): the binding's
+        angles with that gate's angle shifted up, then down.  Rows of one
+        binding must agree wherever they are not shifted.
+
+        The two rows of gate g equal their binding's unshifted row at every
+        step before g.  So one carrier row per binding runs the unshifted
+        circuit; at g's step, g's pair leaves the carrier's state before
+        that step through the shifted coefficients, and from then on every
+        live row advances with its binding's unshifted coefficients.  Every
+        shifted row goes through the same elementwise operations on the
+        same coefficient values as in :meth:`run`, but the steps before its
+        gate are shared, and coefficients are built for B rows plus two per
+        shifted gate, not for 2 B G rows.  Bindings run in chunks whose
+        coefficients, summed over all steps, fit in ``COEFF_BYTES``; that sum
+        also exceeds the bytes of state rows the sweep holds at once.
+
+        Below ``PREFIX_SWEEP_AMPLITUDES`` amplitudes per step the sweep's
+        extra numpy calls cost more than the row-steps it saves, and the
+        rows run through :meth:`run` instead.
+        """
+        g = gates.size
+        pos = np.searchsorted(self.par_gates, gates)
+        if (not g or angle_rows.shape[0] % (2 * g) or np.any(np.diff(pos) <= 0)
+                or not np.array_equal(self.par_gates.take(pos, mode="clip"), gates)):
+            raise BindingError("shift gates must be increasing parametric gate indices, "
+                               "with two rows per gate and binding")
+        if angle_rows.shape[0] * self.loc.size < PREFIX_SWEEP_AMPLITUDES:
+            return self.run(angle_rows)
+        rows = angle_rows.reshape(-1, g, 2, angle_rows.shape[1])
+        chunk = max(1, COEFF_BYTES // ((len(self.flips) + 2 * g) * self.recipe[0, :, 0].nbytes))
+        sweeps = [self._prefix_sweep(rows[i:i + chunk], gates, pos)
+                  for i in range(0, rows.shape[0], chunk)]
+        return sweeps[0] if len(sweeps) == 1 else np.concatenate(sweeps)
+
+    def _prefix_sweep(self, rows: np.ndarray, gates: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """The sweep of :meth:`run_shifts` over (B, G, 2, num_gates) shifted rows.
+
+        ``pos`` locates each shifted gate among ``par_gates``.
+        """
+        batch, g, dim = rows.shape[0], gates.size, self.loc.size
+        base = rows[:, 0, 0]   # the unshifted angles: any row's at every gate but its own
+        if g > 1:
+            base = base.copy()
+            base[:, gates] = rows[:, np.arange(1, g + 1) % g, 0, gates]
+        phi = base.take(self.par_gates, axis=1).T * self.trig_scale[:, None]
+        shifted = rows[:, np.arange(g), :, gates].swapaxes(1, 2).reshape(g, 2 * batch)
+        shifted = shifted * self.trig_scale[pos][:, None]
+        spawn = self.par_steps[pos]
+        # Per step, the (cos, sin, 1) triples of the B unshifted rows, then of
+        # the 2 B rows shifted at that step (if any).
+        trig = np.ones((len(self.flips), 3 * batch, 3))
+        trig[self.par_steps, :batch, 0] = np.cos(phi)
+        trig[self.par_steps, :batch, 1] = np.sin(phi)
+        trig[spawn, batch:, 0] = np.cos(shifted)
+        trig[spawn, batch:, 1] = np.sin(shifted)
+
+        # Row 0 is the carrier; gate j's pair is rows 2j + 1 and 2j + 2.  The
+        # live rows st[lo:hi] stay contiguous, and the carrier drops out once
+        # the last pair has left it.  moved_rows takes each step's partner
+        # amplitudes, then the result.  Only the carrier is read before it is
+        # written, so only it starts at |0...0>.
+        st, moved_rows = np.empty((2, 2 * g + 1, batch, dim), dtype=complex)
+        st[0] = 0.0
+        st[0, :, 0] = 1.0
+        lo, hi = 0, 1
+        pair_at = dict(zip(spawn.tolist(), range(g)))
+        for k, flip in enumerate(self.flips):
+            j = pair_at.get(k)
+            used = batch if j is None else 3 * batch
+            coeffs = (trig[k, :used] @ self.recipe[k]).view(complex)   # (a | b, used, dim)
+            live = st[lo:hi]
+            # (mode "clip" lets take write straight into out; every index is in range)
+            moved = None if flip is None else live.take(flip, axis=2, out=moved_rows[lo:hi],
+                                                         mode="clip")
+            if j is not None:
+                sa, sb = coeffs[:, batch:].reshape(2, 2, batch, dim)
+                pair = st[hi:hi + 2]
+                np.multiply(sa, st[0], out=pair)
+                if moved is not None:
+                    pair += sb * moved[0]
+                hi += 2
+                if j == g - 1:
+                    lo, live = 1, live[1:]
+                    moved = None if moved is None else moved[1:]
+            a, b = coeffs[:, :batch]
+            np.multiply(a, live, out=live)
+            if moved is not None:
+                np.multiply(b, moved, out=moved)
+                live += moved
+        amps = st[1:].take(self.loc, axis=2, out=moved_rows[1:], mode="clip")
+        return amps.reshape(g, 2, batch, dim).transpose(2, 0, 1, 3).reshape(-1, dim)   # as given
+
 
 def _columns(records, *dtypes):
     """Columns of a list of equal-length tuples, as arrays of the given dtypes."""
@@ -443,17 +541,24 @@ def run_circuit(circuit: ParameterizedCircuit, features=(), weights=()) -> State
     return StateVector(circuit.num_qubits, amps.reshape(angles.shape[:-1] + amps.shape[-1:]))
 
 
-def run_bound_batch(circuit: ParameterizedCircuit, angle_rows: np.ndarray) -> np.ndarray:
+def run_bound_batch(circuit: ParameterizedCircuit, angle_rows: np.ndarray,
+                    shift_gates=None) -> np.ndarray:
     """Run one circuit under many per-gate angle bindings at once.
 
     ``angle_rows`` has shape (B, num_gates); columns for fixed gates are
     ignored.  Returns the (B, 2**n) amplitudes.  This is the kernel behind
     batched parameter-shift evaluation.
+
+    ``shift_gates`` (increasing parametric gate indices) says that the rows
+    are parameter-shift rows, laid out as :meth:`CircuitPlan.run_shifts`
+    describes; they then share their unshifted prefix, with the same result.
     """
     angle_rows = np.asarray(angle_rows, dtype=float)
     if angle_rows.ndim != 2 or angle_rows.shape[1] != len(circuit.ops):
         raise BindingError("angle_rows must be (batch, num_gates)")
-    return circuit.plan.run(angle_rows)
+    if shift_gates is None:
+        return circuit.plan.run(angle_rows)
+    return circuit.plan.run_shifts(angle_rows, np.asarray(shift_gates, dtype=np.intp))
 
 
 # --------------------------------------------------------------------------

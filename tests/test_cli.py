@@ -52,6 +52,19 @@ def test_duplicate_feature_is_runtime_error(axis_csv, tmp_path, capsys):
         assert not os.path.exists(out)
 
 
+def test_dates_out_of_order_are_runtime_error(axis_csv, tmp_path, capsys):
+    with open(axis_csv, encoding="utf-8") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    lines[5], lines[6] = lines[6], lines[5]
+    data = tmp_path / "swapped.csv"
+    data.write_text("".join(lines), encoding="utf-8")
+    out = str(tmp_path / "run")
+    assert main(train_args(str(data), out)) == 1
+    err = capsys.readouterr().err
+    assert "line 6" in err and "line 7" in err
+    assert not os.path.exists(out)
+
+
 def test_zero_epochs_single_history_entry(axis_csv, tmp_path):
     out = str(tmp_path / "run")
     args = train_args(axis_csv, out)

@@ -10,6 +10,7 @@ from qtft.data_io import (
     RunReport,
     SnapshotError,
     TimeSeriesTable,
+    UnorderedDatesError,
     load_csv,
     load_params,
     read_report,
@@ -65,6 +66,32 @@ def test_load_parse_error_line_number(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_csv(write(tmp_path, bad), ["Open"], "Close")
     assert exc.value.line == 4
+
+
+@pytest.mark.parametrize("dates, lines", [
+    (("2000-01-05", "2000-01-03", "2000-01-03"), (2, 3)),   # backwards
+    (("2000-01-03", "2000-01-04", "2000-01-04"), (3, 4)),   # repeated
+    (("2000-01-03", "2000-02-01", "2000-01-10"), (3, 4)),   # backwards across a month
+])
+def test_load_rejects_dates_out_of_order(tmp_path, dates, lines):
+    body = "".join(f"{d},27.15,26.85\n" for d in dates)
+    with pytest.raises(UnorderedDatesError) as exc:
+        load_csv(write(tmp_path, "Date,Open,Close\n" + body), ["Open"], "Close")
+    assert (exc.value.previous_line, exc.value.line) == lines
+    assert f"line {lines[0]}" in str(exc.value) and f"line {lines[1]}" in str(exc.value)
+
+
+@pytest.mark.parametrize("cell", ["03-01-2000", "", "2000-13-01"])
+def test_load_rejects_dates_that_are_not_iso(tmp_path, cell):
+    text = f"Date,Open,Close\n2000-01-03,27.15,26.85\n{cell},26.75,26.45\n"
+    with pytest.raises(ParseError) as exc:
+        load_csv(write(tmp_path, text), ["Open"], "Close")
+    assert exc.value.line == 3 and "date" in str(exc.value)
+
+
+def test_load_without_a_date_column_keeps_row_order(tmp_path):
+    table = load_csv(write(tmp_path, "Open,Close\n27.15,26.85\n26.75,26.45\n"), ["Open"], "Close")
+    assert table.dates == ["", ""] and table.rows.shape == (2, 2)
 
 
 def test_load_missing_file():

@@ -198,6 +198,37 @@ def test_param_shift_matches_finite_difference(rng):
             assert abs(got - fd) < 1e-5
 
 
+def test_param_shift_partial_rejects_out_of_range_indices():
+    circ = compose(angle_embedding(2, "RX"), basic_entangler_layers(2, 1, "RY"))
+    feats, wts = [0.1, 0.2], [0.3, 0.4]
+    assert param_shift_partial(circ, feats, wts, 1, "weight", 1) != 0.0
+    for out_qubit, kind, slot, named in [(-1, "weight", 0, "qubit -1"), (2, "weight", 0, "qubit 2"),
+                                         (5, "feature", 0, "qubit 5"),
+                                         (0, "weight", -1, "weight slot -1"),
+                                         (0, "weight", 2, "weight slot 2"),
+                                         (0, "feature", -1, "feature slot -1"),
+                                         (0, "feature", 7, "feature slot 7")]:
+        with pytest.raises(CircuitError, match=named):
+            param_shift_partial(circ, feats, wts, out_qubit, kind, slot)
+
+
+def test_shift_rule_jacobians_run_every_shifted_row_in_one_call(monkeypatch):
+    # One simulator call of B * 2G rows per call: tracing counts shifted rows there.
+    calls = []
+    original = grad.run_bound_batch
+
+    def spy(circuit, rows, *args):
+        calls.append(len(rows))
+        return original(circuit, rows, *args)
+
+    monkeypatch.setattr(grad, "run_bound_batch", spy)
+    for n, lead in [(1, ()), (2, (3,)), (5, (17,)), (5, (2, 3))]:
+        circ = compose(angle_embedding(n), basic_entangler_layers(n, 2))
+        calls.clear()
+        shift_rule_jacobians(circ, np.full(lead + (n,), 0.3), np.full(2 * n, 0.2))
+        assert calls == [math.prod(lead) * 2 * 3 * n]
+
+
 def test_param_shift_rejects_crz_slots():
     circ = ParameterizedCircuit(2, (Gate("CRZ", (0, 1), SlotAngle(WEIGHT, 0)),),
                                 num_weight_slots=1)

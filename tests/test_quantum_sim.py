@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qtft import reference
+from qtft import grad, quantum_sim, reference
 from qtft.quantum_sim import (
     FEATURE,
     WEIGHT,
@@ -345,9 +345,9 @@ def test_state_vector_invariants():
 # ---------------------------------------------------------------- compiled plans
 
 @st.composite
-def bound_circuits(draw):
+def bound_circuits(draw, count=3):
     """A circuit over all seven gate kinds on 1-5 qubits, with literal, slot
-    and pair angles, plus three random (features, weights) bindings."""
+    and pair angles, plus ``count`` random (features, weights) bindings."""
     n = draw(st.integers(1, 5))
     nf, nw = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     kinds = ["H", "RX", "RY", "RZ", "PHASE"] + (["CNOT", "CRZ"] if n >= 2 else [])
@@ -376,7 +376,7 @@ def bound_circuits(draw):
     values = st.floats(-1.5, 1.5)
     bindings = [(np.array(draw(st.lists(values, min_size=nf, max_size=nf))),
                  np.array(draw(st.lists(values, min_size=nw, max_size=nw))))
-                for _ in range(3)]
+                for _ in range(count)]
     return circ, bindings
 
 
@@ -427,3 +427,89 @@ def test_plan_is_built_once_per_circuit():
     assert twin.plan is plan          # equal circuits share one compiled plan
     other = compose(angle_embedding(2), basic_entangler_layers(2, 2, "RY"))
     assert other != circ and other.plan is not plan
+
+
+# ------------------------------------------------------- parameter-shift sweeps
+
+def shifted_rows(angles, gates):
+    """The rows ``shift_rule_jacobians`` builds: per binding, per gate, + then -."""
+    b, g = angles.shape[0], len(gates)
+    rows = np.repeat(angles, 2 * g, axis=0)
+    rows.reshape(b, g, 2, -1)[:, np.arange(g), :, gates] += [math.pi / 2, -math.pi / 2]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(bound_circuits(count=4), st.data())
+def test_prefix_sweep_matches_full_rows_bit_for_bit(case, data):
+    circ, bindings = case
+    plan = circ.plan
+    if not plan.par_gates.size:
+        return
+    b = data.draw(st.integers(1, 4))
+    feats = np.stack([f for f, _ in bindings[:b]])
+    wts = np.stack([w for _, w in bindings[:b]])
+    gates = sorted(data.draw(st.sets(st.sampled_from(plan.par_gates.tolist()), min_size=1)))
+    rows = shifted_rows(bind_angles(circ, feats, wts), gates)
+    shiftable = not plan.crz_slots and plan.shift_gates.size
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quantum_sim, "PREFIX_SWEEP_AMPLITUDES", 0)
+        swept = run_bound_batch(circ, rows, gates)
+        if shiftable:
+            swept_jac = grad.shift_rule_jacobians(circ, feats, wts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quantum_sim, "PREFIX_SWEEP_AMPLITUDES", 1 << 62)
+        np.testing.assert_array_equal(swept, run_bound_batch(circ, rows, gates))
+        np.testing.assert_array_equal(swept, run_bound_batch(circ, rows))
+        if shiftable:
+            for got, want in zip(swept_jac, grad.shift_rule_jacobians(circ, feats, wts)):
+                np.testing.assert_array_equal(got, want)
+
+
+def test_prefix_sweep_is_chosen_from_the_batch_shape(monkeypatch):
+    calls = []
+    sweep = quantum_sim.CircuitPlan._prefix_sweep
+
+    def spy(self, rows, gates, pos):
+        calls.append(rows.shape[:3])
+        return sweep(self, rows, gates, pos)
+
+    monkeypatch.setattr(quantum_sim.CircuitPlan, "_prefix_sweep", spy)
+    rng = np.random.default_rng(3)
+    for n, bindings, swept in [(5, 17, True), (5, 1, False), (2, 17, False), (2, 300, True)]:
+        circ = compose(angle_embedding(n), basic_entangler_layers(n, 2))
+        calls.clear()
+        grad.shift_rule_jacobians(circ, rng.uniform(-1, 1, (bindings, n)),
+                                  rng.uniform(-3, 3, 2 * n))
+        rows = bindings * 2 * 3 * n
+        assert (rows * 2 ** n >= quantum_sim.PREFIX_SWEEP_AMPLITUDES) == swept
+        assert calls == ([(bindings, 3 * n, 2)] if swept else [])
+
+
+def test_prefix_sweep_chunks_bindings_within_the_coefficient_budget(monkeypatch):
+    circ = compose(zz_feature_map(3), basic_entangler_layers(3, 2))
+    rng = np.random.default_rng(4)
+    angles = bind_angles(circ, rng.uniform(-1, 1, (5, 3)), rng.uniform(-3, 3, 6))
+    gates = circ.plan.shift_gates
+    rows = shifted_rows(angles, gates)
+    full = run_bound_batch(circ, rows)
+    monkeypatch.setattr(quantum_sim, "PREFIX_SWEEP_AMPLITUDES", 0)
+    chunks = []
+    sweep = quantum_sim.CircuitPlan._prefix_sweep
+    monkeypatch.setattr(quantum_sim.CircuitPlan, "_prefix_sweep",
+                        lambda self, r, g, p: chunks.append(len(r)) or sweep(self, r, g, p))
+    monkeypatch.setattr(quantum_sim, "COEFF_BYTES", 1)      # one binding per chunk
+    np.testing.assert_array_equal(run_bound_batch(circ, rows, gates), full)
+    assert chunks == [1] * 5
+
+
+def test_shift_gates_are_validated():
+    circ = ParameterizedCircuit(2, (Gate("H", (0,)), Gate("RX", (0,), SlotAngle(WEIGHT, 0)),
+                                    Gate("CNOT", (0, 1)), Gate("RY", (1,), LiteralAngle(0.3))),
+                                num_weight_slots=1)
+    rows = shifted_rows(bind_angles(circ, [], [[0.2]]), [1, 3])
+    run_bound_batch(circ, rows, [1, 3])
+    for gates, bad_rows in [([3, 1], rows), ([1, 1], rows), ([0, 1], rows), ([1, 2], rows),
+                            ([1, 4], rows), ([], rows), ([1, 3], rows[:3])]:
+        with pytest.raises(BindingError, match="shift gates"):
+            run_bound_batch(circ, bad_rows, gates)
