@@ -9,6 +9,7 @@ directory.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -110,8 +111,8 @@ def _validate_train_flags(args) -> str | None:
         return f"--quantile must lie in (0, 1), got {args.quantile}"
     if args.epochs < 0:
         return "--epochs must be >= 0"
-    if args.lr < 0:
-        return "--lr must be >= 0"
+    if not 0.0 <= args.lr < math.inf:
+        return f"--lr must be finite and >= 0, got {args.lr}"
     if args.past_steps < 1 or args.forecast_steps < 1:
         return "--past-steps and --forecast-steps must be >= 1"
     if args.d_model < 1 or args.ansatz_layers < 1 or args.heads < 1:

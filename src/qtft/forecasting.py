@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,8 @@ class TrainConfig:
             raise ValueError("past_steps and forecast_steps must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
         a, b = self.train_range
         c, d = self.test_range
         if a > b or c > d:

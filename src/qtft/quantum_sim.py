@@ -298,6 +298,7 @@ class CircuitPlan:
                                   dtype=np.intp)
         self.par_steps = np.array([k for k, g in enumerate(steps) if g.angle is not None],
                                   dtype=np.intp)
+        self.shift_pos = np.searchsorted(self.par_gates, self.shift_gates)   # run_shifts' pos
         self.trig_scale = np.array([1.0 if ops[gi].kind == "PHASE" else 0.5
                                     for gi in self.par_gates])
         # recipe[k, 0 | 1, t, column]: the a | b coefficient of step k per unit of
@@ -349,11 +350,16 @@ class CircuitPlan:
         if weights.shape[-1:] != (self.num_weight_slots,):
             raise BindingError(
                 f"expected {self.num_weight_slots} weights, got shape {weights.shape}")
-        if features.shape[:-1] != weights.shape[:-1]:
-            lead = np.broadcast_shapes(features.shape[:-1], weights.shape[:-1])
-            features = np.broadcast_to(features, lead + features.shape[-1:])
-            weights = np.broadcast_to(weights, lead + weights.shape[-1:])
-        return np.concatenate((features, weights), axis=-1)
+        # Unbatched weights against batched features is every node of a batched
+        # graph; it needs no broadcast_shapes, whose pure-Python body costs more
+        # than the copy.
+        lead = features.shape[:-1]
+        if weights.ndim > 1 and weights.shape[:-1] != lead:
+            lead = np.broadcast_shapes(lead, weights.shape[:-1])
+        values = np.empty(lead + (self.num_feature_slots + self.num_weight_slots,))
+        values[..., :self.num_feature_slots] = features
+        values[..., self.num_feature_slots:] = weights
+        return values
 
     # Both maps below work on transposed arrays (slots or gates first), so that
     # every gather and scatter indexes the first axis, the fastest case for numpy.
@@ -416,7 +422,9 @@ class CircuitPlan:
         ``angle_rows`` holds, for each of B bindings, two rows per gate of
         ``gates`` (increasing indices of parametric gates): the binding's
         angles with that gate's angle shifted up, then down.  Rows of one
-        binding must agree wherever they are not shifted.
+        binding must agree wherever they are not shifted.  ``gates`` is
+        checked, unless it is the plan's own ``shift_gates`` array, whose
+        positions among the parametric gates were found when it compiled.
 
         The two rows of gate g equal their binding's unshifted row at every
         step before g.  So one carrier row per binding runs the unshifted
@@ -435,9 +443,11 @@ class CircuitPlan:
         rows run through :meth:`run` instead.
         """
         g = gates.size
-        pos = np.searchsorted(self.par_gates, gates)
-        if (not g or angle_rows.shape[0] % (2 * g) or np.any(np.diff(pos) <= 0)
-                or not np.array_equal(self.par_gates.take(pos, mode="clip"), gates)):
+        own = gates is self.shift_gates   # compiled with the plan, valid by construction
+        pos = self.shift_pos if own else np.searchsorted(self.par_gates, gates)
+        if (not g or angle_rows.shape[0] % (2 * g) or not own and (
+                np.any(np.diff(pos) <= 0)
+                or not np.array_equal(self.par_gates.take(pos, mode="clip"), gates))):
             raise BindingError("shift gates must be increasing parametric gate indices, "
                                "with two rows per gate and binding")
         if angle_rows.shape[0] * self.loc.size < PREFIX_SWEEP_AMPLITUDES:

@@ -142,11 +142,20 @@ def variable_selection(embeddings, c_s, p: VariableSelectionParams, block=grn):
     that GRN, through ``context_proj`` when that is set.  ``block``
     is the GRN function (the circuit model passes its QGRN).  Returns
     ``(selected, weights)``.
+
+    A softmax over one variable is exactly 1.0 and ``1.0 * v`` is ``v``,
+    so with one variable neither the projections nor the selection GRN
+    run: the output is that variable's GRN output and the weights are a
+    constant 1.0.  Their leaves stay in the parameters (and snapshots) but
+    get no gradient, so training leaves them unchanged.
     """
     embeddings = [as_node(e) for e in embeddings]
     if len(embeddings) != len(p.var_grns):
         raise ValueError(f"expected {len(p.var_grns)} embeddings, got {len(embeddings)}")
-    flat = grad.concat(embeddings) if len(embeddings) > 1 else embeddings[0]
+    if len(embeddings) == 1:
+        selected = block(embeddings[0], None, p.var_grns[0])
+        return selected, grad.const(np.ones(selected.value.shape[:-1] + (1,)))
+    flat = grad.concat(embeddings)
     if c_s is not None and p.context_proj is not None:
         c_s = dense(p.context_proj, c_s)
     weights = softmax(block(dense(p.flatten_proj, flat), c_s, p.weight_grn))

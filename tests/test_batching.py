@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qtft import forecasting, grad
+from qtft import data_io, forecasting, grad, quantum_sim
 from qtft.forecasting import TrainConfig, WindowedSample
 from qtft.quantum_sim import (
     CircuitError,
@@ -106,6 +106,19 @@ def test_state_vector_rejects_one_unnormalized_row():
         StateVector(1, np.stack([good, good, np.array([math.sqrt(0.5), 0.5])]))
 
 
+def quantum_nodes(root):
+    """Every circuit node reachable from ``root``, each once."""
+    seen, stack, out = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.parents)
+            if isinstance(node, grad.QuantumNode):
+                out.append(node)
+    return out
+
+
 def test_single_window_graph_feeds_circuits_one_row():
     rng = np.random.default_rng(5)
     cfg = TrainConfig(model_kind="qtft")
@@ -115,17 +128,46 @@ def test_single_window_graph_feeds_circuits_one_row():
     single = grad.pinball(w.targets, model.predict_nodes(w.static, w.past, w.future_known)[0],
                           cfg.quantile)
     for root, lead in ((single, ()), (loss, (3,))):
-        seen, stack, circuit_nodes = set(), [root], []
-        while stack:
-            node = stack.pop()
-            if id(node) not in seen:
-                seen.add(id(node))
-                stack.extend(node.parents)
-                if isinstance(node, grad.QuantumNode):
-                    circuit_nodes.append(node)
-        assert len(circuit_nodes) == 120
+        circuit_nodes = quantum_nodes(root)
+        # 120 before one-variable selection networks skipped their weight QGRN.
+        # The 11 nodes gone are the 1-qubit weight QGRN's circuits (vqc_a, gate,
+        # lin, and vqc_c where a context enters) of the static VSN (3) and of
+        # the future VSN at each of the 2 forecast steps (2 x 4).
+        assert len(circuit_nodes) == 109
         for node in circuit_nodes:
             n = node.circuit.num_qubits
             assert node.feature_parent.value.shape == lead + (node.circuit.num_feature_slots,)
             assert node.weight_parent.value.ndim == 1
             assert node.value.shape == lead + (n,)
+
+
+def test_training_graph_differentiates_past_selection_through_the_prefix_sweep(
+        axis_csv, monkeypatch):
+    """Every node of the 5-qubit past-VSN weight QGRN in the 17-window training
+    graph runs its shift batch through the prefix sweep; its backward rule must
+    give the Jacobian of the same shifted rows run one full row at a time."""
+    table = data_io.load_csv(axis_csv, ["Open", "High", "Low", "Last"], "Close")
+    cfg = TrainConfig(model_kind="qtft")
+    train_w, _ = forecasting.build_stock_windows(table.rows, table.column_index("Close"), cfg)
+    model = forecasting.build_model(cfg, 5, 1, 1)
+    loss = forecasting.batch_loss_node(model, train_w, cfg.quantile)
+    wg = model.params.past_vsn.weight_grn
+    circuits = [wg.vqc_a.circuit, wg.vqc_c.circuit, wg.gate_circuit, wg.lin_circuit]
+    nodes = [node for node in quantum_nodes(loss) if any(node.circuit is c for c in circuits)]
+    assert len(nodes) == cfg.past_steps * len(circuits)
+    for node in nodes:
+        circ, n = node.circuit, node.circuit.num_qubits
+        features, weights = node.feature_parent.value, node.weight_parent.value
+        rows = len(train_w) * 2 * circ.plan.shift_gates.size
+        assert n == 5 and features.shape[0] == 17
+        assert rows * 2 ** n >= quantum_sim.PREFIX_SWEEP_AMPLITUDES
+        with monkeypatch.context() as mp:
+            mp.setattr(grad, "run_bound_batch",
+                       lambda c, angle_rows, gates: quantum_sim.run_bound_batch(c, angle_rows))
+            jf, jw = grad.shift_rule_jacobians(circ, features, weights)
+        for q in range(n):
+            u = np.zeros(node.value.shape)
+            u[:, q] = 1.0
+            rule_f, rule_w = node.backward_rule(u)
+            np.testing.assert_array_equal(rule_f, jf[..., q])
+            np.testing.assert_array_equal(rule_w, jw[..., q].sum(axis=0))

@@ -34,6 +34,14 @@ def test_invalid_quantile_is_flag_error(axis_csv, tmp_path):
     assert not os.path.exists(out)  # no computation happened
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf", "-1"])
+def test_negative_or_non_finite_lr_is_flag_error(axis_csv, tmp_path, capsys, lr):
+    out = str(tmp_path / "run")
+    assert main(train_args(axis_csv, out, ["--lr", lr])) == 2
+    assert "--lr" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_unknown_flag_is_exit_two(axis_csv, tmp_path):
     assert main(["train", "--data", axis_csv, "--nope"]) == 2
 

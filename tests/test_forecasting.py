@@ -8,6 +8,7 @@ from qtft.forecasting import (
     TrainConfig,
     TrainingDivergedError,
     WindowedSample,
+    batch_loss_node,
     build_model,
     build_stock_windows,
     evaluate,
@@ -186,6 +187,12 @@ def test_train_config_validation():
         TrainConfig(model_kind="mystery")
 
 
+@pytest.mark.parametrize("lr", [-1.0, float("nan"), float("inf"), float("-inf")])
+def test_train_config_rejects_learning_rate_that_is_negative_or_not_finite(lr):
+    with pytest.raises(ValueError, match="learning rate"):
+        TrainConfig(learning_rate=lr)
+
+
 # ------------------------------------------------------------------- training
 
 def test_train_zero_epochs_single_entry():
@@ -223,6 +230,29 @@ def test_train_diverged_error_carries_epoch():
         train(NaNModel(2), [sample_of([1.0, 1.0])], cfg)
     assert exc.value.epoch == 0
     assert "epoch 0" in str(exc.value)
+
+
+@pytest.mark.parametrize("kind,count,selection_leaves", [("tft", 688, 21), ("qtft", 506, 15)])
+def test_one_variable_selection_leaves_stay_and_get_no_gradient(axis_csv, kind, count,
+                                                                 selection_leaves):
+    from qtft import data_io
+    table = data_io.load_csv(axis_csv, ["Open", "High", "Low", "Last"], "Close")
+    cfg = TrainConfig(epochs=2, model_kind=kind)
+    train_w, _ = build_stock_windows(table.rows, table.column_index("Close"), cfg)
+    model = build_model(cfg, 5, 1, 1)
+    names = [name for name, _ in model.named_leaves()]
+    # The static and future networks select among one variable each.
+    selection = {name: leaf for name, leaf in model.named_leaves()
+                 if name.startswith(("static_vsn.", "future_vsn.")) and ".var_grns." not in name}
+    before = {name: leaf.value.copy() for name, leaf in selection.items()}
+    train(model, train_w, cfg)
+    grad.backward(batch_loss_node(model, train_w, cfg.quantile))
+    for name, leaf in selection.items():
+        assert leaf.grad is None, name
+        np.testing.assert_array_equal(leaf.value, before[name])
+    assert dict(model.named_leaves())["past_vsn.flatten_proj.W"].grad is not None
+    assert [name for name, _ in model.named_leaves()] == names
+    assert len(selection) == selection_leaves and model.param_count() == count
 
 
 def test_train_requires_samples():

@@ -173,6 +173,19 @@ def test_q_variable_selection_single_variable(rng):
     np.testing.assert_allclose(weights.value, [1.0], atol=0)
 
 
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_q_variable_selection_of_one_variable_runs_only_its_qgrn(rng, lead):
+    p = init_qvsn(rng, 2, 1, True, 1, "angle", "basic")
+    e = rng.uniform(-1, 1, lead + (2,))
+    selected, weights = q_variable_selection([e], rng.uniform(-1, 1, lead + (2,)), p)
+    np.testing.assert_array_equal(selected.value, qgrn(e, None, p.var_grns[0]).value)
+    assert weights.parents == () and weights.value.shape == lead + (1,)
+    assert np.all(weights.value == 1.0)
+    backward(grad.mean_all(selected))
+    assert all(leaf.grad is None for name, leaf in named_leaves(p)
+               if not name.startswith("var_grns."))
+
+
 def test_q_variable_selection_simplex_and_hull(rng):
     p = init_qvsn(rng, 2, 3, True, 1, "angle", "basic")
     embeds = [rng.uniform(-1, 1, 2) for _ in range(3)]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from qtft import grad, quantum_sim, reference
@@ -513,3 +514,44 @@ def test_shift_gates_are_validated():
                             ([1, 4], rows), ([], rows), ([1, 3], rows[:3])]:
         with pytest.raises(BindingError, match="shift gates"):
             run_bound_batch(circ, bad_rows, gates)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bound_circuits(count=3), st.booleans())
+def test_plan_shift_gates_skip_the_check_with_identical_output(case, swept):
+    circ, bindings = case
+    plan = circ.plan
+    np.testing.assert_array_equal(plan.shift_pos,
+                                  np.searchsorted(plan.par_gates, plan.shift_gates))
+    if not plan.shift_gates.size:
+        return
+    feats = np.stack([f for f, _ in bindings])
+    wts = np.stack([w for _, w in bindings])
+    rows = shifted_rows(bind_angles(circ, feats, wts), plan.shift_gates)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quantum_sim, "PREFIX_SWEEP_AMPLITUDES", 0 if swept else 1 << 62)
+        own = run_bound_batch(circ, rows, plan.shift_gates)
+        np.testing.assert_array_equal(own, run_bound_batch(circ, rows, plan.shift_gates.copy()))
+    with pytest.raises(BindingError, match="shift gates"):
+        run_bound_batch(circ, rows[:-1], plan.shift_gates)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(0, 3), st.integers(0, 3),
+       st.sampled_from(["features", "weights", "both", "differing"]))
+def test_slot_values_equal_the_broadcast_concatenation_bit_for_bit(data, nf, nw, batched):
+    if batched == "differing":
+        shapes = data.draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3)).input_shapes
+    else:
+        lead = data.draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=4))
+        shapes = (lead if batched != "weights" else (), lead if batched != "features" else ())
+    values = st.floats(allow_nan=True, allow_infinity=True)
+    features = data.draw(hnp.arrays(float, shapes[0] + (nf,), elements=values))
+    weights = data.draw(hnp.arrays(float, shapes[1] + (nw,), elements=values))
+    plan = ParameterizedCircuit(1, (), num_feature_slots=nf, num_weight_slots=nw).plan
+    got = plan.slot_values(features, weights)
+    out = np.broadcast_shapes(shapes[0], shapes[1])
+    want = np.concatenate((np.broadcast_to(features, out + (nf,)),
+                           np.broadcast_to(weights, out + (nw,))), axis=-1)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()

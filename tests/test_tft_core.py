@@ -154,6 +154,19 @@ def test_variable_selection_single_variable_weight_is_one(rng):
     np.testing.assert_allclose(weights.value, [1.0], atol=0)
 
 
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_variable_selection_of_one_variable_runs_only_its_grn(rng, lead):
+    p = tft_core.init_vsn(rng, 2, 1, 2)
+    e = rng.uniform(-1, 1, lead + (2,))
+    selected, weights = variable_selection([e], rng.uniform(-1, 1, lead + (2,)), p)
+    np.testing.assert_array_equal(selected.value, grn(e, None, p.var_grns[0]).value)
+    assert weights.parents == () and weights.value.shape == lead + (1,)
+    assert np.all(weights.value == 1.0)
+    backward(grad.mean_all(selected))
+    assert all(leaf.grad is None for name, leaf in named_leaves(p)
+               if not name.startswith("var_grns."))
+
+
 def test_variable_selection_identical_inputs_shared_grn(rng):
     p = tft_core.init_vsn(rng, 2, 3, None)
     shared = p.var_grns[0]
