@@ -9,7 +9,7 @@ directory.
 from __future__ import annotations
 
 import argparse
-import math
+import dataclasses
 import os
 import sys
 import time
@@ -17,10 +17,7 @@ import time
 import numpy as np
 
 from . import data_io, forecasting, grad, qtft_core, reference, tft_core
-from .forecasting import TrainConfig
-
-DEFAULT_FEATURES = "Open,High,Low,Last"
-DEFAULT_TARGET = "Close"
+from .forecasting import ConfigError, TrainConfig
 
 # Loss table published for the AXIS BANK experiment: (train, test) per model.
 PUBLISHED_LOSSES = {
@@ -34,41 +31,69 @@ COMPARE_LABELS = {
     "qtft-qlstm": "QTFT (With QLSTM)",
 }
 
+# The run keys, as (TrainConfig field, default).  Each key is a flag (--past-steps)
+# and a config.past_steps line of report.txt and params.txt.  There is one key per
+# TrainConfig field, named after it but for the three in _KEY_OF_FIELD; the field's
+# default and its type are the flag's and the snapshot reader's.  features and
+# target name the CSV columns, which TrainConfig does not hold.
+_KEY_OF_FIELD = {"model_kind": "model", "learning_rate": "lr", "use_causal_mask": "causal_mask"}
+RUN_KEYS = {**{_KEY_OF_FIELD.get(f.name, f.name): (f.name, f.default)
+               for f in dataclasses.fields(TrainConfig)},
+            "features": (None, "Open,High,Low,Last"), "target": (None, "Close")}
+_RANGE_HELP = "inclusive rows, FIRST:LAST"
+FLAG_OPTIONS = {"model": {"choices": forecasting.MODEL_KINDS},
+                "train_range": {"help": _RANGE_HELP}, "test_range": {"help": _RANGE_HELP},
+                "encoding": {"choices": qtft_core.ENCODINGS},
+                "ansatz": {"choices": qtft_core.ANSATZE},
+                "scale": {"help": "min-max scale features first"},
+                "features": {"help": "comma-separated columns"}}
+# What a run key's text must look like, by the type of its default.
+_EXPECTED = {bool: "True or False", tuple: "FIRST:LAST with FIRST <= LAST"}
 
-def _parse_range(text: str) -> tuple[int, int]:
-    """``FIRST:LAST`` as two ints with FIRST <= LAST; a ValueError saying which rule failed."""
-    first, _, last = text.partition(":")
+
+def _columns(text: str) -> list[str]:
+    return [s.strip() for s in text.split(",") if s.strip()]
+
+
+def _parse(key: str, text: str):
+    """A run key's value, of its default's type, from its text; a ValueError says what it expects."""
+    kind = type(RUN_KEYS[key][1])
     try:
-        a, b = int(first), int(last)
-    except ValueError:
-        raise ValueError("ranges must look like FIRST:LAST") from None
-    if a > b:
-        raise ValueError("ranges must satisfy FIRST <= LAST")
-    return a, b
+        if kind is bool:
+            return {"True": True, "False": False}[text]
+        if kind is tuple:
+            first, _, last = text.partition(":")
+            value = int(first), int(last)
+            if value[0] > value[1]:
+                raise ValueError(text)
+        else:
+            value = kind(text)
+    except (KeyError, ValueError):
+        raise ValueError(_EXPECTED.get(kind) or f"a value of type {kind.__name__}") from None
+    if key == "features" and not _columns(value):
+        raise ValueError("at least one column name")
+    return value
+
+
+def _flag_type(key: str):
+    """The argparse type of a run key's flag: :func:`_parse`, naming what it expects."""
+    def parse(text: str):
+        try:
+            return _parse(key, text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected {exc}, got {text!r}") from None
+    return parse
 
 
 def _add_train_flags(p: argparse.ArgumentParser, with_model: bool = True):
     p.add_argument("--data", required=True, help="input CSV path")
-    if with_model:
-        p.add_argument("--model", default="tft", choices=forecasting.MODEL_KINDS)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--quantile", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=1)
+    for key, (_, default) in RUN_KEYS.items():
+        if key == "model" and not with_model:
+            continue
+        kind = {"action": "store_true"} if isinstance(default, bool) else {"type": _flag_type(key)}
+        p.add_argument("--" + key.replace("_", "-"), default=default, **kind,
+                       **FLAG_OPTIONS.get(key, {}))
     p.add_argument("--out", default=None, help="output directory (default $QTFT_OUT_DIR or ./runs)")
-    p.add_argument("--past-steps", type=int, default=2)
-    p.add_argument("--forecast-steps", type=int, default=2)
-    p.add_argument("--train-range", default="0:19", help="inclusive rows, FIRST:LAST")
-    p.add_argument("--test-range", default="20:26", help="inclusive rows, FIRST:LAST")
-    p.add_argument("--d-model", type=int, default=2)
-    p.add_argument("--ansatz-layers", type=int, default=2)
-    p.add_argument("--heads", type=int, default=1)
-    p.add_argument("--encoding", default="angle", choices=qtft_core.ENCODINGS)
-    p.add_argument("--ansatz", default="basic", choices=qtft_core.ANSATZE)
-    p.add_argument("--scale", action="store_true", help="min-max scale features first")
-    p.add_argument("--causal-mask", action="store_true")
-    p.add_argument("--features", default=DEFAULT_FEATURES, help="comma-separated columns")
-    p.add_argument("--target", default=DEFAULT_TARGET)
     p.add_argument("--verbose", "-v", action="store_true")
 
 
@@ -84,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a saved parameter snapshot")
     p_eval.add_argument("--snapshot", required=True, help="params.txt from a train run")
     p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--range", default=None, help="inclusive rows, FIRST:LAST (default: snapshot test range)")
+    p_eval.add_argument("--range", default=None, type=_flag_type("test_range"),
+                        help="inclusive rows, FIRST:LAST (default: snapshot test range)")
     p_eval.set_defaults(func=cmd_eval)
 
     p_cmp = sub.add_parser("compare", help="train tft, qtft and qtft-qlstm under one config")
@@ -106,87 +132,33 @@ def _out_dir(args) -> str:
     return os.environ.get("QTFT_OUT_DIR", "runs")
 
 
-def _validate_train_flags(args) -> str | None:
-    if not 0.0 < args.quantile < 1.0:
-        return f"--quantile must lie in (0, 1), got {args.quantile}"
-    if args.epochs < 0:
-        return "--epochs must be >= 0"
-    if not 0.0 <= args.lr < math.inf:
-        return f"--lr must be finite and >= 0, got {args.lr}"
-    if args.past_steps < 1 or args.forecast_steps < 1:
-        return "--past-steps and --forecast-steps must be >= 1"
-    if args.d_model < 1 or args.ansatz_layers < 1 or args.heads < 1:
-        return "--d-model, --ansatz-layers and --heads must be >= 1"
-    try:
-        a, b = _parse_range(args.train_range)
-        c, d = _parse_range(args.test_range)
-    except ValueError as exc:
-        return str(exc)
-    if max(a, c) <= min(b, d):
-        return "train and test ranges must be disjoint"
-    if not [s for s in args.features.split(",") if s.strip()]:
-        return "--features must name at least one column"
-    return None
-
-
-def _config_from_args(args, model_kind: str) -> TrainConfig:
-    return TrainConfig(
-        quantile=args.quantile,
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        past_steps=args.past_steps,
-        forecast_steps=args.forecast_steps,
-        train_range=_parse_range(args.train_range),
-        test_range=_parse_range(args.test_range),
-        seed=args.seed,
-        model_kind=model_kind,
-        d_model=args.d_model,
-        ansatz_layers=args.ansatz_layers,
-        heads=args.heads,
-        encoding=args.encoding,
-        ansatz=args.ansatz,
-        scale=args.scale,
-        use_causal_mask=args.causal_mask,
-    )
+def _config(values: dict[str, object]) -> TrainConfig:
+    """The TrainConfig of run key values; a rejected value raises ConfigError."""
+    return TrainConfig(**{field: values[key] for key, (field, _) in RUN_KEYS.items() if field})
 
 
 def _config_echo(cfg: TrainConfig, args) -> dict[str, object]:
-    echo = {
-        "model": cfg.model_kind,
-        "seed": cfg.seed,
-        "data": args.data,
-        "epochs": cfg.epochs,
-        "lr": cfg.learning_rate,
-        "quantile": cfg.quantile,
-        "past_steps": cfg.past_steps,
-        "forecast_steps": cfg.forecast_steps,
-        "train_range": f"{cfg.train_range[0]}:{cfg.train_range[1]}",
-        "test_range": f"{cfg.test_range[0]}:{cfg.test_range[1]}",
-        "d_model": cfg.d_model,
-        "ansatz_layers": cfg.ansatz_layers,
-        "heads": cfg.heads,
-        "encoding": cfg.encoding,
-        "ansatz": cfg.ansatz,
-        "scale": cfg.scale,
-        "causal_mask": cfg.use_causal_mask,
-        "features": args.features,
-        "target": args.target,
-    }
+    """The config.* lines of a run: every run key, a range as FIRST:LAST, and the data path."""
+    echo = {"data": args.data}
+    for key, (field, _) in RUN_KEYS.items():
+        value = getattr(cfg, field) if field else getattr(args, key)
+        echo[key] = f"{value[0]}:{value[1]}" if isinstance(value, tuple) else value
     return echo
+
+
+def _windows_and_model(cfg: TrainConfig, data: str, features: str, target: str):
+    """Train and test windows of the CSV table under ``cfg``, and the seeded model for them."""
+    table = data_io.load_csv(data, _columns(features), target)
+    train_w, test_w = forecasting.build_stock_windows(table.rows, table.column_index(target), cfg)
+    w = train_w[0]
+    model = forecasting.build_model(cfg, w.past.shape[1], w.future_known.shape[1],
+                                    w.static.shape[0])
+    return train_w, test_w, model
 
 
 def _run_one(cfg: TrainConfig, args, verbose: bool = False):
     """Load data, train one model and evaluate it; shared by train/compare."""
-    features = [s.strip() for s in args.features.split(",") if s.strip()]
-    table = data_io.load_csv(args.data, features, args.target)
-    target_idx = table.column_index(args.target)
-    train_w, test_w = forecasting.build_stock_windows(table.rows, target_idx, cfg)
-    model = forecasting.build_model(
-        cfg,
-        num_past_vars=train_w[0].past.shape[1],
-        num_future_vars=train_w[0].future_known.shape[1],
-        num_static_vars=train_w[0].static.shape[0],
-    )
+    train_w, test_w, model = _windows_and_model(cfg, args.data, args.features, args.target)
     t0 = time.perf_counter()
     history = forecasting.train(model, train_w, cfg)
     elapsed = time.perf_counter() - t0
@@ -198,11 +170,7 @@ def _run_one(cfg: TrainConfig, args, verbose: bool = False):
 
 
 def cmd_train(args) -> int:
-    err = _validate_train_flags(args)
-    if err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    cfg = _config_from_args(args, args.model)
+    cfg = _config(vars(args))
     model, train_w, test_w, history, test_loss, elapsed = _run_one(cfg, args, args.verbose)
     out_dir = _out_dir(args)
     echo = _config_echo(cfg, args)
@@ -225,64 +193,33 @@ def cmd_train(args) -> int:
     return 0
 
 
-# Snapshot config keys that eval reads to rebuild the run's windows and model, and
-# their types (a range stays text, once ``_parse_range`` accepts it).  Every key but
-# the seed (default 1) must be present.
-EVAL_CONFIG_TYPES = {"model": str, "seed": int, "epochs": int, "lr": float, "quantile": float,
-                     "past_steps": int, "forecast_steps": int, "train_range": _parse_range,
-                     "test_range": _parse_range, "d_model": int, "ansatz_layers": int,
-                     "heads": int, "encoding": str, "ansatz": str, "scale": bool,
-                     "causal_mask": bool, "features": str, "target": str}
-EVAL_CONFIG_KEYS = tuple(key for key in EVAL_CONFIG_TYPES if key != "seed")
-_BOOLS = {"True": True, "False": False}
-_EXPECTED = {bool: "True or False", _parse_range: "FIRST:LAST with FIRST <= LAST"}
-
-
-def _typed_config(config: dict[str, str], path: str) -> dict[str, object]:
-    """The values of ``EVAL_CONFIG_TYPES``; one that does not parse is a SnapshotError."""
-    typed = {}
-    for key, kind in EVAL_CONFIG_TYPES.items():
-        text = config.get(key, "1")   # only the seed may be absent
-        try:
-            value = _BOOLS[text] if kind is bool else kind(text)
-        except (KeyError, ValueError):
-            expected = _EXPECTED.get(kind) or f"a value of type {kind.__name__}"
-            raise data_io.SnapshotError(f"snapshot {path} has config.{key} = {text}, "
-                                        f"expected {expected}") from None
-        typed[key] = text if kind is _parse_range else value
-    return typed
-
-
 def cmd_eval(args) -> int:
+    # Every run key but the seed must be in the snapshot; an absent seed is the default.
+    path = args.snapshot
+    config, arrays = data_io.load_params(path, tuple(key for key in RUN_KEYS if key != "seed"))
+    values = {}
+    for key, (_, default) in RUN_KEYS.items():
+        try:
+            values[key] = _parse(key, config[key]) if key in config else default
+        except ValueError as exc:
+            raise data_io.SnapshotError(f"snapshot {path} has config.{key} = {config[key]}, "
+                                        f"expected {exc}") from None
     # an explicit --range evaluates that interval in place of the snapshot's test range
     if args.range is not None:
-        try:
-            _parse_range(args.range)
-        except ValueError as exc:
-            print(f"error: --range: {exc}", file=sys.stderr)
-            return 2
-    config, arrays = data_io.load_params(args.snapshot, EVAL_CONFIG_KEYS)
-    ns = argparse.Namespace(**_typed_config(config, args.snapshot))
-    if args.range is not None:
-        ns.test_range = args.range
-    cfg = _config_from_args(ns, ns.model)
-    features = [s.strip() for s in ns.features.split(",") if s.strip()]
-    table = data_io.load_csv(args.data, features, ns.target)
-    target_idx = table.column_index(ns.target)
-    _, eval_w = forecasting.build_stock_windows(table.rows, target_idx, cfg)
-    model = forecasting.build_model(
-        cfg,
-        num_past_vars=eval_w[0].past.shape[1],
-        num_future_vars=eval_w[0].future_known.shape[1],
-        num_static_vars=eval_w[0].static.shape[0],
-    )
+        values["test_range"] = args.range
+    try:
+        cfg = _config(values)
+    except ConfigError as exc:
+        key = _KEY_OF_FIELD.get(exc.field, exc.field)
+        raise data_io.SnapshotError(f"snapshot {path} config.{key}: {exc}") from None
+    _, eval_w, model = _windows_and_model(cfg, args.data, values["features"], values["target"])
     named = dict(model.named_leaves())
     missing = [name for name in named if name not in arrays]
     unexpected = [name for name in arrays if name not in named]
     if missing or unexpected:
         problems = [f"no leaf {missing[0]}"] if missing else []
         problems += [f"unexpected leaf {unexpected[0]}"] if unexpected else []
-        raise data_io.SnapshotError(f"snapshot {args.snapshot} does not fit the rebuilt "
+        raise data_io.SnapshotError(f"snapshot {path} does not fit the rebuilt "
                                     f"{model.kind} model: " + "; ".join(problems))
     for name, node in named.items():
         if node.value.shape != arrays[name].shape:
@@ -309,17 +246,13 @@ def format_compare(rows) -> str:
 
 
 def cmd_compare(args) -> int:
-    err = _validate_train_flags(args)
-    if err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    configs = [_config({**vars(args), "model": kind}) for kind in forecasting.MODEL_KINDS]
     out_dir = _out_dir(args)
     os.makedirs(out_dir, exist_ok=True)
     rows = []
-    for kind in forecasting.MODEL_KINDS:
-        cfg = _config_from_args(args, kind)
+    for cfg in configs:
         _, _, _, history, test_loss, _ = _run_one(cfg, args, args.verbose)
-        rows.append((kind, history[-1], test_loss))
+        rows.append((cfg.model_kind, history[-1], test_loss))
     text = format_compare(rows)
     with open(os.path.join(out_dir, "compare.txt"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -475,6 +408,10 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
+    except ConfigError as exc:  # a flag value that TrainConfig rejects
+        flag = _KEY_OF_FIELD.get(exc.field, exc.field).replace("_", "-")
+        print(f"error: --{flag}: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # runtime failures map to exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -182,39 +182,27 @@ def write_report(report: RunReport, out_dir: str) -> str:
     three canonical files are reproducible byte for byte.
     """
     os.makedirs(out_dir, exist_ok=True)
+    # Each table is its header line and rows, in report.txt and in its own CSV file.
+    loss = ["epoch,loss_mean,loss_sum"] + [
+        f"{e},{_fmt(lm)},{_fmt(ls)}"
+        for e, (lm, ls) in enumerate(zip(report.loss_history, report.loss_history_sum))]
+    predictions = ["time_index,true,predicted"] + [
+        f"{t},{_fmt(y)},{_fmt(yhat)}" for t, y, yhat in report.predictions]
     lines = ["# qtft run report"]
-    for key in sorted(report.config):
-        lines.append(f"config.{key} = {_fmt(report.config[key])}")
-    lines.append(f"seed = {report.seed}")
-    lines.append(f"param_count = {report.param_count}")
-    lines.append(f"final_train_loss = {_fmt(report.final_train_loss)}")
-    lines.append(f"final_test_loss = {_fmt(report.final_test_loss)}")
-    lines.append("")
-    lines.append("[loss_history]")
-    lines.append("epoch,loss_mean,loss_sum")
-    for e, (lm, ls) in enumerate(zip(report.loss_history, report.loss_history_sum)):
-        lines.append(f"{e},{_fmt(lm)},{_fmt(ls)}")
-    lines.append("")
-    lines.append("[predictions]")
-    lines.append("time_index,true,predicted")
-    for t, y, yhat in report.predictions:
-        lines.append(f"{t},{_fmt(y)},{_fmt(yhat)}")
-    lines.append("")
-    report_path = os.path.join(out_dir, "report.txt")
-    with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
-
-    with open(os.path.join(out_dir, "loss.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("epoch,loss_mean,loss_sum\n")
-        for e, (lm, ls) in enumerate(zip(report.loss_history, report.loss_history_sum)):
-            fh.write(f"{e},{_fmt(lm)},{_fmt(ls)}\n")
-    with open(os.path.join(out_dir, "predictions.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("time_index,true,predicted\n")
-        for t, y, yhat in report.predictions:
-            fh.write(f"{t},{_fmt(y)},{_fmt(yhat)}\n")
-    with open(os.path.join(out_dir, "timing.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"wall_clock_seconds = {report.wall_clock_seconds!r}\n")
-    return report_path
+    lines += [f"config.{key} = {_fmt(report.config[key])}" for key in sorted(report.config)]
+    lines += [f"seed = {report.seed}",
+              f"param_count = {report.param_count}",
+              f"final_train_loss = {_fmt(report.final_train_loss)}",
+              f"final_test_loss = {_fmt(report.final_test_loss)}",
+              "", "[loss_history]", *loss, "", "[predictions]", *predictions, ""]
+    files = {"report.txt": "\n".join(lines),
+             "loss.csv": "\n".join(loss) + "\n",
+             "predictions.csv": "\n".join(predictions) + "\n",
+             "timing.txt": f"wall_clock_seconds = {report.wall_clock_seconds!r}\n"}
+    for name, text in files.items():
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    return os.path.join(out_dir, "report.txt")
 
 
 def read_report(path: str) -> dict:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grad
-from .qtft_core import QTFTConfig, QTFTModel
+from .qtft_core import ANSATZE, ENCODINGS, QTFTConfig, QTFTModel
 from .tft_core import TFTConfig, TFTModel
 
 MODEL_KINDS = ("tft", "qtft", "qtft-qlstm")
@@ -47,8 +47,18 @@ class WindowedSample:
             raise ValueError("targets and future_known must cover the same horizon")
 
 
+class ConfigError(ValueError):
+    """A run setting that ``TrainConfig`` rejects; ``field`` names its field."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass
 class TrainConfig:
+    """Every setting of a run; the CLI's flags, report echo and snapshot reader derive from it."""
+
     quantile: float = 0.5
     learning_rate: float = 0.1
     epochs: int = 100
@@ -67,23 +77,27 @@ class TrainConfig:
     use_causal_mask: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.quantile < 1.0:
-            raise ValueError(f"quantile must lie in (0, 1), got {self.quantile}")
-        if self.past_steps < 1 or self.forecast_steps < 1:
-            raise ValueError("past_steps and forecast_steps must be >= 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if not 0.0 <= self.learning_rate < math.inf:
-            raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
-        a, b = self.train_range
-        c, d = self.test_range
-        if a > b or c > d:
-            raise ValueError("ranges must be (first, last) with first <= last")
-        if max(a, c) <= min(b, d):
-            raise ValueError(f"train range {self.train_range} and test range "
-                             f"{self.test_range} overlap")
-        if self.model_kind not in MODEL_KINDS:
-            raise ValueError(f"model_kind must be one of {MODEL_KINDS}")
+        (a, b), (c, d) = self.train_range, self.test_range
+        for field, ok, rule in (
+            ("quantile", 0.0 < self.quantile < 1.0, "quantile must lie in (0, 1)"),
+            ("learning_rate", 0.0 <= self.learning_rate < math.inf,
+             "learning rate must be finite and >= 0"),
+            ("epochs", self.epochs >= 0, "epochs must be >= 0"),
+            ("past_steps", self.past_steps >= 1, "past_steps must be >= 1"),
+            ("forecast_steps", self.forecast_steps >= 1, "forecast_steps must be >= 1"),
+            ("d_model", self.d_model >= 1, "d_model must be >= 1"),
+            ("ansatz_layers", self.ansatz_layers >= 1, "ansatz_layers must be >= 1"),
+            ("heads", self.heads >= 1, "heads must be >= 1"),
+            ("train_range", a <= b, "ranges must be (first, last) with first <= last"),
+            ("test_range", c <= d, "ranges must be (first, last) with first <= last"),
+            ("test_range", max(a, c) > min(b, d), f"test range overlaps train range {(a, b)}"),
+            ("model_kind", self.model_kind in MODEL_KINDS,
+             f"model_kind must be one of {MODEL_KINDS}"),
+            ("encoding", self.encoding in ENCODINGS, f"encoding must be one of {ENCODINGS}"),
+            ("ansatz", self.ansatz in ANSATZE, f"ansatz must be one of {ANSATZE}"),
+        ):
+            if not ok:
+                raise ConfigError(field, f"{rule}, got {getattr(self, field)!r}")
 
 
 def quantile_loss(y, yhat, q: float) -> float:
@@ -164,21 +178,15 @@ def build_model(cfg: TrainConfig, num_past_vars: int, num_future_vars: int,
                 num_static_vars: int):
     """Seeded model construction for any of the three model kinds."""
     rng = np.random.default_rng(cfg.seed)
+    shared = dict(d_model=cfg.d_model, num_past_vars=num_past_vars,
+                  num_future_vars=num_future_vars, num_static_vars=num_static_vars,
+                  num_heads=cfg.heads, quantiles=(cfg.quantile,),
+                  use_causal_mask=cfg.use_causal_mask)
     if cfg.model_kind == "tft":
-        return TFTModel(TFTConfig(
-            d_model=cfg.d_model, num_past_vars=num_past_vars,
-            num_future_vars=num_future_vars, num_static_vars=num_static_vars,
-            num_heads=cfg.heads, quantiles=(cfg.quantile,),
-            use_causal_mask=cfg.use_causal_mask,
-        ), rng)
-    return QTFTModel(QTFTConfig(
-        d_model=cfg.d_model, num_past_vars=num_past_vars,
-        num_future_vars=num_future_vars, num_static_vars=num_static_vars,
-        num_heads=cfg.heads, quantiles=(cfg.quantile,),
-        ansatz_layers=cfg.ansatz_layers, encoding=cfg.encoding, ansatz=cfg.ansatz,
-        use_qlstm=(cfg.model_kind == "qtft-qlstm"),
-        use_causal_mask=cfg.use_causal_mask,
-    ), rng)
+        return TFTModel(TFTConfig(**shared), rng)
+    return QTFTModel(QTFTConfig(**shared, ansatz_layers=cfg.ansatz_layers, encoding=cfg.encoding,
+                                ansatz=cfg.ansatz, use_qlstm=(cfg.model_kind == "qtft-qlstm")),
+                     rng)
 
 
 def stack_windows(samples):

@@ -396,7 +396,7 @@ def shift_rule_jacobians(circuit: ParameterizedCircuit, features, weights):
     if g:
         rows = np.repeat(plan.angles(values), 2 * g, axis=0)
         rows.reshape(batch, g, 2, -1)[:, np.arange(g), :, gates] += _SHIFTS
-        z = all_z_from_amplitudes(run_bound_batch(circuit, rows, gates), n)
+        z = all_z_from_amplitudes(run_bound_batch(circuit, rows, shifted=True), n)
         diff = (z[0::2] - z[1::2]).reshape(batch, g, n)
         np.add.at(jac, (slice(None), plan.part_slot),
                   (plan.angle_partials(values) * 0.5)[:, :, None] * diff[:, plan.part_row])

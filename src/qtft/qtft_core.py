@@ -65,7 +65,6 @@ class VQCBlockParams:
     ansatz: ParameterizedCircuit
     circuit: ParameterizedCircuit     # compose(encoding, ansatz), cached
     weights: Node
-    num_qubits: int
 
 
 def build_encoding(num_qubits: int, kind: str) -> ParameterizedCircuit:
@@ -89,14 +88,15 @@ def init_vqc_block(rng: np.random.Generator, num_qubits: int, num_layers: int,
     enc = build_encoding(num_qubits, encoding)
     anz = build_ansatz(num_qubits, num_layers, ansatz)
     weights = grad.param(rng.uniform(-math.pi, math.pi, size=anz.num_weight_slots))
-    return VQCBlockParams(anz, compose(enc, anz), weights, num_qubits)
+    return VQCBlockParams(anz, compose(enc, anz), weights)
 
 
 def vqc_apply(x, p: VQCBlockParams) -> Node:
     """Encode x, run the ansatz, measure every qubit with Pauli-Z (per row of a batch)."""
     x = as_node(x)
-    if x.value.shape[-1:] != (p.num_qubits,):
-        raise ValueError(f"block of {p.num_qubits} qubits got input shape {x.value.shape}")
+    n = p.circuit.num_qubits
+    if x.value.shape[-1:] != (n,):
+        raise ValueError(f"block of {n} qubits got input shape {x.value.shape}")
     return quantum_forward(p.circuit, x, p.weights)
 
 
@@ -142,7 +142,7 @@ def init_qgrn(rng, num_qubits: int, num_layers: int, with_context: bool,
     vqc_a = block()
     vqc_c = block() if with_context else None
     vqc_eta2 = block()
-    glu_p = QGLUParams(branch_gate=block(), branch_lin=block())
+    glu_p = init_qglu(rng, num_qubits, num_layers, encoding, ansatz)
     return QGRNParams(
         vqc_a=vqc_a,
         vqc_c=vqc_c,

@@ -298,7 +298,7 @@ class CircuitPlan:
                                   dtype=np.intp)
         self.par_steps = np.array([k for k, g in enumerate(steps) if g.angle is not None],
                                   dtype=np.intp)
-        self.shift_pos = np.searchsorted(self.par_gates, self.shift_gates)   # run_shifts' pos
+        self.shift_pos = np.searchsorted(self.par_gates, self.shift_gates)   # among par_gates
         self.trig_scale = np.array([1.0 if ops[gi].kind == "PHASE" else 0.5
                                     for gi in self.par_gates])
         # recipe[k, 0 | 1, t, column]: the a | b coefficient of step k per unit of
@@ -416,15 +416,13 @@ class CircuitPlan:
                 st = a[k] * st + b[k] * st.take(flip, axis=1)
         return st.take(self.loc, axis=1)
 
-    def run_shifts(self, angle_rows: np.ndarray, gates: np.ndarray) -> np.ndarray:
+    def run_shifts(self, angle_rows: np.ndarray) -> np.ndarray:
         """:meth:`run` of parameter-shift rows, bit for bit, sharing their unshifted prefix.
 
         ``angle_rows`` holds, for each of B bindings, two rows per gate of
-        ``gates`` (increasing indices of parametric gates): the binding's
-        angles with that gate's angle shifted up, then down.  Rows of one
-        binding must agree wherever they are not shifted.  ``gates`` is
-        checked, unless it is the plan's own ``shift_gates`` array, whose
-        positions among the parametric gates were found when it compiled.
+        ``shift_gates``: the binding's angles with that gate's angle shifted
+        up, then down.  Rows of one binding must agree wherever they are not
+        shifted.
 
         The two rows of gate g equal their binding's unshifted row at every
         step before g.  So one carrier row per binding runs the unshifted
@@ -442,27 +440,20 @@ class CircuitPlan:
         extra numpy calls cost more than the row-steps it saves, and the
         rows run through :meth:`run` instead.
         """
-        g = gates.size
-        own = gates is self.shift_gates   # compiled with the plan, valid by construction
-        pos = self.shift_pos if own else np.searchsorted(self.par_gates, gates)
-        if (not g or angle_rows.shape[0] % (2 * g) or not own and (
-                np.any(np.diff(pos) <= 0)
-                or not np.array_equal(self.par_gates.take(pos, mode="clip"), gates))):
-            raise BindingError("shift gates must be increasing parametric gate indices, "
-                               "with two rows per gate and binding")
+        g = self.shift_gates.size
+        if not g or angle_rows.shape[0] % (2 * g):
+            raise BindingError("parameter-shift rows need shift gates, and two rows per "
+                               "shift gate and binding")
         if angle_rows.shape[0] * self.loc.size < PREFIX_SWEEP_AMPLITUDES:
             return self.run(angle_rows)
         rows = angle_rows.reshape(-1, g, 2, angle_rows.shape[1])
         chunk = max(1, COEFF_BYTES // ((len(self.flips) + 2 * g) * self.recipe[0, :, 0].nbytes))
-        sweeps = [self._prefix_sweep(rows[i:i + chunk], gates, pos)
-                  for i in range(0, rows.shape[0], chunk)]
+        sweeps = [self._prefix_sweep(rows[i:i + chunk]) for i in range(0, rows.shape[0], chunk)]
         return sweeps[0] if len(sweeps) == 1 else np.concatenate(sweeps)
 
-    def _prefix_sweep(self, rows: np.ndarray, gates: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        """The sweep of :meth:`run_shifts` over (B, G, 2, num_gates) shifted rows.
-
-        ``pos`` locates each shifted gate among ``par_gates``.
-        """
+    def _prefix_sweep(self, rows: np.ndarray) -> np.ndarray:
+        """The sweep of :meth:`run_shifts` over (B, G, 2, num_gates) shifted rows."""
+        gates, pos = self.shift_gates, self.shift_pos
         batch, g, dim = rows.shape[0], gates.size, self.loc.size
         base = rows[:, 0, 0]   # the unshifted angles: any row's at every gate but its own
         if g > 1:
@@ -552,23 +543,21 @@ def run_circuit(circuit: ParameterizedCircuit, features=(), weights=()) -> State
 
 
 def run_bound_batch(circuit: ParameterizedCircuit, angle_rows: np.ndarray,
-                    shift_gates=None) -> np.ndarray:
+                    shifted: bool = False) -> np.ndarray:
     """Run one circuit under many per-gate angle bindings at once.
 
     ``angle_rows`` has shape (B, num_gates); columns for fixed gates are
     ignored.  Returns the (B, 2**n) amplitudes.  This is the kernel behind
     batched parameter-shift evaluation.
 
-    ``shift_gates`` (increasing parametric gate indices) says that the rows
-    are parameter-shift rows, laid out as :meth:`CircuitPlan.run_shifts`
-    describes; they then share their unshifted prefix, with the same result.
+    ``shifted`` says that the rows are the plan's parameter-shift rows, laid
+    out as :meth:`CircuitPlan.run_shifts` describes; they then share their
+    unshifted prefix, with the same result.
     """
     angle_rows = np.asarray(angle_rows, dtype=float)
     if angle_rows.ndim != 2 or angle_rows.shape[1] != len(circuit.ops):
         raise BindingError("angle_rows must be (batch, num_gates)")
-    if shift_gates is None:
-        return circuit.plan.run(angle_rows)
-    return circuit.plan.run_shifts(angle_rows, np.asarray(shift_gates, dtype=np.intp))
+    return circuit.plan.run_shifts(angle_rows) if shifted else circuit.plan.run(angle_rows)
 
 
 # --------------------------------------------------------------------------

@@ -163,7 +163,7 @@ def test_training_graph_differentiates_past_selection_through_the_prefix_sweep(
         assert rows * 2 ** n >= quantum_sim.PREFIX_SWEEP_AMPLITUDES
         with monkeypatch.context() as mp:
             mp.setattr(grad, "run_bound_batch",
-                       lambda c, angle_rows, gates: quantum_sim.run_bound_batch(c, angle_rows))
+                       lambda c, angle_rows, shifted: quantum_sim.run_bound_batch(c, angle_rows))
             jf, jw = grad.shift_rule_jacobians(circ, features, weights)
         for q in range(n):
             u = np.zeros(node.value.shape)

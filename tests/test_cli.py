@@ -1,9 +1,11 @@
+import dataclasses
 import os
 
 import pytest
 
 from qtft.cli import format_compare, gradcheck_suite, main
 from qtft.data_io import read_report
+from qtft.forecasting import TrainConfig
 
 FAST = ["--train-range", "0:9", "--test-range", "10:14", "--epochs", "2"]
 
@@ -92,6 +94,18 @@ def test_config_echoed_into_report(axis_csv, tmp_path):
     assert cfg["train_range"] == "0:9"
 
 
+def test_train_without_optional_flags_echoes_the_train_config_defaults(axis_csv, tmp_path):
+    out = str(tmp_path / "run")
+    assert main(["train", "--data", axis_csv, "--out", out]) == 0
+    echo = read_report(os.path.join(out, "report.txt"))["config"]
+    key_of = {"model_kind": "model", "learning_rate": "lr", "use_causal_mask": "causal_mask"}
+    for field in dataclasses.fields(TrainConfig):
+        value = field.default
+        text = f"{value[0]}:{value[1]}" if isinstance(value, tuple) else str(value)
+        assert echo.pop(key_of.get(field.name, field.name)) == text, field.name
+    assert echo == {"data": axis_csv, "features": "Open,High,Low,Last", "target": "Close"}
+
+
 def test_out_dir_env_var(axis_csv, tmp_path, monkeypatch):
     target = str(tmp_path / "from-env")
     monkeypatch.setenv("QTFT_OUT_DIR", target)
@@ -147,7 +161,8 @@ def test_eval_names_missing_snapshot_config_key(axis_csv, tmp_path, capsys):
     assert "config.epochs" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key,value", [("d_model", "two"), ("scale", "yes")])
+@pytest.mark.parametrize("key,value", [("d_model", "two"), ("scale", "yes"),
+                                       ("d_model", "0"), ("encoding", "bogus")])
 def test_eval_names_mistyped_snapshot_config_value(axis_csv, tmp_path, capsys, key, value):
     out = str(tmp_path / "run")
     assert main(train_args(axis_csv, out)) == 0

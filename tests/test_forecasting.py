@@ -193,6 +193,14 @@ def test_train_config_rejects_learning_rate_that_is_negative_or_not_finite(lr):
         TrainConfig(learning_rate=lr)
 
 
+@pytest.mark.parametrize("field,value", [("d_model", 0), ("heads", 0), ("ansatz_layers", 0),
+                                         ("encoding", "bogus"), ("ansatz", "bogus")])
+def test_train_config_rejects_a_model_setting_no_model_can_be_built_from(field, value):
+    with pytest.raises(ValueError, match=field) as info:
+        TrainConfig(**{field: value})
+    assert info.value.field == field
+
+
 # ------------------------------------------------------------------- training
 
 def test_train_zero_epochs_single_entry():

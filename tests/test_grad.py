@@ -217,9 +217,9 @@ def test_shift_rule_jacobians_run_every_shifted_row_in_one_call(monkeypatch):
     calls = []
     original = grad.run_bound_batch
 
-    def spy(circuit, rows, *args):
+    def spy(circuit, rows, **kwargs):
         calls.append(len(rows))
-        return original(circuit, rows, *args)
+        return original(circuit, rows, **kwargs)
 
     monkeypatch.setattr(grad, "run_bound_batch", spy)
     for n, lead in [(1, ()), (2, (3,)), (5, (17,)), (5, (2, 3))]:

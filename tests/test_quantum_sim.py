@@ -445,24 +445,22 @@ def shifted_rows(angles, gates):
 def test_prefix_sweep_matches_full_rows_bit_for_bit(case, data):
     circ, bindings = case
     plan = circ.plan
-    if not plan.par_gates.size:
+    if not plan.shift_gates.size:
         return
     b = data.draw(st.integers(1, 4))
     feats = np.stack([f for f, _ in bindings[:b]])
     wts = np.stack([w for _, w in bindings[:b]])
-    gates = sorted(data.draw(st.sets(st.sampled_from(plan.par_gates.tolist()), min_size=1)))
-    rows = shifted_rows(bind_angles(circ, feats, wts), gates)
-    shiftable = not plan.crz_slots and plan.shift_gates.size
+    rows = shifted_rows(bind_angles(circ, feats, wts), plan.shift_gates)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quantum_sim, "PREFIX_SWEEP_AMPLITUDES", 0)
-        swept = run_bound_batch(circ, rows, gates)
-        if shiftable:
+        swept = run_bound_batch(circ, rows, shifted=True)
+        if not plan.crz_slots:
             swept_jac = grad.shift_rule_jacobians(circ, feats, wts)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quantum_sim, "PREFIX_SWEEP_AMPLITUDES", 1 << 62)
-        np.testing.assert_array_equal(swept, run_bound_batch(circ, rows, gates))
+        np.testing.assert_array_equal(swept, run_bound_batch(circ, rows, shifted=True))
         np.testing.assert_array_equal(swept, run_bound_batch(circ, rows))
-        if shiftable:
+        if not plan.crz_slots:
             for got, want in zip(swept_jac, grad.shift_rule_jacobians(circ, feats, wts)):
                 np.testing.assert_array_equal(got, want)
 
@@ -471,9 +469,9 @@ def test_prefix_sweep_is_chosen_from_the_batch_shape(monkeypatch):
     calls = []
     sweep = quantum_sim.CircuitPlan._prefix_sweep
 
-    def spy(self, rows, gates, pos):
+    def spy(self, rows):
         calls.append(rows.shape[:3])
-        return sweep(self, rows, gates, pos)
+        return sweep(self, rows)
 
     monkeypatch.setattr(quantum_sim.CircuitPlan, "_prefix_sweep", spy)
     rng = np.random.default_rng(3)
@@ -498,9 +496,9 @@ def test_prefix_sweep_chunks_bindings_within_the_coefficient_budget(monkeypatch)
     chunks = []
     sweep = quantum_sim.CircuitPlan._prefix_sweep
     monkeypatch.setattr(quantum_sim.CircuitPlan, "_prefix_sweep",
-                        lambda self, r, g, p: chunks.append(len(r)) or sweep(self, r, g, p))
+                        lambda self, r: chunks.append(len(r)) or sweep(self, r))
     monkeypatch.setattr(quantum_sim, "COEFF_BYTES", 1)      # one binding per chunk
-    np.testing.assert_array_equal(run_bound_batch(circ, rows, gates), full)
+    np.testing.assert_array_equal(run_bound_batch(circ, rows, shifted=True), full)
     assert chunks == [1] * 5
 
 
@@ -508,17 +506,18 @@ def test_shift_gates_are_validated():
     circ = ParameterizedCircuit(2, (Gate("H", (0,)), Gate("RX", (0,), SlotAngle(WEIGHT, 0)),
                                     Gate("CNOT", (0, 1)), Gate("RY", (1,), LiteralAngle(0.3))),
                                 num_weight_slots=1)
-    rows = shifted_rows(bind_angles(circ, [], [[0.2]]), [1, 3])
-    run_bound_batch(circ, rows, [1, 3])
-    for gates, bad_rows in [([3, 1], rows), ([1, 1], rows), ([0, 1], rows), ([1, 2], rows),
-                            ([1, 4], rows), ([], rows), ([1, 3], rows[:3])]:
+    np.testing.assert_array_equal(circ.plan.shift_gates, [1])
+    rows = shifted_rows(bind_angles(circ, [], [[0.2], [0.4]]), [1])
+    run_bound_batch(circ, rows, shifted=True)
+    literal = ParameterizedCircuit(1, (Gate("RY", (0,), LiteralAngle(0.3)),))
+    for c, bad_rows in [(circ, rows[:3]), (circ, rows[:1]), (literal, np.zeros((2, 1)))]:
         with pytest.raises(BindingError, match="shift gates"):
-            run_bound_batch(circ, bad_rows, gates)
+            run_bound_batch(c, bad_rows, shifted=True)
 
 
 @settings(max_examples=100, deadline=None)
 @given(bound_circuits(count=3), st.booleans())
-def test_plan_shift_gates_skip_the_check_with_identical_output(case, swept):
+def test_plan_shift_rows_run_as_plain_rows_on_both_paths(case, swept):
     circ, bindings = case
     plan = circ.plan
     np.testing.assert_array_equal(plan.shift_pos,
@@ -530,10 +529,10 @@ def test_plan_shift_gates_skip_the_check_with_identical_output(case, swept):
     rows = shifted_rows(bind_angles(circ, feats, wts), plan.shift_gates)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quantum_sim, "PREFIX_SWEEP_AMPLITUDES", 0 if swept else 1 << 62)
-        own = run_bound_batch(circ, rows, plan.shift_gates)
-        np.testing.assert_array_equal(own, run_bound_batch(circ, rows, plan.shift_gates.copy()))
+        np.testing.assert_array_equal(run_bound_batch(circ, rows, shifted=True),
+                                      run_bound_batch(circ, rows))
     with pytest.raises(BindingError, match="shift gates"):
-        run_bound_batch(circ, rows[:-1], plan.shift_gates)
+        run_bound_batch(circ, rows[:-1], shifted=True)
 
 
 @settings(max_examples=200, deadline=None)
