@@ -210,6 +210,8 @@ def cmd_eval(args) -> int:
     try:
         cfg = _config(values)
     except ConfigError as exc:
+        if exc.field == "test_range" and args.range is not None:
+            raise ConfigError("range", str(exc)) from None  # main names the flag --range
         key = _KEY_OF_FIELD.get(exc.field, exc.field)
         raise data_io.SnapshotError(f"snapshot {path} config.{key}: {exc}") from None
     _, eval_w, model = _windows_and_model(cfg, args.data, values["features"], values["target"])

@@ -241,15 +241,20 @@ def transpose(a: Node) -> Node:
     return Node(_swap(a.value), (a,), lambda u: (_swap(u),))
 
 
-def concat(nodes) -> Node:
-    """Concatenation along the last axis; leading axes must agree."""
+def concat(nodes, axis: int = -1) -> Node:
+    """Concatenation along the last axis, or along ``axis`` counted from the end.
+
+    ``axis=-2`` joins sequences of positions; every other axis must agree.
+    """
     nodes = [as_node(x) for x in nodes]
-    offsets = np.cumsum([0] + [n.value.shape[-1] for n in nodes])
+    offsets = np.cumsum([0] + [n.value.shape[axis] for n in nodes])
+    after = (slice(None),) * (-1 - axis)
 
     def rule(u):
-        return tuple(u[..., offsets[i]:offsets[i + 1]] for i in range(len(nodes)))
+        return tuple(u[(..., slice(offsets[i], offsets[i + 1])) + after]
+                     for i in range(len(nodes)))
 
-    return Node(np.concatenate([n.value for n in nodes], axis=-1), tuple(nodes), rule)
+    return Node(np.concatenate([n.value for n in nodes], axis=axis), tuple(nodes), rule)
 
 
 def stack_rows(nodes) -> Node:
@@ -268,6 +273,23 @@ def row(m: Node, i: int) -> Node:
         return (g,)
 
     return Node(m.value[..., i, :], (m,), rule)
+
+
+def rows(m: Node, start: int, stop: int) -> Node:
+    """Rows ``start:stop`` of a matrix (second-to-last axis), still a matrix."""
+    m = as_node(m)
+
+    def rule(u):
+        g = np.zeros_like(m.value)
+        g[..., start:stop, :] = u
+        return (g,)
+
+    return Node(m.value[..., start:stop, :], (m,), rule)
+
+
+def reshape(x: Node, shape: tuple[int, ...]) -> Node:
+    x = as_node(x)
+    return Node(x.value.reshape(shape), (x,), lambda u: (u.reshape(x.value.shape),))
 
 
 def weighted_sum(weights: Node, vectors) -> Node:
@@ -406,18 +428,34 @@ def shift_rule_jacobians(circuit: ParameterizedCircuit, features, weights):
 
 
 def quantum_forward(circuit: ParameterizedCircuit, feature_node: Node,
-                    weight_node: Node) -> QuantumNode:
+                    weight_node: Node) -> Node:
     """Run a circuit inside the graph; value is the per-qubit <Z> vector.
 
-    Features and weights may carry leading batch axes; the circuit then
-    runs once per row, in one call.  Jacobians are computed lazily at
-    backward time, so forward-only evaluation (e.g. finite-difference
-    probing) never pays for shifts.
+    1-D features give one :class:`QuantumNode`.  Features shaped
+    (..., T, d) are a sequence of T positions behind any leading batch
+    axes: every row runs in one simulator call, each position becomes its
+    own QuantumNode fed by that position's feature row (weights with a
+    position axis are split the same way), and the result stacks them
+    back to (..., T, n).  Jacobians are computed lazily at backward time,
+    one shift batch per QuantumNode, so forward-only evaluation (e.g.
+    finite-difference probing) never pays for shifts.
     """
     feature_node = as_node(feature_node)
     weight_node = as_node(weight_node)
-    state = run_circuit(circuit, feature_node.value, weight_node.value)
-    value = measure_all_z(state)
+    value = measure_all_z(run_circuit(circuit, feature_node.value, weight_node.value))
+    if feature_node.value.ndim < 2:
+        return _quantum_node(circuit, feature_node, weight_node, value)
+    positions = []
+    for t in range(value.shape[-2]):
+        weights_t = weight_node if weight_node.value.ndim < 2 else row(weight_node, t)
+        positions.append(_quantum_node(circuit, row(feature_node, t), weights_t,
+                                       value[..., t, :]))
+    return stack_rows(positions)
+
+
+def _quantum_node(circuit: ParameterizedCircuit, feature_node: Node, weight_node: Node,
+                  value: np.ndarray) -> QuantumNode:
+    """A circuit node whose backward rule differentiates its own rows by parameter shift."""
     features = feature_node.value.copy()
     weights = weight_node.value.copy()
 

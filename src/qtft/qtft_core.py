@@ -204,7 +204,6 @@ class QAttentionParams:
     key_blocks: list[VQCBlockParams]
     value_block: VQCBlockParams          # shared by all heads
     num_heads: int
-    num_qubits: int
 
 
 def init_qattention(rng, num_qubits: int, num_heads: int, num_layers: int,
@@ -215,26 +214,24 @@ def init_qattention(rng, num_qubits: int, num_heads: int, num_layers: int,
         key_blocks=[block() for _ in range(num_heads)],
         value_block=block(),
         num_heads=num_heads,
-        num_qubits=num_qubits,
     )
 
 
-def q_interpretable_multi_head(rows, p: QAttentionParams,
+def q_interpretable_multi_head(s, p: QAttentionParams,
                                mask: np.ndarray | None = None) -> Node:
     """Head-averaged attention over circuit-projected queries, keys and values.
 
-    ``rows`` is the sequence of (d,) input rows.  Each is encoded once per
-    circuit; queries and keys get per-head ansaetze while the value ansatz
-    is shared.  There is no final combine matrix.  ``d_attn`` equals the
-    qubit count.
+    ``s`` is the (..., T, d) matrix of input rows.  Each circuit runs all
+    T rows in one call; queries and keys get per-head ansaetze while the
+    value ansatz is shared.  There is no final combine matrix.  ``d_attn``
+    equals the qubit count.
     """
-    rows = [as_node(r) for r in rows]
-    v = grad.stack_rows([vqc_apply(r, p.value_block) for r in rows])
+    s = as_node(s)
+    v = vqc_apply(s, p.value_block)
+    d_attn = float(p.value_block.circuit.num_qubits)
     out = None
     for qb, kb in zip(p.query_blocks, p.key_blocks):
-        q = grad.stack_rows([vqc_apply(r, qb) for r in rows])
-        k = grad.stack_rows([vqc_apply(r, kb) for r in rows])
-        head = attention(q, k, v, float(p.num_qubits), mask)
+        head = attention(vqc_apply(s, qb), vqc_apply(s, kb), v, d_attn, mask)
         out = head if out is None else grad.add(out, head)
     return grad.scale(out, 1.0 / p.num_heads)
 
@@ -337,5 +334,5 @@ class QTFTModel(TFTModel):
     def recur(self, inputs, h0, c0, p):
         return (qlstm_seq if self.cfg.use_qlstm else lstm_seq)(inputs, h0, c0, p)
 
-    def attend(self, rows: list[Node], p, mask: np.ndarray | None) -> Node:
-        return q_interpretable_multi_head(rows, p, mask)
+    def attend(self, s: Node, p, mask: np.ndarray | None) -> Node:
+        return q_interpretable_multi_head(s, p, mask)

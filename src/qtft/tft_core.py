@@ -373,8 +373,8 @@ class TFTModel:
     def recur(self, inputs, h0, c0, p):
         return lstm_seq(inputs, h0, c0, p)
 
-    def attend(self, rows: list[Node], p, mask: np.ndarray | None) -> Node:
-        return interpretable_multi_head(grad.stack_rows(rows), p, mask)
+    def attend(self, s: Node, p, mask: np.ndarray | None) -> Node:
+        return interpretable_multi_head(s, p, mask)
 
     def predict_nodes(self, static_vars, past_vars, future_vars) -> list[Node]:
         """Forward pass returning one (tau,) prediction node per quantile.
@@ -382,45 +382,52 @@ class TFTModel:
         The inputs are one window, shaped (m_static,), (k, m_past) and
         (tau, m_future), or a batch of windows with one leading axis more
         each; the predictions then have shape (batch, tau).
+
+        Every block value carries a position axis at -2, (..., T, width),
+        and each stage makes one block call over all its positions.  The
+        static input is a one-position sequence, so the contexts c_s, c_e,
+        c_c and c_h broadcast over positions.  Only the LSTM steps, on
+        unit-length slices.
         """
         p = self.params
-        static_vars = np.asarray(static_vars, dtype=float)
+        static_vars = np.asarray(static_vars, dtype=float)[..., None, :]
         past_vars = np.asarray(past_vars, dtype=float)
         future_vars = np.asarray(future_vars, dtype=float)
         k, tau = past_vars.shape[-2], future_vars.shape[-2]
         mask = causal_mask(k + tau) if self.cfg.use_causal_mask else None
 
-        def embed(row, embeds):
+        def embed(series, embeds):
             """One linear d_model embedding per scalar variable."""
-            return [self.dense(emb, row[..., j:j + 1]) for j, emb in enumerate(embeds)]
+            return [self.dense(emb, series[..., j:j + 1]) for j, emb in enumerate(embeds)]
 
-        def steps(series):
-            return [series[..., t, :] for t in range(series.shape[-2])]
+        def steps(seq):
+            return [grad.rows(seq, t, t + 1) for t in range(seq.value.shape[-2])]
 
         def gated_skip(skip, x, glu_p):
             return grad.layer_norm(grad.add(skip, self.glu(x, glu_p)))
 
+        def future(seq):
+            return grad.rows(seq, k, k + tau)
+
         xi_static = self.select(embed(static_vars, p.static_embed), None, p.static_vsn)
         c_s, c_e, c_c, c_h = [self.grn(xi_static, None, enc) for enc in p.static_encoders]
 
-        past_emb = [embed(row, p.past_embed) for row in steps(past_vars)]
-        past_sel = [self.select(emb, c_s, p.past_vsn) for emb in past_emb]
-        future_emb = [embed(row, p.future_embed) for row in steps(future_vars)]
-        future_sel = [self.select(emb, c_s, p.future_vsn) for emb in future_emb]
+        past_sel = self.select(embed(past_vars, p.past_embed), c_s, p.past_vsn)
+        future_sel = self.select(embed(future_vars, p.future_embed), c_s, p.future_vsn)
 
-        enc_out, (h_T, c_T) = self.recur(past_sel, c_h, c_c, p.encoder_lstm)
-        dec_out, _ = self.recur(future_sel, h_T, c_T, p.decoder_lstm)
-        phi_tilde = [gated_skip(sel, ph, p.post_lstm_glu)
-                     for sel, ph in zip(past_sel + future_sel, enc_out + dec_out)]
-        theta = [self.grn(pt, c_e, p.enrichment) for pt in phi_tilde]
+        enc_out, (h_T, c_T) = self.recur(steps(past_sel), c_h, c_c, p.encoder_lstm)
+        dec_out, _ = self.recur(steps(future_sel), h_T, c_T, p.decoder_lstm)
+        phi_tilde = gated_skip(grad.concat([past_sel, future_sel], axis=-2),
+                               grad.concat(enc_out + dec_out, axis=-2), p.post_lstm_glu)
+        theta = self.grn(phi_tilde, c_e, p.enrichment)
 
-        beta_mat = self.attend(theta, p.attention, mask)
+        beta = self.attend(theta, p.attention, mask)
         # The heads read the future positions only, so the stages after attention skip the past.
-        delta = [gated_skip(theta[i], grad.row(beta_mat, i), p.post_attn_glu)
-                 for i in range(k, k + tau)]
-        psi = [self.grn(d, None, p.positionwise) for d in delta]
-        future_repr = [gated_skip(pt, ps, p.final_glu) for pt, ps in zip(phi_tilde[k:], psi)]
-        return [grad.concat([self.dense(head, r) for r in future_repr]) for head in p.heads]
+        delta = gated_skip(future(theta), future(beta), p.post_attn_glu)
+        psi = self.grn(delta, None, p.positionwise)
+        future_repr = gated_skip(future(phi_tilde), psi, p.final_glu)
+        outputs = [self.dense(head, future_repr) for head in p.heads]
+        return [grad.reshape(out, out.value.shape[:-1]) for out in outputs]
 
     def predict(self, static_vars, past_vars, future_vars) -> np.ndarray:
         """Quantile forecasts as a (num_quantiles, tau) array, or (num_quantiles, batch, tau)."""

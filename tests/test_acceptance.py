@@ -266,11 +266,11 @@ def test_criterion_8_structural_reductions(rng):
 
     # quantum: one head equals attention over the circuit projections
     qp = qtft_core.init_qattention(rng, 2, 1, 2, "angle", "basic")
-    rows = [rng.uniform(-1, 1, 2) for _ in range(4)]
-    qgot = qtft_core.q_interpretable_multi_head(rows, qp).value
-    q = np.stack([qtft_core.vqc_apply(r, qp.query_blocks[0]).value for r in rows])
-    k = np.stack([qtft_core.vqc_apply(r, qp.key_blocks[0]).value for r in rows])
-    v = np.stack([qtft_core.vqc_apply(r, qp.value_block).value for r in rows])
+    qs = rng.uniform(-1, 1, (4, 2))
+    qgot = qtft_core.q_interpretable_multi_head(qs, qp).value
+    q = np.stack([qtft_core.vqc_apply(r, qp.query_blocks[0]).value for r in qs])
+    k = np.stack([qtft_core.vqc_apply(r, qp.key_blocks[0]).value for r in qs])
+    v = np.stack([qtft_core.vqc_apply(r, qp.value_block).value for r in qs])
     qwant = tft_core.attention(q, k, v, 2.0).value
     quantum_dev = float(np.max(np.abs(qgot - qwant)))
 

@@ -99,6 +99,57 @@ def test_batched_circuit_rows_match_single_rows(seed, rows):
         np.testing.assert_allclose(jw_row, jw_one, rtol=0, atol=tol)
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), positions=st.integers(1, 4),
+       windows=st.sampled_from([None, 1, 3]))
+def test_quantum_forward_over_positions_matches_per_row_runs(seed, positions, windows):
+    """Features shaped (..., T, d) run in one simulator call and give one
+    circuit node per position, fed by that position's row."""
+    rng = np.random.default_rng(seed)
+    circ, _, wts = oracles.random_circuit(rng, max_qubits=5, max_depth=12)
+    n = circ.num_qubits
+    lead = (positions,) if windows is None else (windows, positions)
+    features = rng.uniform(-1.5, 1.5, lead + (circ.num_feature_slots,))
+    tol = 0.0 if n <= 2 else 1e-15
+
+    out = grad.quantum_forward(circ, features, wts)
+    assert out.value.shape == lead + (n,)
+    assert len(out.parents) == positions
+    for t, node in enumerate(out.parents):
+        assert isinstance(node, grad.QuantumNode) and node.circuit is circ
+        row = features[..., t, :]
+        np.testing.assert_array_equal(node.feature_parent.value, row)
+        np.testing.assert_array_equal(out.value[..., t, :], node.value)
+        for idx in np.ndindex(lead[:-1]):
+            single = measure_all_z(run_circuit(circ, row[idx], wts))
+            np.testing.assert_allclose(node.value[idx], single, rtol=0, atol=tol)
+        if not _shiftable(circ):
+            continue
+        jf, jw = grad.shift_rule_jacobians(circ, row, wts)
+        for q in range(n):
+            u = np.zeros(node.value.shape)
+            u[..., q] = 1.0
+            rule_f, rule_w = node.backward_rule(u)
+            np.testing.assert_array_equal(rule_f, jf[..., q])
+            np.testing.assert_array_equal(rule_w, jw[..., q].sum(axis=0) if windows else jw[:, q])
+
+
+def test_single_window_forward_runs_each_block_circuit_once(monkeypatch):
+    runs = []
+    original = grad.run_circuit
+
+    def counting(circuit, features, weights):
+        runs.append(id(circuit))
+        return original(circuit, features, weights)
+
+    monkeypatch.setattr(grad, "run_circuit", counting)
+    model = forecasting.build_model(TrainConfig(model_kind="qtft"), 5, 1, 1)
+    w = random_windows(np.random.default_rng(3), 1)[0]
+    model.predict_nodes(w.static, w.past, w.future_known)
+    # One call per block circuit over all its positions (109 at one call per position).
+    assert len(runs) == len(set(runs)) == 53
+
+
 def test_state_vector_rejects_one_unnormalized_row():
     good = np.array([1.0, 0.0], dtype=complex)
     StateVector(1, np.stack([good, good / 1j]))
@@ -129,11 +180,15 @@ def test_single_window_graph_feeds_circuits_one_row():
                           cfg.quantile)
     for root, lead in ((single, ()), (loss, (3,))):
         circuit_nodes = quantum_nodes(root)
+        # 109 before block values carried a position axis: the context circuit
+        # (vqc_c) of the past-VSN weight QGRN ran once per past step (2) and
+        # that of enrichment once per position (4); both now run once on the
+        # one-position context, so 4 nodes are gone.
         # 120 before one-variable selection networks skipped their weight QGRN.
         # The 11 nodes gone are the 1-qubit weight QGRN's circuits (vqc_a, gate,
         # lin, and vqc_c where a context enters) of the static VSN (3) and of
         # the future VSN at each of the 2 forecast steps (2 x 4).
-        assert len(circuit_nodes) == 109
+        assert len(circuit_nodes) == 105
         for node in circuit_nodes:
             n = node.circuit.num_qubits
             assert node.feature_parent.value.shape == lead + (node.circuit.num_feature_slots,)
@@ -154,7 +209,8 @@ def test_training_graph_differentiates_past_selection_through_the_prefix_sweep(
     wg = model.params.past_vsn.weight_grn
     circuits = [wg.vqc_a.circuit, wg.vqc_c.circuit, wg.gate_circuit, wg.lin_circuit]
     nodes = [node for node in quantum_nodes(loss) if any(node.circuit is c for c in circuits)]
-    assert len(nodes) == cfg.past_steps * len(circuits)
+    # vqc_a, gate and lin run per past step; vqc_c runs once on the one-position context.
+    assert len(nodes) == cfg.past_steps * 3 + 1
     for node in nodes:
         circ, n = node.circuit, node.circuit.num_qubits
         features, weights = node.feature_parent.value, node.weight_parent.value

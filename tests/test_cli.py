@@ -190,6 +190,19 @@ def test_eval_range_flag_is_validated(axis_csv, tmp_path, capsys, value):
     assert "--range" in err and "FIRST" in err and "invalid literal" not in err
 
 
+@pytest.mark.parametrize("value", ["0:9", "5:12", "9:9"])
+def test_eval_range_overlapping_train_range_is_flag_error(axis_csv, tmp_path, capsys, value):
+    out = str(tmp_path / "run")
+    assert main(train_args(axis_csv, out)) == 0
+    capsys.readouterr()
+    code = main(["eval", "--snapshot", os.path.join(out, "params.txt"), "--data", axis_csv,
+                 "--range", value])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --range: ") and "overlaps train range (0, 9)" in err
+    assert "config." not in err
+
+
 @pytest.mark.parametrize("key", ["train_range", "test_range"])
 @pytest.mark.parametrize("value", ["a:b", "20", "14:10"])
 def test_eval_names_malformed_snapshot_range(axis_csv, tmp_path, capsys, key, value):

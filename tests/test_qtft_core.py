@@ -224,32 +224,31 @@ def test_q_static_covariate_encoder_gradients(rng):
 
 def test_q_attention_single_head_reduction(rng):
     p = init_qattention(rng, 2, 1, 1, "angle", "basic")
-    rows = [rng.uniform(-1, 1, 2) for _ in range(3)]
-    got = q_interpretable_multi_head(rows, p).value
-    q = np.stack([vqc_apply(r, p.query_blocks[0]).value for r in rows])
-    k = np.stack([vqc_apply(r, p.key_blocks[0]).value for r in rows])
-    v = np.stack([vqc_apply(r, p.value_block).value for r in rows])
+    s = rng.uniform(-1, 1, (3, 2))
+    got = q_interpretable_multi_head(s, p).value
+    q = np.stack([vqc_apply(r, p.query_blocks[0]).value for r in s])
+    k = np.stack([vqc_apply(r, p.key_blocks[0]).value for r in s])
+    v = np.stack([vqc_apply(r, p.value_block).value for r in s])
     want = attention(q, k, v, 2.0).value
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_q_attention_outputs_in_value_hull(rng):
     p = init_qattention(rng, 2, 2, 1, "zz", "nlocal")
-    rows = [rng.uniform(-1, 1, 2) for _ in range(4)]
-    out = q_interpretable_multi_head(rows, p).value
+    out = q_interpretable_multi_head(rng.uniform(-1, 1, (4, 2)), p).value
     assert np.all(np.abs(out) <= 1.0 + 1e-12)
 
 
 def test_q_attention_gradients(rng):
     p = init_qattention(rng, 2, 1, 1, "angle", "basic")
-    rows = [param(rng.uniform(-1, 1, 2)) for _ in range(2)]
+    s = param(rng.uniform(-1, 1, (2, 2)))
     y = rng.uniform(-1, 1, 2)
 
     def loss():
-        out = q_interpretable_multi_head(rows, p)
+        out = q_interpretable_multi_head(s, p)
         return grad.pinball(y, grad.row(out, 0), 0.5)
 
-    fd_check(loss, collect(p) + rows)
+    fd_check(loss, collect(p) + [s])
 
 
 # ---------------------------------------------------------------------- QLSTM
