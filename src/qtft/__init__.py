@@ -20,7 +20,7 @@ from .quantum_sim import (
     sampler_probabilities,
     zz_feature_map,
 )
-from .grad import Node, QuantumNode, backward, param_shift_partial, quantum_forward, sgd_step
+from .grad import Node, QuantumNode, backward, quantum_forward, sgd_step
 from .forecasting import TrainConfig, WindowedSample, evaluate, make_windows, quantile_loss, train
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "make_windows",
     "measure_all_z",
     "n_local",
-    "param_shift_partial",
     "pauli_z_expectation",
     "quantile_loss",
     "quantum_forward",

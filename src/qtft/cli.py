@@ -121,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc.add_argument("--seed", type=int, default=1)
     p_gc.add_argument("--perturb", type=float, default=0.0,
                       help="inject this offset into the finite-difference oracle")
-    p_gc.add_argument("--out", default=None)
     p_gc.set_defaults(func=cmd_gradcheck)
     return parser
 

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grad
-from .qtft_core import ANSATZE, ENCODINGS, QTFTConfig, QTFTModel
-from .tft_core import TFTConfig, TFTModel
+from .qtft_core import ANSATZE, ENCODINGS, QTFTModel
+from .tft_core import TFTModel
 
 MODEL_KINDS = ("tft", "qtft", "qtft-qlstm")
 
@@ -55,9 +55,12 @@ class ConfigError(ValueError):
         self.field = field
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Every setting of a run; the CLI's flags, report echo and snapshot reader derive from it."""
+    """Every setting of a run, checked once and frozen.
+
+    Both models, the CLI's flags, report echo and snapshot reader derive from it.
+    """
 
     quantile: float = 0.5
     learning_rate: float = 0.1
@@ -177,16 +180,8 @@ def build_stock_windows(values: np.ndarray, target_col: int, cfg: TrainConfig):
 def build_model(cfg: TrainConfig, num_past_vars: int, num_future_vars: int,
                 num_static_vars: int):
     """Seeded model construction for any of the three model kinds."""
-    rng = np.random.default_rng(cfg.seed)
-    shared = dict(d_model=cfg.d_model, num_past_vars=num_past_vars,
-                  num_future_vars=num_future_vars, num_static_vars=num_static_vars,
-                  num_heads=cfg.heads, quantiles=(cfg.quantile,),
-                  use_causal_mask=cfg.use_causal_mask)
-    if cfg.model_kind == "tft":
-        return TFTModel(TFTConfig(**shared), rng)
-    return QTFTModel(QTFTConfig(**shared, ansatz_layers=cfg.ansatz_layers, encoding=cfg.encoding,
-                                ansatz=cfg.ansatz, use_qlstm=(cfg.model_kind == "qtft-qlstm")),
-                     rng)
+    model_class = TFTModel if cfg.model_kind == "tft" else QTFTModel
+    return model_class(cfg, num_past_vars, num_future_vars, num_static_vars)
 
 
 def stack_windows(samples):

@@ -25,8 +25,6 @@ import math
 import numpy as np
 
 from .quantum_sim import (
-    FEATURE,
-    WEIGHT,
     CircuitError,
     ParameterizedCircuit,
     all_z_from_amplitudes,
@@ -377,24 +375,6 @@ def pinball(targets, predictions: Node, q: float) -> Node:
 # --------------------------------------------------------------------------
 # Quantum nodes and the parameter-shift rule
 # --------------------------------------------------------------------------
-
-def param_shift_partial(circuit: ParameterizedCircuit, features, weights,
-                        out_qubit: int, slot_kind: str, slot_index: int) -> float:
-    """d <Z_out_qubit> / d slot: one entry of :func:`shift_rule_jacobians`.
-
-    A slot no gate uses yields 0.0; a qubit or slot index out of range
-    raises :class:`CircuitError`.
-    """
-    if slot_kind not in (FEATURE, WEIGHT):
-        raise ValueError(f"slot kind must be 'feature' or 'weight', got {slot_kind!r}")
-    if not 0 <= out_qubit < circuit.num_qubits:
-        raise CircuitError(f"qubit {out_qubit} out of range for {circuit.num_qubits}-qubit circuit")
-    slots = circuit.num_feature_slots if slot_kind == FEATURE else circuit.num_weight_slots
-    if not 0 <= slot_index < slots:
-        raise CircuitError(f"{slot_kind} slot {slot_index} out of range for {slots} slots")
-    jf, jw = shift_rule_jacobians(circuit, features, weights)
-    return float((jf if slot_kind == FEATURE else jw)[slot_index, out_qubit])
-
 
 def shift_rule_jacobians(circuit: ParameterizedCircuit, features, weights):
     """Full parameter-shift Jacobians of the per-qubit <Z> vector.

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from .quantum_sim import (
 from .tft_core import (
     DenseParams,
     LSTMParams,
-    TFTConfig,
     TFTModel,
     TFTParams,
     VariableSelectionParams,
@@ -49,6 +49,9 @@ from .tft_core import (
     lstm_seq,
     variable_selection,
 )
+
+if TYPE_CHECKING:
+    from .forecasting import TrainConfig
 
 ENCODINGS = ("angle", "zz")
 ANSATZE = ("basic", "nlocal")
@@ -203,7 +206,6 @@ class QAttentionParams:
     query_blocks: list[VQCBlockParams]   # one per head
     key_blocks: list[VQCBlockParams]
     value_block: VQCBlockParams          # shared by all heads
-    num_heads: int
 
 
 def init_qattention(rng, num_qubits: int, num_heads: int, num_layers: int,
@@ -213,7 +215,6 @@ def init_qattention(rng, num_qubits: int, num_heads: int, num_layers: int,
         query_blocks=[block() for _ in range(num_heads)],
         key_blocks=[block() for _ in range(num_heads)],
         value_block=block(),
-        num_heads=num_heads,
     )
 
 
@@ -233,7 +234,7 @@ def q_interpretable_multi_head(s, p: QAttentionParams,
     for qb, kb in zip(p.query_blocks, p.key_blocks):
         head = attention(vqc_apply(s, qb), vqc_apply(s, kb), v, d_attn, mask)
         out = head if out is None else grad.add(out, head)
-    return grad.scale(out, 1.0 / p.num_heads)
+    return grad.scale(out, 1.0 / len(p.query_blocks))
 
 
 @dataclass
@@ -250,7 +251,7 @@ def init_qlstm(rng, input_dim: int, hidden: int, num_layers: int,
             vqc=init_vqc_block(rng, hidden, num_layers, encoding, ansatz),
         )
 
-    return LSTMParams(gate(), gate(), gate(), gate(), hidden)
+    return LSTMParams(gate(), gate(), gate(), gate())
 
 
 def qlstm_gate(gp: QLSTMGateParams, xh) -> Node:
@@ -267,40 +268,33 @@ def qlstm_seq(inputs, h0, c0, p: LSTMParams):
 # Full quantum model
 # --------------------------------------------------------------------------
 
-@dataclass
-class QTFTConfig(TFTConfig):
-    ansatz_layers: int = 2
-    encoding: str = "angle"
-    ansatz: str = "basic"
-    use_qlstm: bool = False
-
-
-def init_qtft(cfg: QTFTConfig, rng: np.random.Generator) -> TFTParams:
+def init_qtft(cfg: TrainConfig, num_past_vars: int, num_future_vars: int,
+              num_static_vars: int, rng: np.random.Generator) -> TFTParams:
     d, L, enc, anz = cfg.d_model, cfg.ansatz_layers, cfg.encoding, cfg.ansatz
     # The recurrence is drawn first, unlike init_tft; the draw order fixes every weight.
-    if cfg.use_qlstm:
+    if cfg.model_kind == "qtft-qlstm":
         enc_lstm = init_qlstm(rng, d, d, L, enc, anz)
         dec_lstm = init_qlstm(rng, d, d, L, enc, anz)
     else:
         enc_lstm = init_lstm(rng, d, d)
         dec_lstm = init_lstm(rng, d, d)
     return TFTParams(
-        static_embed=[init_dense(rng, d, 1) for _ in range(cfg.num_static_vars)],
-        past_embed=[init_dense(rng, d, 1) for _ in range(cfg.num_past_vars)],
-        future_embed=[init_dense(rng, d, 1) for _ in range(cfg.num_future_vars)],
-        static_vsn=init_qvsn(rng, d, cfg.num_static_vars, False, L, enc, anz),
-        past_vsn=init_qvsn(rng, d, cfg.num_past_vars, True, L, enc, anz),
-        future_vsn=init_qvsn(rng, d, cfg.num_future_vars, True, L, enc, anz),
+        static_embed=[init_dense(rng, d, 1) for _ in range(num_static_vars)],
+        past_embed=[init_dense(rng, d, 1) for _ in range(num_past_vars)],
+        future_embed=[init_dense(rng, d, 1) for _ in range(num_future_vars)],
+        static_vsn=init_qvsn(rng, d, num_static_vars, False, L, enc, anz),
+        past_vsn=init_qvsn(rng, d, num_past_vars, True, L, enc, anz),
+        future_vsn=init_qvsn(rng, d, num_future_vars, True, L, enc, anz),
         static_encoders=[init_qgrn(rng, d, L, False, enc, anz) for _ in range(4)],
         encoder_lstm=enc_lstm,
         decoder_lstm=dec_lstm,
         post_lstm_glu=init_qglu(rng, d, L, enc, anz),
         enrichment=init_qgrn(rng, d, L, True, enc, anz),
-        attention=init_qattention(rng, d, cfg.num_heads, L, enc, anz),
+        attention=init_qattention(rng, d, cfg.heads, L, enc, anz),
         post_attn_glu=init_qglu(rng, d, L, enc, anz),
         positionwise=init_qgrn(rng, d, L, False, enc, anz),
         final_glu=init_qglu(rng, d, L, enc, anz),
-        heads=[init_dense(rng, 1, d) for _ in cfg.quantiles],
+        heads=[init_dense(rng, 1, d)],
     )
 
 
@@ -311,13 +305,10 @@ class QTFTModel(TFTModel):
     ``dense`` goes through this module's own binding as well.
     """
 
-    def __init__(self, cfg: QTFTConfig, rng: np.random.Generator):
-        self.cfg = cfg
-        self.params = init_qtft(cfg, rng)
+    kinds = ("qtft", "qtft-qlstm")
 
-    @property
-    def kind(self) -> str:
-        return "qtft-qlstm" if self.cfg.use_qlstm else "qtft"
+    def init_params(self, *args) -> TFTParams:
+        return init_qtft(*args)
 
     def dense(self, p, x) -> Node:
         return dense(p, x)
@@ -332,7 +323,7 @@ class QTFTModel(TFTModel):
         return q_variable_selection(embeddings, c_s, p)[0]
 
     def recur(self, inputs, h0, c0, p):
-        return (qlstm_seq if self.cfg.use_qlstm else lstm_seq)(inputs, h0, c0, p)
+        return (qlstm_seq if self.kind == "qtft-qlstm" else lstm_seq)(inputs, h0, c0, p)
 
     def attend(self, s: Node, p, mask: np.ndarray | None) -> Node:
         return q_interpretable_multi_head(s, p, mask)

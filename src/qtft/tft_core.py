@@ -4,7 +4,7 @@ The building blocks are gated linear units, gated residual networks,
 softmax variable selection, static covariate encoders, an LSTM
 sequence-to-sequence pair and interpretable multi-head attention (shared
 value projection, head-averaged aggregation).  ``TFTModel.predict_nodes``
-wires them into the five-stage pass that ends in per-quantile dense heads
+wires them into the five-stage pass that ends in a dense quantile head
 on the future positions; the circuit model of :mod:`qtft.qtft_core`
 subclasses ``TFTModel`` and swaps the blocks.
 
@@ -18,11 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import grad
 from .grad import Node, as_node, softmax  # noqa: F401  (softmax is part of the public surface)
+
+if TYPE_CHECKING:
+    from .forecasting import TrainConfig
 
 
 # --------------------------------------------------------------------------
@@ -55,7 +59,6 @@ class AttentionParams:
     wk: list[Node]
     wv: Node                        # shared value projection
     wh: Node                        # (d_attn, d) head-combine matrix
-    num_heads: int
     d_attn: int
 
 
@@ -65,7 +68,6 @@ class LSTMParams:
     wf: DenseParams
     wg: DenseParams
     wo: DenseParams
-    hidden: int
 
 
 @dataclass
@@ -100,7 +102,7 @@ class TFTParams:
     post_attn_glu: GLUParams
     positionwise: GRNParams
     final_glu: GLUParams
-    heads: list[DenseParams]                  # one (1, d) dense per quantile
+    heads: list[DenseParams]                  # one (1, d) dense, for the trained quantile
 
 
 # --------------------------------------------------------------------------
@@ -217,7 +219,7 @@ def interpretable_multi_head(s, p: AttentionParams, mask: np.ndarray | None = No
     h_tilde = heads[0]
     for h in heads[1:]:
         h_tilde = grad.add(h_tilde, h)
-    h_tilde = grad.scale(h_tilde, 1.0 / p.num_heads)
+    h_tilde = grad.scale(h_tilde, 1.0 / len(p.wq))
     return grad.matmul(h_tilde, p.wh)
 
 
@@ -266,7 +268,6 @@ def init_lstm(rng, input_dim: int, hidden: int) -> LSTMParams:
         wf=init_dense(rng, hidden, input_dim + hidden),
         wg=init_dense(rng, hidden, input_dim + hidden),
         wo=init_dense(rng, hidden, input_dim + hidden),
-        hidden=hidden,
     )
 
 
@@ -283,41 +284,30 @@ def init_attention(rng, d_model: int, num_heads: int) -> AttentionParams:
         wv=mat(d_model, d_attn),
         wh=grad.param(rng.uniform(-1.0 / math.sqrt(d_attn), 1.0 / math.sqrt(d_attn),
                                   size=(d_attn, d_model))),
-        num_heads=num_heads,
         d_attn=d_attn,
     )
 
 
-@dataclass
-class TFTConfig:
-    d_model: int = 2
-    num_past_vars: int = 5
-    num_future_vars: int = 1
-    num_static_vars: int = 1
-    num_heads: int = 1
-    quantiles: tuple[float, ...] = (0.5,)
-    use_causal_mask: bool = False
-
-
-def init_tft(cfg: TFTConfig, rng: np.random.Generator) -> TFTParams:
+def init_tft(cfg: TrainConfig, num_past_vars: int, num_future_vars: int,
+             num_static_vars: int, rng: np.random.Generator) -> TFTParams:
     d = cfg.d_model
     return TFTParams(
-        static_embed=[init_dense(rng, d, 1) for _ in range(cfg.num_static_vars)],
-        past_embed=[init_dense(rng, d, 1) for _ in range(cfg.num_past_vars)],
-        future_embed=[init_dense(rng, d, 1) for _ in range(cfg.num_future_vars)],
-        static_vsn=init_vsn(rng, d, cfg.num_static_vars, None),
-        past_vsn=init_vsn(rng, d, cfg.num_past_vars, d),
-        future_vsn=init_vsn(rng, d, cfg.num_future_vars, d),
+        static_embed=[init_dense(rng, d, 1) for _ in range(num_static_vars)],
+        past_embed=[init_dense(rng, d, 1) for _ in range(num_past_vars)],
+        future_embed=[init_dense(rng, d, 1) for _ in range(num_future_vars)],
+        static_vsn=init_vsn(rng, d, num_static_vars, None),
+        past_vsn=init_vsn(rng, d, num_past_vars, d),
+        future_vsn=init_vsn(rng, d, num_future_vars, d),
         static_encoders=[init_grn(rng, d, None) for _ in range(4)],
         encoder_lstm=init_lstm(rng, d, d),
         decoder_lstm=init_lstm(rng, d, d),
         post_lstm_glu=init_glu(rng, d),
         enrichment=init_grn(rng, d, d),
-        attention=init_attention(rng, d, cfg.num_heads),
+        attention=init_attention(rng, d, cfg.heads),
         post_attn_glu=init_glu(rng, d),
         positionwise=init_grn(rng, d, None),
         final_glu=init_glu(rng, d),
-        heads=[init_dense(rng, 1, d) for _ in cfg.quantiles],
+        heads=[init_dense(rng, 1, d)],
     )
 
 
@@ -350,13 +340,27 @@ class TFTModel:
     this one and overrides only those methods.  Each method looks up its
     module's function by name when it runs, so timing wrappers installed
     on the module (``perfbench/tracing.py``) see every block call.
+
+    Every setting comes from a validated ``TrainConfig``; the variable
+    counts come from the data.  The weights are drawn from a generator
+    seeded with ``cfg.seed``.
     """
 
-    kind = "tft"
+    kinds = ("tft",)   # the model_kind values this class builds
 
-    def __init__(self, cfg: TFTConfig, rng: np.random.Generator):
+    def __init__(self, cfg: TrainConfig, num_past_vars: int, num_future_vars: int,
+                 num_static_vars: int):
+        if cfg.model_kind not in self.kinds:
+            from .forecasting import ConfigError
+            raise ConfigError("model_kind", f"{type(self).__name__} builds model_kind "
+                                            f"{' or '.join(self.kinds)}, got {cfg.model_kind!r}")
         self.cfg = cfg
-        self.params = init_tft(cfg, rng)
+        self.kind = cfg.model_kind
+        self.params = self.init_params(cfg, num_past_vars, num_future_vars, num_static_vars,
+                                       np.random.default_rng(cfg.seed))
+
+    def init_params(self, *args) -> TFTParams:
+        return init_tft(*args)
 
     def dense(self, p, x) -> Node:
         return dense(p, x)
@@ -377,7 +381,7 @@ class TFTModel:
         return interpretable_multi_head(s, p, mask)
 
     def predict_nodes(self, static_vars, past_vars, future_vars) -> list[Node]:
-        """Forward pass returning one (tau,) prediction node per quantile.
+        """Forward pass returning a one-entry list: the (tau,) prediction node of the quantile.
 
         The inputs are one window, shaped (m_static,), (k, m_past) and
         (tau, m_future), or a batch of windows with one leading axis more
@@ -430,7 +434,7 @@ class TFTModel:
         return [grad.reshape(out, out.value.shape[:-1]) for out in outputs]
 
     def predict(self, static_vars, past_vars, future_vars) -> np.ndarray:
-        """Quantile forecasts as a (num_quantiles, tau) array, or (num_quantiles, batch, tau)."""
+        """Quantile forecasts as a (1, tau) array, or (1, batch, tau) for a batch."""
         with grad.no_tape():
             nodes = self.predict_nodes(static_vars, past_vars, future_vars)
         return np.stack([n.value for n in nodes])

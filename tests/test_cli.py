@@ -295,3 +295,9 @@ def test_gradcheck_command_reports_and_exits(capsys):
     assert "runtime" in out
     assert out.count("PASS") >= 5
     assert main(["gradcheck", "--seed", "3", "--perturb", "0.05"]) == 1
+
+
+def test_gradcheck_has_no_out_flag(capsys):
+    # gradcheck writes no files, so an output directory is a usage error
+    assert main(["gradcheck", "--out", "x"]) == 2
+    assert "--out" in capsys.readouterr().err

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from qtft import grad
 from qtft.forecasting import (
+    ConfigError,
     TrainConfig,
     TrainingDivergedError,
     WindowedSample,
@@ -17,6 +21,8 @@ from qtft.forecasting import (
     train,
     window_predictions,
 )
+from qtft.qtft_core import QTFTModel
+from qtft.tft_core import TFTModel
 
 
 class ConstantModel:
@@ -196,9 +202,41 @@ def test_train_config_rejects_learning_rate_that_is_negative_or_not_finite(lr):
 @pytest.mark.parametrize("field,value", [("d_model", 0), ("heads", 0), ("ansatz_layers", 0),
                                          ("encoding", "bogus"), ("ansatz", "bogus")])
 def test_train_config_rejects_a_model_setting_no_model_can_be_built_from(field, value):
-    with pytest.raises(ValueError, match=field) as info:
-        TrainConfig(**{field: value})
+    # every model is built from a checked TrainConfig, so heads=0 or d_model=0 never
+    # reaches a ZeroDivisionError in the model code
+    with pytest.raises(ConfigError, match=field) as info:
+        build_model(TrainConfig(**{field: value}), 5, 1, 1)
     assert info.value.field == field
+    with pytest.raises(ConfigError, match=field):
+        dataclasses.replace(TrainConfig(), **{field: value})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(TrainConfig(), field, value)   # nor can a checked config be edited past its checks
+
+
+# --------------------------------------------------------- model construction
+
+@pytest.mark.parametrize("model_class,kind", [(TFTModel, "qtft"), (TFTModel, "qtft-qlstm"),
+                                              (QTFTModel, "tft")])
+def test_model_class_rejects_another_model_kind(model_class, kind):
+    with pytest.raises(ConfigError, match="model_kind") as info:
+        model_class(TrainConfig(model_kind=kind), 5, 1, 1)
+    assert info.value.field == "model_kind"
+
+
+@pytest.mark.parametrize("kind,count,leaves,digest", [
+    ("tft", 688, 185, "fd7185296af02797"),
+    ("qtft", 506, 118, "ba7f3f31c2d53be8"),
+    ("qtft-qlstm", 538, 126, "2acddf4614f38797"),
+])
+def test_build_model_keeps_param_counts_and_leaf_names(kind, count, leaves, digest):
+    # The leaf names are the keys of params.txt: a change orphans every saved snapshot.
+    model = build_model(TrainConfig(model_kind=kind), 5, 1, 1)
+    assert type(model) is (TFTModel if kind == "tft" else QTFTModel)
+    assert model.kind == kind
+    names = [name for name, _ in model.named_leaves()]
+    assert (model.param_count(), len(names)) == (count, leaves)
+    assert hashlib.sha256("\n".join(names).encode()).hexdigest()[:16] == digest
+    assert [n for n in names if n.startswith("heads.")] == ["heads.0.W", "heads.0.b"]
 
 
 # ------------------------------------------------------------------- training

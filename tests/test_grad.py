@@ -24,7 +24,6 @@ from qtft.grad import (
     Node,
     backward,
     param,
-    param_shift_partial,
     quantum_forward,
     sgd_step,
     shift_rule_jacobians,
@@ -171,14 +170,14 @@ def test_pinball_gradient(rng):
 def test_param_shift_ry_trivial_points():
     circ = ParameterizedCircuit(1, (Gate("RY", (0,), SlotAngle(WEIGHT, 0)),),
                                 num_weight_slots=1)
-    assert param_shift_partial(circ, [], [0.0], 0, "weight", 0) == pytest.approx(0.0, abs=1e-15)
-    assert param_shift_partial(circ, [], [math.pi / 2], 0, "weight", 0) == pytest.approx(-1.0, abs=1e-12)
+    assert shift_rule_jacobians(circ, [], [0.0])[1][0, 0] == pytest.approx(0.0, abs=1e-15)
+    assert shift_rule_jacobians(circ, [], [math.pi / 2])[1][0, 0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_param_shift_unused_slot_is_zero():
     circ = ParameterizedCircuit(1, (Gate("RY", (0,), SlotAngle(WEIGHT, 0)),),
                                 num_weight_slots=3)
-    assert param_shift_partial(circ, [], [0.3, 0.4, 0.5], 0, "weight", 2) == 0.0
+    assert shift_rule_jacobians(circ, [], [0.3, 0.4, 0.5])[1][2, 0] == 0.0
 
 
 def test_param_shift_matches_finite_difference(rng):
@@ -188,28 +187,15 @@ def test_param_shift_matches_finite_difference(rng):
                for g in circ.ops if g.angle is not None):
             continue
         q = int(rng.integers(0, circ.num_qubits))
+        jw = shift_rule_jacobians(circ, feats, wts)[1]
         for slot in range(circ.num_weight_slots):
-            got = param_shift_partial(circ, feats, wts, q, "weight", slot)
+            got = jw[slot, q]
 
             def f(w):
                 return measure_all_z(run_circuit(circ, feats, w))[q]
 
             fd = oracles.central_difference(f, wts)[slot]
             assert abs(got - fd) < 1e-5
-
-
-def test_param_shift_partial_rejects_out_of_range_indices():
-    circ = compose(angle_embedding(2, "RX"), basic_entangler_layers(2, 1, "RY"))
-    feats, wts = [0.1, 0.2], [0.3, 0.4]
-    assert param_shift_partial(circ, feats, wts, 1, "weight", 1) != 0.0
-    for out_qubit, kind, slot, named in [(-1, "weight", 0, "qubit -1"), (2, "weight", 0, "qubit 2"),
-                                         (5, "feature", 0, "qubit 5"),
-                                         (0, "weight", -1, "weight slot -1"),
-                                         (0, "weight", 2, "weight slot 2"),
-                                         (0, "feature", -1, "feature slot -1"),
-                                         (0, "feature", 7, "feature slot 7")]:
-        with pytest.raises(CircuitError, match=named):
-            param_shift_partial(circ, feats, wts, out_qubit, kind, slot)
 
 
 def test_shift_rule_jacobians_run_every_shifted_row_in_one_call(monkeypatch):
@@ -233,7 +219,7 @@ def test_param_shift_rejects_crz_slots():
     circ = ParameterizedCircuit(2, (Gate("CRZ", (0, 1), SlotAngle(WEIGHT, 0)),),
                                 num_weight_slots=1)
     with pytest.raises(CircuitError):
-        param_shift_partial(circ, [], [0.5], 0, "weight", 0)
+        shift_rule_jacobians(circ, [], [0.5])
 
 
 def test_param_shift_exact_via_richardson(rng):
@@ -281,8 +267,6 @@ def test_shift_jacobians_with_repeated_pair_slots_via_richardson(rng):
                 assert abs(jw[s, q] - oracles.richardson_difference(fw, wts, s, h=1e-4)) < 1e-8
             for s in range(n):
                 assert abs(jf[s, q] - oracles.richardson_difference(ff, feats, s, h=1e-4)) < 1e-8
-            for s in range(circ.num_weight_slots):
-                assert param_shift_partial(circ, feats, wts, q, "weight", s) == jw[s, q]
 
 
 # ------------------------------------------------------------- quantum nodes
@@ -317,7 +301,7 @@ def test_light_cone_excluded_weight_has_zero_gradient():
     # RY(w0) on qubit 1, no entanglement: <Z_0> cannot depend on w0
     circ = ParameterizedCircuit(2, (Gate("RY", (1,), SlotAngle(WEIGHT, 0)),),
                                 num_weight_slots=1)
-    assert param_shift_partial(circ, [], [1.234], 0, "weight", 0) == pytest.approx(0.0, abs=1e-15)
+    assert shift_rule_jacobians(circ, [], [1.234])[1][0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_quantum_node_invariants(rng):

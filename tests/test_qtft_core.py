@@ -6,11 +6,10 @@ import pytest
 
 import oracles
 from qtft import grad
+from qtft.forecasting import TrainConfig, build_model
 from qtft.grad import backward, param
 from qtft.quantum_sim import compose, measure_all_z, run_circuit
 from qtft.qtft_core import (
-    QTFTConfig,
-    QTFTModel,
     init_qattention,
     init_qglu,
     init_qgrn,
@@ -25,7 +24,7 @@ from qtft.qtft_core import (
     qlstm_seq,
     vqc_apply,
 )
-from qtft.tft_core import TFTConfig, TFTModel, attention, lstm_step, named_leaves
+from qtft.tft_core import attention, lstm_step, named_leaves
 
 
 def fd_check(loss_fn, leaves):
@@ -297,25 +296,32 @@ def test_qlstm_gradients_two_steps(rng):
 
 # ------------------------------------------------------------------ full model
 
+def desk_model(kind="qtft", seed=0):
+    return build_model(TrainConfig(model_kind=kind, seed=seed), 5, 1, 1)
+
+
 def test_leaf_names_follow_the_dense_model():
-    names = [name for name, _ in
-             QTFTModel(QTFTConfig(use_qlstm=True), np.random.default_rng(0)).named_leaves()]
+    names = [name for name, _ in desk_model("qtft-qlstm").named_leaves()]
     for expected in ("past_vsn.var_grns.0.vqc_a.weights", "past_vsn.context_proj.W",
                      "past_vsn.weight_grn.vqc_c.weights", "encoder_lstm.wi.proj.W",
                      "encoder_lstm.wf.vqc.weights", "decoder_lstm.wg.proj.b",
                      "decoder_lstm.wo.vqc.weights"):
         assert expected in names
     assert not [n for n in names if "qgrn" in n or "input_gate" in n or "output_gate" in n]
-    tft_vsn = [name for name, _ in TFTModel(TFTConfig(), np.random.default_rng(0)).named_leaves()
+    tft_vsn = [name for name, _ in desk_model("tft").named_leaves()
                if name.startswith("past_vsn.")]
     assert tft_vsn and not [n for n in tft_vsn if "context_proj" in n]
 
 
 def test_qtft_forward_shape(rng):
-    model = QTFTModel(QTFTConfig(quantiles=(0.1, 0.5, 0.9)), np.random.default_rng(3))
+    model = desk_model(seed=3)
+    assert len(model.params.heads) == 1
     out = model.predict(np.array([1.0]), rng.uniform(20, 30, (2, 5)),
                         rng.uniform(0, 1, (2, 1)))
-    assert out.shape == (3, 2)
+    assert out.shape == (1, 2)
+    batch = model.predict(np.ones((3, 1)), rng.uniform(20, 30, (3, 2, 5)),
+                          rng.uniform(0, 1, (3, 2, 1)))
+    assert batch.shape == (1, 3, 2)
 
 
 def test_qtft_frozen_zero_smoke(axis_csv):
@@ -323,7 +329,7 @@ def test_qtft_frozen_zero_smoke(axis_csv):
     table = data_io.load_csv(axis_csv, ["Open", "High", "Low", "Last"], "Close")
     cfg = forecasting.TrainConfig(model_kind="qtft")
     windows, _ = forecasting.build_stock_windows(table.rows, table.column_index("Close"), cfg)
-    model = QTFTModel(QTFTConfig(), np.random.default_rng(0))
+    model = desk_model()
     for name, node in model.named_leaves():
         if node.value.ndim == 1 and "weights" in name:
             node.value = np.zeros_like(node.value)
@@ -333,7 +339,7 @@ def test_qtft_frozen_zero_smoke(axis_csv):
 
 
 def test_qtft_param_count_self_consistent():
-    model = QTFTModel(QTFTConfig(), np.random.default_rng(1))
+    model = desk_model(seed=1)
     names = [n for n, _ in model.named_leaves()]
     assert len(names) == len(set(names))
     # independent enumeration by brute object walk
@@ -355,7 +361,7 @@ def test_qtft_param_count_self_consistent():
 
 
 def test_qtft_qlstm_variant_builds_and_runs(rng):
-    model = QTFTModel(QTFTConfig(use_qlstm=True), np.random.default_rng(2))
+    model = desk_model("qtft-qlstm", seed=2)
     out = model.predict(np.array([1.0]), rng.uniform(20, 30, (2, 5)),
                         rng.uniform(0, 1, (2, 1)))
     assert out.shape == (1, 2) and np.all(np.isfinite(out))
@@ -374,7 +380,7 @@ def test_every_circuit_run_reaches_the_outputs(rng, monkeypatch, use_qlstm):
         return node
 
     monkeypatch.setattr(qtft_core, "quantum_forward", recording)
-    model = QTFTModel(QTFTConfig(use_qlstm=use_qlstm), np.random.default_rng(4))
+    model = desk_model("qtft-qlstm" if use_qlstm else "qtft", seed=4)
     outputs = model.predict_nodes(np.array([1.0]), rng.uniform(20, 30, (3, 5)),
                                   rng.uniform(0, 1, (2, 1)))
     reachable, stack = set(), list(outputs)

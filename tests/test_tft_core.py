@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 import oracles
 from qtft import grad, tft_core
+from qtft.forecasting import TrainConfig, build_model
 from qtft.grad import Node, backward, param
 from qtft.tft_core import (
     DenseParams,
     GLUParams,
     GRNParams,
-    TFTConfig,
-    TFTModel,
     attention,
     glu,
     grn,
@@ -227,7 +226,6 @@ def test_lstm_zero_weights_outputs_zero(rng):
         wf=dense_of(np.zeros((2, 4)), np.zeros(2)),
         wg=dense_of(np.zeros((2, 4)), np.zeros(2)),
         wo=dense_of(np.zeros((2, 4)), np.zeros(2)),
-        hidden=2,
     )
     inputs = [rng.uniform(-1, 1, 2) for _ in range(3)]
     outputs, _ = lstm_seq(inputs, np.zeros(2), np.zeros(2), p)
@@ -338,16 +336,19 @@ def test_interpretable_multi_head_gradients(rng):
 
 # ---------------------------------------------------------------- full model
 
-def desk_model(seed=5, **overrides):
-    cfg = TFTConfig(**overrides)
-    return TFTModel(cfg, np.random.default_rng(seed))
+def desk_model(num_past_vars=5):
+    return build_model(TrainConfig(seed=5), num_past_vars, 1, 1)
 
 
 def test_forward_output_shape(rng):
-    model = desk_model(quantiles=(0.1, 0.5, 0.9))
+    model = desk_model()
+    assert len(model.params.heads) == 1
     out = model.predict(np.array([1.0]), rng.uniform(20, 30, (2, 5)),
                         rng.uniform(0, 1, (2, 1)))
-    assert out.shape == (3, 2)
+    assert out.shape == (1, 2)
+    batch = model.predict(np.ones((3, 1)), rng.uniform(20, 30, (3, 2, 5)),
+                          rng.uniform(0, 1, (3, 2, 1)))
+    assert batch.shape == (1, 3, 2)
 
 
 def test_permuting_identical_variables_is_invariant(rng):
@@ -388,7 +389,7 @@ def test_permuting_identical_variables_is_invariant(rng):
 
 
 def test_full_model_gradients_small(rng):
-    model = desk_model(num_past_vars=2, num_future_vars=1, num_static_vars=1)
+    model = desk_model(num_past_vars=2)
     past = rng.uniform(20, 30, (2, 2))
     future = rng.uniform(0, 1, (2, 1))
     static = np.array([1.0])
@@ -422,3 +423,4 @@ def test_param_count_and_leaf_enumeration():
     assert len(names) == len(set(names))
     assert model.param_count() == sum(node.value.size for _, node in model.named_leaves())
     assert model.param_count() == 688
+
