@@ -104,15 +104,14 @@ class TrainConfig:
 
 
 def quantile_loss(y, yhat, q: float) -> float:
-    """Mean pinball loss (1/m) sum max((q-1)(y - yhat), q(y - yhat))."""
+    """Mean pinball loss (1/m) sum max((q-1)(y - yhat), q(y - yhat)): ``grad.pinball``'s value."""
     y = np.asarray(y, dtype=float)
     yhat = np.asarray(yhat, dtype=float)
     if y.shape != yhat.shape or y.size == 0:
         raise ValueError(f"need equal nonempty shapes, got {y.shape} and {yhat.shape}")
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile must lie in (0, 1), got {q}")
-    e = y - yhat
-    return float(np.maximum((q - 1.0) * e, q * e).mean())
+    return float(grad.pinball(y, yhat, q).value[0])
 
 
 def make_windows(series: np.ndarray, target_col: int, k: int, tau_max: int,
@@ -224,25 +223,17 @@ def train(model, samples, cfg: TrainConfig) -> list[float]:
     return history
 
 
-def _forecast(model, samples):
-    """(targets, first-quantile predictions), both (windows, tau), from one batched call.
-
-    A prediction without a window axis applies to every window.
-    """
-    static, past, future, targets = stack_windows(samples)
-    return targets, np.broadcast_to(model.predict(static, past, future)[0], targets.shape)
-
-
 def evaluate(model, samples, q: float) -> float:
-    """Mean quantile loss over the given windows, no parameter updates."""
+    """The training loss (``batch_loss_node``) over the given windows, built without a tape."""
     if not samples:
         raise ValueError("evaluate needs at least one window")
-    return quantile_loss(*_forecast(model, samples), q)
+    with grad.no_tape():
+        return float(batch_loss_node(model, samples, q).value[0])
 
 
 def window_predictions(model, samples) -> list[tuple[int, float, float]]:
     """(global time index, true value, predicted value) per window and step."""
-    targets, preds = _forecast(model, samples)
+    static, past, future, targets = stack_windows(samples)
     return [(s.anchor + 1 + i, float(y), float(p))
-            for s, ys, ps in zip(samples, targets, preds)
+            for s, ys, ps in zip(samples, targets, model.predict(static, past, future))
             for i, (y, p) in enumerate(zip(ys, ps))]

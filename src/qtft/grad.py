@@ -66,9 +66,9 @@ class Node:
     parent (or None for a parent that receives nothing).
     """
 
-    __slots__ = ("value", "grad", "parents", "backward_rule", "name")
+    __slots__ = ("value", "grad", "parents", "backward_rule")
 
-    def __init__(self, value, parents=(), backward_rule=None, name=""):
+    def __init__(self, value, parents=(), backward_rule=None):
         self.value = np.asarray(value, dtype=float)
         self.grad = None
         if _taping.get():
@@ -76,10 +76,9 @@ class Node:
             self.backward_rule = backward_rule
         else:
             self.parents, self.backward_rule = (), None
-        self.name = name
 
     def __repr__(self):
-        return f"Node(name={self.name!r}, shape={self.value.shape})"
+        return f"Node(shape={self.value.shape})"
 
 
 class QuantumNode(Node):
@@ -100,9 +99,9 @@ class QuantumNode(Node):
         return self.parents[1]
 
 
-def param(value, name="") -> Node:
+def param(value) -> Node:
     """Trainable leaf."""
-    return Node(value, name=name)
+    return Node(value)
 
 
 def const(value) -> Node:
@@ -184,12 +183,6 @@ def add(a: Node, b: Node) -> Node:
     a, b = as_node(a), as_node(b)
     return Node(a.value + b.value, (a, b),
                 lambda u: (_unbroadcast(u, a.value.shape), _unbroadcast(u, b.value.shape)))
-
-
-def sub(a: Node, b: Node) -> Node:
-    a, b = as_node(a), as_node(b)
-    return Node(a.value - b.value, (a, b),
-                lambda u: (_unbroadcast(u, a.value.shape), _unbroadcast(-u, b.value.shape)))
 
 
 def mul(a: Node, b: Node) -> Node:

@@ -59,7 +59,6 @@ class AttentionParams:
     wk: list[Node]
     wv: Node                        # shared value projection
     wh: Node                        # (d_attn, d) head-combine matrix
-    d_attn: int
 
 
 @dataclass
@@ -212,8 +211,9 @@ def interpretable_multi_head(s, p: AttentionParams, mask: np.ndarray | None = No
     """
     s = as_node(s)
     v = grad.matmul(s, p.wv)
+    d_attn = p.wh.value.shape[0]
     heads = [
-        attention(grad.matmul(s, wq), grad.matmul(s, wk), v, p.d_attn, mask)
+        attention(grad.matmul(s, wq), grad.matmul(s, wk), v, d_attn, mask)
         for wq, wk in zip(p.wq, p.wk)
     ]
     h_tilde = heads[0]
@@ -284,7 +284,6 @@ def init_attention(rng, d_model: int, num_heads: int) -> AttentionParams:
         wv=mat(d_model, d_attn),
         wh=grad.param(rng.uniform(-1.0 / math.sqrt(d_attn), 1.0 / math.sqrt(d_attn),
                                   size=(d_attn, d_model))),
-        d_attn=d_attn,
     )
 
 
@@ -385,7 +384,9 @@ class TFTModel:
 
         The inputs are one window, shaped (m_static,), (k, m_past) and
         (tau, m_future), or a batch of windows with one leading axis more
-        each; the predictions then have shape (batch, tau).
+        each; the predictions then have shape (batch, tau).  An input whose
+        last axis does not hold the model's number of variables raises
+        ``ValueError``.
 
         Every block value carries a position axis at -2, (..., T, width),
         and each stage makes one block call over all its positions.  The
@@ -397,6 +398,12 @@ class TFTModel:
         static_vars = np.asarray(static_vars, dtype=float)[..., None, :]
         past_vars = np.asarray(past_vars, dtype=float)
         future_vars = np.asarray(future_vars, dtype=float)
+        for name, values, embeds in (("static_vars", static_vars, p.static_embed),
+                                     ("past_vars", past_vars, p.past_embed),
+                                     ("future_vars", future_vars, p.future_embed)):
+            if values.shape[-1] != len(embeds):
+                raise ValueError(f"{name} has {values.shape[-1]} variables, "
+                                 f"the model takes {len(embeds)}")
         k, tau = past_vars.shape[-2], future_vars.shape[-2]
         mask = causal_mask(k + tau) if self.cfg.use_causal_mask else None
 
@@ -434,10 +441,9 @@ class TFTModel:
         return [grad.reshape(out, out.value.shape[:-1]) for out in outputs]
 
     def predict(self, static_vars, past_vars, future_vars) -> np.ndarray:
-        """Quantile forecasts as a (1, tau) array, or (1, batch, tau) for a batch."""
+        """The quantile forecast without a tape: (tau,) for one window, (batch, tau) for a batch."""
         with grad.no_tape():
-            nodes = self.predict_nodes(static_vars, past_vars, future_vars)
-        return np.stack([n.value for n in nodes])
+            return self.predict_nodes(static_vars, past_vars, future_vars)[0].value
 
     def named_leaves(self) -> list[tuple[str, Node]]:
         return named_leaves(self.params)

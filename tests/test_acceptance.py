@@ -261,7 +261,7 @@ def test_criterion_8_structural_reductions(rng):
     s = rng.uniform(-1, 1, (5, 3))
     got = tft_core.interpretable_multi_head(s, p).value
     want = tft_core.attention(s @ p.wq[0].value, s @ p.wk[0].value,
-                              s @ p.wv.value, p.d_attn).value @ p.wh.value
+                              s @ p.wv.value, p.wh.value.shape[0]).value @ p.wh.value
     classical_dev = float(np.max(np.abs(got - want)))
 
     # quantum: one head equals attention over the circuit projections

@@ -53,7 +53,7 @@ def test_batched_forward_and_gradient_match_per_window(kind, count, seed):
 
     batched = model.predict_nodes(static, past, future)[0].value
     for row, w in zip(batched, windows):
-        np.testing.assert_allclose(row, model.predict(w.static, w.past, w.future_known)[0],
+        np.testing.assert_allclose(row, model.predict(w.static, w.past, w.future_known),
                                    rtol=1e-12, atol=0)
 
     got = leaf_grads(model, forecasting.batch_loss_node(model, windows, cfg.quantile))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qtft import grad
 from qtft.forecasting import (
     ConfigError,
+    MODEL_KINDS,
     TrainConfig,
     TrainingDivergedError,
     WindowedSample,
@@ -18,6 +19,7 @@ from qtft.forecasting import (
     evaluate,
     make_windows,
     quantile_loss,
+    stack_windows,
     train,
     window_predictions,
 )
@@ -26,16 +28,16 @@ from qtft.tft_core import TFTModel
 
 
 class ConstantModel:
-    """Predicts one trainable value per forecast step; linear test double."""
+    """Predicts one trainable value per forecast step for every window; linear test double."""
 
     def __init__(self, tau, value=0.0):
         self.bias = grad.param(np.full(tau, float(value)))
 
     def predict_nodes(self, static, past, future):
-        return [self.bias]
+        return [grad.add(self.bias, np.zeros(np.shape(future)[:-1]))]
 
     def predict(self, static, past, future):
-        return self.bias.value[None, :]
+        return self.predict_nodes(static, past, future)[0].value
 
     def leaves(self):
         return [self.bias]
@@ -43,10 +45,7 @@ class ConstantModel:
 
 class NaNModel(ConstantModel):
     def predict_nodes(self, static, past, future):
-        return [grad.const(np.full(self.bias.value.shape, np.nan))]
-
-    def predict(self, static, past, future):
-        return np.full((1,) + self.bias.value.shape, np.nan)
+        return [grad.const(np.full(np.shape(future)[:-1], np.nan))]
 
 
 def sample_of(targets, k=2):
@@ -368,3 +367,19 @@ def test_short_run_results_are_pinned(axis_csv, kind, non_default):
     assert train(model, train_w, cfg) == pytest.approx(want_history, rel=1e-12, abs=0)
     assert evaluate(model, test_w, cfg.quantile) == pytest.approx(want_test, rel=1e-12, abs=0)
     assert model.param_count() == want_count
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_evaluate_is_the_training_loss_and_predictions_are_predict(axis_csv, kind):
+    from qtft import data_io
+    table = data_io.load_csv(axis_csv, ["Open", "High", "Low", "Last"], "Close")
+    cfg = TrainConfig(epochs=1, model_kind=kind)
+    train_w, test_w = build_stock_windows(table.rows, table.column_index("Close"), cfg)
+    model = build_model(cfg, 5, 1, 1)
+    history = train(model, train_w, cfg)
+    assert evaluate(model, train_w, cfg.quantile) == history[-1]
+    windows = train_w + test_w
+    static, past, future, targets = stack_windows(windows)
+    rows = window_predictions(model, windows)
+    assert [p for _, _, p in rows] == model.predict(static, past, future).ravel().tolist()
+    assert [y for _, y, _ in rows] == targets.ravel().tolist()

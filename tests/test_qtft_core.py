@@ -318,10 +318,10 @@ def test_qtft_forward_shape(rng):
     assert len(model.params.heads) == 1
     out = model.predict(np.array([1.0]), rng.uniform(20, 30, (2, 5)),
                         rng.uniform(0, 1, (2, 1)))
-    assert out.shape == (1, 2)
+    assert out.shape == (2,)
     batch = model.predict(np.ones((3, 1)), rng.uniform(20, 30, (3, 2, 5)),
                           rng.uniform(0, 1, (3, 2, 1)))
-    assert batch.shape == (1, 3, 2)
+    assert batch.shape == (3, 2)
 
 
 def test_qtft_frozen_zero_smoke(axis_csv):
@@ -364,7 +364,7 @@ def test_qtft_qlstm_variant_builds_and_runs(rng):
     model = desk_model("qtft-qlstm", seed=2)
     out = model.predict(np.array([1.0]), rng.uniform(20, 30, (2, 5)),
                         rng.uniform(0, 1, (2, 1)))
-    assert out.shape == (1, 2) and np.all(np.isfinite(out))
+    assert out.shape == (2,) and np.all(np.isfinite(out))
     assert model.kind == "qtft-qlstm"
 
 

@@ -306,7 +306,7 @@ def test_interpretable_single_head_equals_plain_attention(rng):
     q = s @ p.wq[0].value
     k = s @ p.wk[0].value
     v = s @ p.wv.value
-    want = attention(q, k, v, p.d_attn).value @ p.wh.value
+    want = attention(q, k, v, p.wh.value.shape[0]).value @ p.wh.value
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -317,7 +317,6 @@ def test_interpretable_identical_heads_equal_single_head(rng):
     s = rng.uniform(-1, 1, (4, 3))
     single = init_attention(rng, 3, num_heads=1)
     single.wq, single.wk, single.wv, single.wh = [p.wq[0]], [p.wk[0]], p.wv, p.wh
-    single.d_attn = p.d_attn
     np.testing.assert_allclose(interpretable_multi_head(s, p).value,
                                interpretable_multi_head(s, single).value, atol=1e-12)
 
@@ -345,10 +344,26 @@ def test_forward_output_shape(rng):
     assert len(model.params.heads) == 1
     out = model.predict(np.array([1.0]), rng.uniform(20, 30, (2, 5)),
                         rng.uniform(0, 1, (2, 1)))
-    assert out.shape == (1, 2)
+    assert out.shape == (2,)
     batch = model.predict(np.ones((3, 1)), rng.uniform(20, 30, (3, 2, 5)),
                           rng.uniform(0, 1, (3, 2, 1)))
-    assert batch.shape == (1, 3, 2)
+    assert batch.shape == (3, 2)
+
+
+@pytest.mark.parametrize("kind", ["tft", "qtft"])
+@pytest.mark.parametrize("name,width,takes", [
+    ("static_vars", 0, 1), ("static_vars", 3, 1),
+    ("past_vars", 3, 5), ("past_vars", 7, 5),
+    ("future_vars", 0, 1), ("future_vars", 2, 1),
+])
+def test_input_of_the_wrong_width_is_rejected(rng, kind, name, width, takes):
+    model = build_model(TrainConfig(model_kind=kind), 5, 1, 1)
+    inputs = {"static_vars": np.ones((2, 1)), "past_vars": rng.uniform(20, 30, (2, 2, 5)),
+              "future_vars": rng.uniform(0, 1, (2, 2, 1))}
+    inputs[name] = rng.uniform(0, 1, inputs[name].shape[:-1] + (width,))
+    with pytest.raises(ValueError, match=f"^{name} has {width} variables, "
+                                         f"the model takes {takes}$"):
+        model.predict_nodes(**inputs)
 
 
 def test_permuting_identical_variables_is_invariant(rng):
