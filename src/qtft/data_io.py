@@ -96,9 +96,9 @@ def load_csv(path: str, feature_columns: list[str], target_column: str) -> TimeS
 
     Header matching is case-insensitive and accepts the usual NIFTY-50
     spelling variants.  Two requested names for one header (a target listed
-    among the features included) are an error.  Any non-numeric cell in a
-    requested column is a row-level parse error carrying the 1-based line
-    number.  With a date column, every date must be an ISO date
+    among the features included) are an error, and so are two header cells
+    for one requested name.  Any non-numeric cell in a requested column is
+    a row-level parse error carrying the 1-based line number.  With a date column, every date must be an ISO date
     (YYYY-MM-DD) later than the one on the row before.
     """
     requested = list(feature_columns) + [target_column]
@@ -108,13 +108,17 @@ def load_csv(path: str, feature_columns: list[str], target_column: str) -> TimeS
             header = next(reader)
         except StopIteration:
             raise ParseError(1, "empty file") from None
-        lookup = {_canon(h): i for i, h in enumerate(header)}
+        keys = [_canon(h) for h in header]
+        lookup = {key: i for i, key in enumerate(keys)}
         date_idx = lookup.get("date")
         indices = []
         for name in requested:
             idx = lookup.get(_canon(name))
             if idx is None:
                 raise MissingColumnError(name)
+            if keys.count(keys[idx]) > 1:
+                raise ParseError(1, f"column {name!r} matches header columns "
+                                    f"{keys.index(keys[idx]) + 1} and {idx + 1}")
             if idx in indices:
                 raise DuplicateColumnError(name, requested[indices.index(idx)])
             indices.append(idx)

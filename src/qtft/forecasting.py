@@ -91,8 +91,9 @@ class TrainConfig:
             ("d_model", self.d_model >= 1, "d_model must be >= 1"),
             ("ansatz_layers", self.ansatz_layers >= 1, "ansatz_layers must be >= 1"),
             ("heads", self.heads >= 1, "heads must be >= 1"),
-            ("train_range", a <= b, "ranges must be (first, last) with first <= last"),
-            ("test_range", c <= d, "ranges must be (first, last) with first <= last"),
+            ("seed", self.seed >= 0, "seed must be >= 0"),
+            ("train_range", 0 <= a <= b, "ranges must be (first, last) with 0 <= first <= last"),
+            ("test_range", 0 <= c <= d, "ranges must be (first, last) with 0 <= first <= last"),
             ("test_range", max(a, c) > min(b, d), f"test range overlaps train range {(a, b)}"),
             ("model_kind", self.model_kind in MODEL_KINDS,
              f"model_kind must be one of {MODEL_KINDS}"),

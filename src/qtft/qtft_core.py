@@ -7,10 +7,10 @@ entangler layers or the N-local circuit), measured qubit-by-qubit with
 Pauli-Z.  Widths are unified: a block acting on a d-dimensional vector
 uses d qubits, because measurement returns exactly one real per qubit.
 
-The gated residual block keeps the intermediate state quantum: the
-re-encoded ELU output passes through its ansatz and straight into the
-two gated-linear-unit branch circuits with no measurement in between
-(two executions share the same circuit prefix).
+The gated residual block keeps the intermediate state quantum: its gate
+stage is ``qglu`` on the eta2 state.  Both branch circuits are built
+after the eta2 block's circuit, so the re-encoded ELU output passes
+through the eta2 ansatz into each branch ansatz with no measurement.
 
 ``QTFTModel`` keeps the forward wiring of :class:`qtft.tft_core.TFTModel`
 and overrides only its block methods.  Variable selection and the LSTM
@@ -42,8 +42,8 @@ from .tft_core import (
     TFTModel,
     TFTParams,
     VariableSelectionParams,
-    attention,
     dense,
+    head_average,
     init_dense,
     init_lstm,
     lstm_seq,
@@ -63,10 +63,9 @@ ANSATZE = ("basic", "nlocal")
 
 @dataclass
 class VQCBlockParams:
-    """Ansatz + trainable angles for one circuit block, with its encoding prepended."""
+    """One circuit block: its encoding (or prefix) then its ansatz, and the ansatz's angles."""
 
-    ansatz: ParameterizedCircuit
-    circuit: ParameterizedCircuit     # compose(encoding, ansatz), cached
+    circuit: ParameterizedCircuit
     weights: Node
 
 
@@ -87,20 +86,26 @@ def build_ansatz(num_qubits: int, num_layers: int, kind: str) -> ParameterizedCi
 
 
 def init_vqc_block(rng: np.random.Generator, num_qubits: int, num_layers: int,
-                   encoding: str = "angle", ansatz: str = "basic") -> VQCBlockParams:
-    enc = build_encoding(num_qubits, encoding)
+                   encoding: str = "angle", ansatz: str = "basic",
+                   prefix: VQCBlockParams | None = None) -> VQCBlockParams:
+    """The ansatz after ``prefix.circuit``, or after the encoding; only its own angles are drawn."""
     anz = build_ansatz(num_qubits, num_layers, ansatz)
+    first = build_encoding(num_qubits, encoding) if prefix is None else prefix.circuit
     weights = grad.param(rng.uniform(-math.pi, math.pi, size=anz.num_weight_slots))
-    return VQCBlockParams(anz, compose(enc, anz), weights)
+    return VQCBlockParams(compose(first, anz), weights)
 
 
-def vqc_apply(x, p: VQCBlockParams) -> Node:
-    """Encode x, run the ansatz, measure every qubit with Pauli-Z (per row of a batch)."""
+def vqc_apply(x, p: VQCBlockParams, prefix: VQCBlockParams | None = None) -> Node:
+    """Encode x, run the ansatz, measure every qubit with Pauli-Z (per row of a batch).
+
+    A block built after ``prefix`` runs with the prefix's angles ahead of its own.
+    """
     x = as_node(x)
     n = p.circuit.num_qubits
     if x.value.shape[-1:] != (n,):
         raise ValueError(f"block of {n} qubits got input shape {x.value.shape}")
-    return quantum_forward(p.circuit, x, p.weights)
+    weights = p.weights if prefix is None else grad.concat([prefix.weights, p.weights])
+    return quantum_forward(p.circuit, x, weights)
 
 
 # --------------------------------------------------------------------------
@@ -114,29 +119,28 @@ class QGLUParams:
 
 
 def init_qglu(rng, num_qubits: int, num_layers: int, encoding: str = "angle",
-              ansatz: str = "basic") -> QGLUParams:
+              ansatz: str = "basic", prefix: VQCBlockParams | None = None) -> QGLUParams:
     return QGLUParams(
-        branch_gate=init_vqc_block(rng, num_qubits, num_layers, encoding, ansatz),
-        branch_lin=init_vqc_block(rng, num_qubits, num_layers, encoding, ansatz),
+        branch_gate=init_vqc_block(rng, num_qubits, num_layers, encoding, ansatz, prefix),
+        branch_lin=init_vqc_block(rng, num_qubits, num_layers, encoding, ansatz, prefix),
     )
 
 
-def qglu(x, p: QGLUParams) -> Node:
+def qglu(x, p: QGLUParams, prefix: VQCBlockParams | None = None) -> Node:
     """sigmoid of the gate branch's expectations times the linear branch's.
 
-    The input is encoded once per branch execution.
+    The input is encoded (or run through ``prefix``) once per branch execution.
     """
-    return grad.mul(grad.sigmoid(vqc_apply(x, p.branch_gate)), vqc_apply(x, p.branch_lin))
+    return grad.mul(grad.sigmoid(vqc_apply(x, p.branch_gate, prefix)),
+                    vqc_apply(x, p.branch_lin, prefix))
 
 
 @dataclass
 class QGRNParams:
     vqc_a: VQCBlockParams
     vqc_c: VQCBlockParams | None
-    vqc_eta2: VQCBlockParams
-    qglu: QGLUParams
-    gate_circuit: ParameterizedCircuit   # eta2 prefix + gate ansatz, cached
-    lin_circuit: ParameterizedCircuit    # eta2 prefix + lin ansatz, cached
+    vqc_eta2: VQCBlockParams          # runs only as the prefix of the qglu branches
+    qglu: QGLUParams                  # branches built after vqc_eta2
 
 
 def init_qgrn(rng, num_qubits: int, num_layers: int, with_context: bool,
@@ -145,15 +149,8 @@ def init_qgrn(rng, num_qubits: int, num_layers: int, with_context: bool,
     vqc_a = block()
     vqc_c = block() if with_context else None
     vqc_eta2 = block()
-    glu_p = init_qglu(rng, num_qubits, num_layers, encoding, ansatz)
-    return QGRNParams(
-        vqc_a=vqc_a,
-        vqc_c=vqc_c,
-        vqc_eta2=vqc_eta2,
-        qglu=glu_p,
-        gate_circuit=compose(vqc_eta2.circuit, glu_p.branch_gate.ansatz),
-        lin_circuit=compose(vqc_eta2.circuit, glu_p.branch_lin.ansatz),
-    )
+    return QGRNParams(vqc_a, vqc_c, vqc_eta2,
+                      init_qglu(rng, num_qubits, num_layers, encoding, ansatz, vqc_eta2))
 
 
 def qgrn(a, c, p: QGRNParams) -> Node:
@@ -172,12 +169,7 @@ def qgrn(a, c, p: QGRNParams) -> Node:
         eta1 = grad.elu(grad.add(a2, vqc_apply(c, p.vqc_c)))
     else:
         eta1 = grad.elu(a2)
-    gate_out = quantum_forward(p.gate_circuit, eta1,
-                               grad.concat([p.vqc_eta2.weights, p.qglu.branch_gate.weights]))
-    lin_out = quantum_forward(p.lin_circuit, eta1,
-                              grad.concat([p.vqc_eta2.weights, p.qglu.branch_lin.weights]))
-    gated = grad.mul(grad.sigmoid(gate_out), lin_out)
-    return grad.layer_norm(grad.add(a, gated))
+    return grad.layer_norm(grad.add(a, qglu(eta1, p.qglu, p.vqc_eta2)))
 
 
 # --------------------------------------------------------------------------
@@ -229,12 +221,9 @@ def q_interpretable_multi_head(s, p: QAttentionParams,
     """
     s = as_node(s)
     v = vqc_apply(s, p.value_block)
-    d_attn = float(p.value_block.circuit.num_qubits)
-    out = None
-    for qb, kb in zip(p.query_blocks, p.key_blocks):
-        head = attention(vqc_apply(s, qb), vqc_apply(s, kb), v, d_attn, mask)
-        out = head if out is None else grad.add(out, head)
-    return grad.scale(out, 1.0 / len(p.query_blocks))
+    return head_average([vqc_apply(s, qb) for qb in p.query_blocks],
+                        [vqc_apply(s, kb) for kb in p.key_blocks],
+                        v, float(p.value_block.circuit.num_qubits), mask)
 
 
 @dataclass

@@ -204,22 +204,24 @@ def attention(q, k, v, d_attn: float, mask: np.ndarray | None = None) -> Node:
     return grad.matmul(softmax(scores), v)
 
 
+def head_average(queries, keys, v, d_attn: float, mask: np.ndarray | None = None) -> Node:
+    """``mean_h attention(queries[h], keys[h], v)``: every head attends over one shared value."""
+    out = None
+    for q, k in zip(queries, keys):
+        head = attention(q, k, v, d_attn, mask)
+        out = head if out is None else grad.add(out, head)
+    return grad.scale(out, 1.0 / len(queries))
+
+
 def interpretable_multi_head(s, p: AttentionParams, mask: np.ndarray | None = None) -> Node:
     """Head-averaged attention with a single shared value projection.
 
     Output is ``mean_h Attention(S Wq_h, S Wk_h, S Wv) @ Wh``.
     """
     s = as_node(s)
-    v = grad.matmul(s, p.wv)
-    d_attn = p.wh.value.shape[0]
-    heads = [
-        attention(grad.matmul(s, wq), grad.matmul(s, wk), v, d_attn, mask)
-        for wq, wk in zip(p.wq, p.wk)
-    ]
-    h_tilde = heads[0]
-    for h in heads[1:]:
-        h_tilde = grad.add(h_tilde, h)
-    h_tilde = grad.scale(h_tilde, 1.0 / len(p.wq))
+    h_tilde = head_average([grad.matmul(s, wq) for wq in p.wq],
+                           [grad.matmul(s, wk) for wk in p.wk],
+                           grad.matmul(s, p.wv), p.wh.value.shape[0], mask)
     return grad.matmul(h_tilde, p.wh)
 
 
@@ -353,6 +355,10 @@ class TFTModel:
             from .forecasting import ConfigError
             raise ConfigError("model_kind", f"{type(self).__name__} builds model_kind "
                                             f"{' or '.join(self.kinds)}, got {cfg.model_kind!r}")
+        for name, count in (("num_past_vars", num_past_vars), ("num_future_vars", num_future_vars),
+                            ("num_static_vars", num_static_vars)):
+            if count < 1:
+                raise ValueError(f"{name} must be >= 1, got {count}")
         self.cfg = cfg
         self.kind = cfg.model_kind
         self.params = self.init_params(cfg, num_past_vars, num_future_vars, num_static_vars,

@@ -207,7 +207,8 @@ def test_training_graph_differentiates_past_selection_through_the_prefix_sweep(
     model = forecasting.build_model(cfg, 5, 1, 1)
     loss = forecasting.batch_loss_node(model, train_w, cfg.quantile)
     wg = model.params.past_vsn.weight_grn
-    circuits = [wg.vqc_a.circuit, wg.vqc_c.circuit, wg.gate_circuit, wg.lin_circuit]
+    circuits = [wg.vqc_a.circuit, wg.vqc_c.circuit,
+                wg.qglu.branch_gate.circuit, wg.qglu.branch_lin.circuit]
     nodes = [node for node in quantum_nodes(loss) if any(node.circuit is c for c in circuits)]
     # vqc_a, gate and lin run per past step; vqc_c runs once on the one-position context.
     assert len(nodes) == cfg.past_steps * 3 + 1

@@ -44,6 +44,15 @@ def test_negative_or_non_finite_lr_is_flag_error(axis_csv, tmp_path, capsys, lr)
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--train-range", "-3:19"),
+                                        ("--test-range", "-5:-1")])
+def test_negative_seed_or_row_index_is_flag_error(axis_csv, tmp_path, capsys, flag, value):
+    out = str(tmp_path / "run")
+    assert main(train_args(axis_csv, out, [f"{flag}={value}"])) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+    assert not os.path.exists(out)
+
+
 def test_unknown_flag_is_exit_two(axis_csv, tmp_path):
     assert main(["train", "--data", axis_csv, "--nope"]) == 2
 

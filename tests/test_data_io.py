@@ -61,6 +61,24 @@ def test_load_duplicate_columns(tmp_path):
     assert exc.value.column == "Previous Close"
 
 
+@pytest.mark.parametrize("header, feature, ambiguous", [
+    ("Date,Close,Open,Close", "Open", "Close"),
+    ("Date,Prev Close,Open,Previous Close,Close", "Prev Close", "Prev Close"),
+])
+def test_load_rejects_two_header_cells_for_one_requested_column(tmp_path, header, feature,
+                                                                 ambiguous):
+    path = write(tmp_path, header + "\n2000-01-03,1.0,2.0,3.0,4.0\n")
+    with pytest.raises(ParseError) as exc:
+        load_csv(path, [feature], "Close")
+    assert exc.value.line == 1
+    assert f"column {ambiguous!r} matches header columns 2 and 4" in str(exc.value)
+
+
+def test_load_allows_a_duplicate_header_that_is_not_requested(tmp_path):
+    path = write(tmp_path, "Date,Volume,Open,Volume,Close\n2000-01-03,1.0,2.0,3.0,4.0\n")
+    np.testing.assert_array_equal(load_csv(path, ["Open"], "Close").rows, [[2.0, 4.0]])
+
+
 def test_load_parse_error_line_number(tmp_path):
     bad = SMALL.replace("26.35,26.80", "not-a-number,26.80")
     with pytest.raises(ParseError) as exc:

@@ -212,6 +212,17 @@ def test_train_config_rejects_a_model_setting_no_model_can_be_built_from(field, 
         setattr(TrainConfig(), field, value)   # nor can a checked config be edited past its checks
 
 
+@pytest.mark.parametrize("field,changes", [
+    ("seed", {"seed": -1}),
+    ("train_range", {"train_range": (-3, 19)}),
+    ("test_range", {"train_range": (10, 19), "test_range": (-3, 5)}),
+])
+def test_train_config_rejects_a_negative_seed_or_row_index(field, changes):
+    with pytest.raises(ConfigError, match="0 <= |>= 0") as info:
+        TrainConfig(**changes)
+    assert info.value.field == field
+
+
 # --------------------------------------------------------- model construction
 
 @pytest.mark.parametrize("model_class,kind", [(TFTModel, "qtft"), (TFTModel, "qtft-qlstm"),
@@ -220,6 +231,18 @@ def test_model_class_rejects_another_model_kind(model_class, kind):
     with pytest.raises(ConfigError, match="model_kind") as info:
         model_class(TrainConfig(model_kind=kind), 5, 1, 1)
     assert info.value.field == "model_kind"
+
+
+@pytest.mark.parametrize("kind", ["tft", "qtft"])
+@pytest.mark.parametrize("counts,name", [((0, 1, 1), "num_past_vars"),
+                                         ((5, 0, 1), "num_future_vars"),
+                                         ((5, 1, 0), "num_static_vars")])
+def test_model_rejects_a_zero_variable_count_before_drawing_weights(kind, counts, name,
+                                                                    monkeypatch):
+    model_class = TFTModel if kind == "tft" else QTFTModel
+    monkeypatch.setattr(model_class, "init_params", lambda *args: pytest.fail("drew weights"))
+    with pytest.raises(ValueError, match=name):
+        model_class(TrainConfig(model_kind=kind), *counts)
 
 
 @pytest.mark.parametrize("kind,count,leaves,digest", [

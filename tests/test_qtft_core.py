@@ -8,8 +8,9 @@ import oracles
 from qtft import grad
 from qtft.forecasting import TrainConfig, build_model
 from qtft.grad import backward, param
-from qtft.quantum_sim import compose, measure_all_z, run_circuit
+from qtft.quantum_sim import ParameterizedCircuit, compose, measure_all_z, run_circuit
 from qtft.qtft_core import (
+    build_ansatz,
     init_qattention,
     init_qglu,
     init_qgrn,
@@ -114,11 +115,12 @@ def test_qgrn_cached_circuits_skip_reencoding(rng):
     out = qgrn(a, None, g)
     a2 = measure_all_z(run_circuit(g.vqc_a.circuit, a, g.vqc_a.weights.value))
     eta1 = np.where(a2 >= 0.0, a2, np.exp(np.minimum(a2, 0.0)) - 1.0)
+    branch = compose(g.vqc_eta2.circuit, build_ansatz(3, 1, "basic"))
     gate_z = measure_all_z(run_circuit(
-        compose(g.vqc_eta2.circuit, g.qglu.branch_gate.ansatz), eta1,
+        branch, eta1,
         np.concatenate([g.vqc_eta2.weights.value, g.qglu.branch_gate.weights.value])))
     lin_z = measure_all_z(run_circuit(
-        compose(g.vqc_eta2.circuit, g.qglu.branch_lin.ansatz), eta1,
+        branch, eta1,
         np.concatenate([g.vqc_eta2.weights.value, g.qglu.branch_lin.weights.value])))
     residual = a + (1 / (1 + np.exp(-gate_z))) * lin_z
     want = (residual - residual.mean()) / np.sqrt(residual.var() + 1e-5)
@@ -140,11 +142,7 @@ def test_qgrn_residual_bound(rng):
     a = rng.uniform(-3, 3, 2)
     a2 = vqc_apply(grad.const(a), p.vqc_a)
     eta1 = grad.elu(a2)
-    gate = grad.quantum_forward(p.gate_circuit, eta1,
-                                grad.concat([p.vqc_eta2.weights, p.qglu.branch_gate.weights]))
-    lin = grad.quantum_forward(p.lin_circuit, eta1,
-                               grad.concat([p.vqc_eta2.weights, p.qglu.branch_lin.weights]))
-    residual = a + (grad.mul(grad.sigmoid(gate), lin)).value
+    residual = a + qglu(eta1, p.qglu, p.vqc_eta2).value
     assert np.all(np.abs(residual) <= np.abs(a).max() + 1 + 1e-12)
 
 
@@ -230,6 +228,16 @@ def test_q_attention_single_head_reduction(rng):
     v = np.stack([vqc_apply(r, p.value_block).value for r in s])
     want = attention(q, k, v, 2.0).value
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_q_attention_averages_the_heads(rng):
+    p = init_qattention(rng, 2, 3, 1, "angle", "basic")
+    s = rng.uniform(-1, 1, (4, 2))
+    v = vqc_apply(s, p.value_block).value
+    heads = [attention(vqc_apply(s, qb).value, vqc_apply(s, kb).value, v, 2.0).value
+             for qb, kb in zip(p.query_blocks, p.key_blocks)]
+    np.testing.assert_allclose(q_interpretable_multi_head(s, p).value,
+                               np.mean(heads, axis=0), atol=1e-12)
 
 
 def test_q_attention_outputs_in_value_hull(rng):
@@ -358,6 +366,26 @@ def test_qtft_param_count_self_consistent():
             from dataclasses import fields
             stack.extend(getattr(obj, f.name) for f in fields(obj))
     assert model.param_count() == total == 506
+
+
+@pytest.mark.parametrize("kind, objects", [("qtft", 76), ("qtft-qlstm", 84)])
+def test_blocks_keep_only_the_circuits_they_run(kind, objects):
+    # one circuit per block; a QGRN gates through its QGLU's branch circuits,
+    # which run after the eta2 block's circuit
+    from dataclasses import fields, is_dataclass
+
+    circuits, stack = {}, [desk_model(kind).params]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, ParameterizedCircuit):
+            circuits[id(obj)] = obj
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif is_dataclass(obj):
+            stack.extend(getattr(obj, f.name) for f in fields(obj))
+    assert len(circuits) == objects
+    # encoding + ansatz and eta2 prefix + ansatz, at 2, 5 and 1 qubits
+    assert len({c.ops for c in circuits.values()}) == 6
 
 
 def test_qtft_qlstm_variant_builds_and_runs(rng):
