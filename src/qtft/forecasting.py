@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -204,19 +205,19 @@ def train(model, samples, cfg: TrainConfig) -> list[float]:
 
     Entry 0 is the loss before any update; entry e is the loss after e
     updates.  The loss graph built for entry e drives the backward pass
-    of the following epoch, so each epoch costs one forward pass.
+    of the following epoch, so each epoch costs one forward pass.  No
+    backward pass reads the last entry's loss, so it is built without a tape.
     """
     if not samples:
         raise ValueError("train needs at least one window")
     leaves = model.leaves()
-    loss = batch_loss_node(model, samples, cfg.quantile)
-    history = [float(loss.value[0])]
-    if not np.isfinite(history[0]):
-        raise TrainingDivergedError(0, history[0])
-    for epoch in range(1, cfg.epochs + 1):
-        grad.backward(loss)
-        grad.sgd_step(leaves, cfg.learning_rate)
-        loss = batch_loss_node(model, samples, cfg.quantile)
+    history = []
+    for epoch in range(cfg.epochs + 1):
+        if epoch:
+            grad.backward(loss)
+            grad.sgd_step(leaves, cfg.learning_rate)
+        with grad.no_tape() if epoch == cfg.epochs else contextlib.nullcontext():
+            loss = batch_loss_node(model, samples, cfg.quantile)
         value = float(loss.value[0])
         if not np.isfinite(value):
             raise TrainingDivergedError(epoch, value)

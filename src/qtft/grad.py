@@ -25,6 +25,7 @@ import math
 import numpy as np
 
 from .quantum_sim import (
+    BindingError,
     CircuitError,
     ParameterizedCircuit,
     all_z_from_amplitudes,
@@ -400,30 +401,68 @@ def shift_rule_jacobians(circuit: ParameterizedCircuit, features, weights):
     return jac[..., :nf, :], jac[..., nf:, :]
 
 
-def quantum_forward(circuit: ParameterizedCircuit, feature_node: Node,
-                    weight_node: Node) -> Node:
-    """Run a circuit inside the graph; value is the per-qubit <Z> vector.
+def quantum_forward(circuits: ParameterizedCircuit | list[ParameterizedCircuit], feature_nodes,
+                    weight_nodes) -> Node | list[Node]:
+    """Run circuits inside the graph; each value is the per-qubit <Z> vector.
+
+    Takes lists of sets: one circuit, feature node and weight node per
+    set, and returns one node per set.  A circuit with one feature node
+    and one weight node is the one-set case and returns its node.  Every
+    row of every set runs in one simulator call: each set's features and
+    its weights, broadcast against them, are flattened and joined, so sets
+    may differ in their leading (window and position) axes.  That call
+    needs one gate list, so circuits whose gate lists differ raise
+    :class:`CircuitError`.
 
     1-D features give one :class:`QuantumNode`.  Features shaped
     (..., T, d) are a sequence of T positions behind any leading batch
-    axes: every row runs in one simulator call, each position becomes its
-    own QuantumNode fed by that position's feature row (weights with a
-    position axis are split the same way), and the result stacks them
-    back to (..., T, n).  Jacobians are computed lazily at backward time,
-    one shift batch per QuantumNode, so forward-only evaluation (e.g.
-    finite-difference probing) never pays for shifts.
+    axes: each position becomes its own QuantumNode fed by that position's
+    feature row (weights with a position axis are split the same way), and
+    the set's node stacks them back to (..., T, n).  Jacobians are
+    computed lazily at backward time, one shift batch per QuantumNode, so
+    forward-only evaluation (e.g. finite-difference probing) never pays for
+    shifts.  Under :func:`no_tape` a set's node is its plain value.
     """
-    feature_node = as_node(feature_node)
-    weight_node = as_node(weight_node)
-    value = measure_all_z(run_circuit(circuit, feature_node.value, weight_node.value))
-    if feature_node.value.ndim < 2:
-        return _quantum_node(circuit, feature_node, weight_node, value)
-    positions = []
-    for t in range(value.shape[-2]):
-        weights_t = weight_node if weight_node.value.ndim < 2 else row(weight_node, t)
-        positions.append(_quantum_node(circuit, row(feature_node, t), weights_t,
-                                       value[..., t, :]))
-    return stack_rows(positions)
+    if isinstance(circuits, ParameterizedCircuit):
+        return quantum_forward([circuits], [feature_nodes], [weight_nodes])[0]
+    circuit = circuits[0]
+    plan = circuit.plan
+    # Equal gate lists share a plan unless the plan cache evicted one between compiles.
+    if any(c.plan is not plan and c != circuit for c in circuits):
+        raise CircuitError("circuits run in one call need equal gate lists")
+    feature_nodes = [as_node(f) for f in feature_nodes]
+    weight_nodes = [as_node(w) for w in weight_nodes]
+    nf, nw = circuit.num_feature_slots, circuit.num_weight_slots
+    leads, bounds = [], [0]
+    for f, w in zip(feature_nodes, weight_nodes):
+        if f.value.shape[-1:] != (nf,) or w.value.shape[-1:] != (nw,):
+            raise BindingError(f"circuit takes {nf} features and {nw} weights, got shapes "
+                               f"{f.value.shape} and {w.value.shape}")
+        lead = f.value.shape[:-1]
+        if w.value.ndim > 1:
+            lead = np.broadcast_shapes(lead, w.value.shape[:-1])
+        leads.append(lead)
+        bounds.append(bounds[-1] + math.prod(lead))
+    features, weights = np.empty((bounds[-1], nf)), np.empty((bounds[-1], nw))
+    for f, w, lead, start, stop in zip(feature_nodes, weight_nodes, leads, bounds, bounds[1:]):
+        features[start:stop].reshape(lead + (nf,))[...] = f.value
+        weights[start:stop].reshape(lead + (nw,))[...] = w.value
+    z = measure_all_z(run_circuit(circuit, features, weights))
+
+    outputs = []
+    for c, f, w, lead, start, stop in zip(circuits, feature_nodes, weight_nodes, leads,
+                                          bounds, bounds[1:]):
+        value = z[start:stop].reshape(lead + z.shape[-1:])
+        if not _taping.get():
+            outputs.append(Node(value))
+        elif f.value.ndim < 2:
+            outputs.append(_quantum_node(c, f, w, value))
+        else:
+            outputs.append(stack_rows([
+                _quantum_node(c, row(f, t), w if w.value.ndim < 2 else row(w, t),
+                              value[..., t, :])
+                for t in range(value.shape[-2])]))
+    return outputs
 
 
 def _quantum_node(circuit: ParameterizedCircuit, feature_node: Node, weight_node: Node,

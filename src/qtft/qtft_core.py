@@ -95,17 +95,26 @@ def init_vqc_block(rng: np.random.Generator, num_qubits: int, num_layers: int,
     return VQCBlockParams(compose(first, anz), weights)
 
 
-def vqc_apply(x, p: VQCBlockParams, prefix: VQCBlockParams | None = None) -> Node:
+def vqc_apply(x, p: VQCBlockParams | list[VQCBlockParams],
+              prefix: VQCBlockParams | list[VQCBlockParams | None] | None = None
+              ) -> Node | list[Node]:
     """Encode x, run the ansatz, measure every qubit with Pauli-Z (per row of a batch).
 
     A block built after ``prefix`` runs with the prefix's angles ahead of its own.
+    A list of blocks of one gate list takes a list of inputs and of prefixes
+    (or None), one per block, runs them all in one simulator call and gives a list.
     """
-    x = as_node(x)
-    n = p.circuit.num_qubits
-    if x.value.shape[-1:] != (n,):
-        raise ValueError(f"block of {n} qubits got input shape {x.value.shape}")
-    weights = p.weights if prefix is None else grad.concat([prefix.weights, p.weights])
-    return quantum_forward(p.circuit, x, weights)
+    if isinstance(p, VQCBlockParams):
+        return vqc_apply([x], [p], [prefix])[0]
+    xs = [as_node(v) for v in x]
+    prefixes = [None] * len(p) if prefix is None else prefix
+    for v, b in zip(xs, p):
+        n = b.circuit.num_qubits
+        if v.value.shape[-1:] != (n,):
+            raise ValueError(f"block of {n} qubits got input shape {v.value.shape}")
+    weights = [b.weights if pre is None else grad.concat([pre.weights, b.weights])
+               for b, pre in zip(p, prefixes)]
+    return quantum_forward([b.circuit for b in p], xs, weights)
 
 
 # --------------------------------------------------------------------------
@@ -126,13 +135,20 @@ def init_qglu(rng, num_qubits: int, num_layers: int, encoding: str = "angle",
     )
 
 
-def qglu(x, p: QGLUParams, prefix: VQCBlockParams | None = None) -> Node:
+def qglu(x, p: QGLUParams | list[QGLUParams],
+         prefix: VQCBlockParams | list[VQCBlockParams | None] | None = None
+         ) -> Node | list[Node]:
     """sigmoid of the gate branch's expectations times the linear branch's.
 
     The input is encoded (or run through ``prefix``) once per branch execution.
+    A list of QGLUs takes a list of inputs and of prefixes (or None) and gives
+    a list; both branches of all of them run in one simulator call.
     """
-    return grad.mul(grad.sigmoid(vqc_apply(x, p.branch_gate, prefix)),
-                    vqc_apply(x, p.branch_lin, prefix))
+    if isinstance(p, QGLUParams):
+        return qglu([x], [p], [prefix])[0]
+    z = vqc_apply(x + x, [q.branch_gate for q in p] + [q.branch_lin for q in p],
+                  None if prefix is None else prefix + prefix)
+    return [grad.mul(grad.sigmoid(gate), lin) for gate, lin in zip(z[:len(p)], z[len(p):])]
 
 
 @dataclass
@@ -153,23 +169,33 @@ def init_qgrn(rng, num_qubits: int, num_layers: int, with_context: bool,
                       init_qglu(rng, num_qubits, num_layers, encoding, ansatz, vqc_eta2))
 
 
-def qgrn(a, c, p: QGRNParams) -> Node:
+def qgrn(a, c, p: QGRNParams | list[QGRNParams]) -> Node | list[Node]:
     """Quantum gated residual network.
 
     a'' and c'' are circuit expectations of the two inputs, eta1 is
     ELU(a'' + c''), and the gated output of the re-encoded eta1 state is
     added back to ``a`` under layer normalization.  When ``c`` is absent
     its branch circuit is skipped entirely.
+
+    A list of QGRNs takes a list of inputs ``a``, one per QGRN, shares the
+    context ``c`` and gives a list.  Each circuit stage of all of them runs
+    in one simulator call: every a'' and c'', then every gate branch.
     """
-    a = as_node(a)
-    a2 = vqc_apply(a, p.vqc_a)
+    if isinstance(p, QGRNParams):
+        return qgrn([a], c, [p])[0]
+    a = [as_node(x) for x in a]
+    blocks, inputs = [q.vqc_a for q in p], list(a)
     if c is not None:
-        if p.vqc_c is None:
+        if any(q.vqc_c is None for q in p):
             raise ValueError("QGRN got a context vector but was built without one")
-        eta1 = grad.elu(grad.add(a2, vqc_apply(c, p.vqc_c)))
-    else:
-        eta1 = grad.elu(a2)
-    return grad.layer_norm(grad.add(a, qglu(eta1, p.qglu, p.vqc_eta2)))
+        c = as_node(c)
+        blocks += [q.vqc_c for q in p]
+        inputs += [c] * len(p)
+    z = vqc_apply(inputs, blocks)
+    k = len(p)
+    eta1 = [grad.elu(z[i] if c is None else grad.add(z[i], z[k + i])) for i in range(k)]
+    gated = qglu(eta1, [q.qglu for q in p], [q.vqc_eta2 for q in p])
+    return [grad.layer_norm(grad.add(x, g)) for x, g in zip(a, gated)]
 
 
 # --------------------------------------------------------------------------
@@ -214,16 +240,17 @@ def q_interpretable_multi_head(s, p: QAttentionParams,
                                mask: np.ndarray | None = None) -> Node:
     """Head-averaged attention over circuit-projected queries, keys and values.
 
-    ``s`` is the (..., T, d) matrix of input rows.  Each circuit runs all
-    T rows in one call; queries and keys get per-head ansaetze while the
-    value ansatz is shared.  There is no final combine matrix.  ``d_attn``
-    equals the qubit count.
+    ``s`` is the (..., T, d) matrix of input rows.  The value, query and
+    key circuits run all T rows in one simulator call; queries and keys
+    get per-head ansaetze while the value ansatz is shared.  There is no
+    final combine matrix.  ``d_attn`` equals the qubit count.
     """
     s = as_node(s)
-    v = vqc_apply(s, p.value_block)
-    return head_average([vqc_apply(s, qb) for qb in p.query_blocks],
-                        [vqc_apply(s, kb) for kb in p.key_blocks],
-                        v, float(p.value_block.circuit.num_qubits), mask)
+    heads = len(p.query_blocks)
+    v, *qk = vqc_apply([s] * (1 + 2 * heads),
+                       [p.value_block, *p.query_blocks, *p.key_blocks])
+    return head_average(qk[:heads], qk[heads:], v, float(p.value_block.circuit.num_qubits),
+                        mask)
 
 
 @dataclass
@@ -243,9 +270,12 @@ def init_qlstm(rng, input_dim: int, hidden: int, num_layers: int,
     return LSTMParams(gate(), gate(), gate(), gate())
 
 
-def qlstm_gate(gp: QLSTMGateParams, xh) -> Node:
-    """The QLSTM's gate map: a circuit block on the projected concat(x, h)."""
-    return vqc_apply(dense(gp.proj, xh), gp.vqc)
+def qlstm_gate(gates: list[QLSTMGateParams], xh) -> list[Node]:
+    """The QLSTM's gate map: each gate's circuit block on its projection of concat(x, h).
+
+    All the gates' circuits run in one simulator call.
+    """
+    return vqc_apply([dense(gp.proj, xh) for gp in gates], [gp.vqc for gp in gates])
 
 
 def qlstm_seq(inputs, h0, c0, p: LSTMParams):

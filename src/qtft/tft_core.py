@@ -112,17 +112,25 @@ def dense(p: DenseParams, x) -> Node:
     return grad.affine(p.W, x, p.b)
 
 
+def dense_gates(ps: list[DenseParams], x) -> list[Node]:
+    """The LSTM's dense gate map: ``dense`` of each gate on ``x``, in order."""
+    return [dense(p, x) for p in ps]
+
+
 def glu(x, p: GLUParams) -> Node:
     """sigmoid(W4 x + b4) * (W5 x + b5) elementwise."""
     x = as_node(x)
     return grad.mul(grad.sigmoid(dense(p.gate, x)), dense(p.lin, x))
 
 
-def grn(a, c, p: GRNParams) -> Node:
+def grn(a, c, p: GRNParams | list[GRNParams]) -> Node | list[Node]:
     """Gated residual network: LayerNorm(a + GLU(W3 ELU(W1 a + W2 c + b12) + b3)).
 
-    The context term is dropped when ``c`` is None.
+    The context term is dropped when ``c`` is None.  A list of GRNs takes
+    a list of inputs ``a``, one per GRN, shares ``c`` and gives a list.
     """
+    if isinstance(p, list):
+        return [grn(x, c, q) for x, q in zip(a, p)]
     a = as_node(a)
     eta1_pre = dense(p.primary, a)
     if c is not None:
@@ -141,7 +149,8 @@ def variable_selection(embeddings, c_s, p: VariableSelectionParams, block=grn):
     Selection weights come from a GRN (width m) over a dense projection of
     the flattened concatenation; the static context, when given, enters
     that GRN, through ``context_proj`` when that is set.  ``block``
-    is the GRN function (the circuit model passes its QGRN).  Returns
+    is the GRN function (the circuit model passes its QGRN); the variable
+    GRNs go to it as one list.  Returns
     ``(selected, weights)``.
 
     A softmax over one variable is exactly 1.0 and ``1.0 * v`` is ``v``,
@@ -160,23 +169,25 @@ def variable_selection(embeddings, c_s, p: VariableSelectionParams, block=grn):
     if c_s is not None and p.context_proj is not None:
         c_s = dense(p.context_proj, c_s)
     weights = softmax(block(dense(p.flatten_proj, flat), c_s, p.weight_grn))
-    processed = [block(e, None, g) for e, g in zip(embeddings, p.var_grns)]
+    processed = block(embeddings, None, p.var_grns)
     return grad.weighted_sum(weights, processed), weights
 
 
-def lstm_step(x, h, c, p: LSTMParams, gate=dense):
-    """One LSTM cell; ``gate(params, concat(x, h))`` is each gate's pre-activation map."""
+def lstm_step(x, h, c, p: LSTMParams, gate=dense_gates):
+    """One LSTM cell.
+
+    ``gate(params, concat(x, h))`` maps the list of the four gates'
+    parameters to their pre-activations.
+    """
     xh = grad.concat([as_node(x), h])
-    i = grad.sigmoid(gate(p.wi, xh))
-    f = grad.sigmoid(gate(p.wf, xh))
-    g = grad.tanh(gate(p.wg, xh))
-    o = grad.sigmoid(gate(p.wo, xh))
+    i, f, g, o = gate([p.wi, p.wf, p.wg, p.wo], xh)
+    i, f, g, o = grad.sigmoid(i), grad.sigmoid(f), grad.tanh(g), grad.sigmoid(o)
     c_new = grad.add(grad.mul(f, c), grad.mul(i, g))
     h_new = grad.mul(o, grad.tanh(c_new))
     return h_new, c_new
 
 
-def lstm_seq(inputs, h0, c0, p: LSTMParams, gate=dense):
+def lstm_seq(inputs, h0, c0, p: LSTMParams, gate=dense_gates):
     """LSTM recursion with gate map ``gate``; returns (hidden outputs, (h_T, c_T))."""
     if not inputs:
         raise ValueError("lstm_seq needs a nonempty input sequence")
@@ -427,7 +438,7 @@ class TFTModel:
             return grad.rows(seq, k, k + tau)
 
         xi_static = self.select(embed(static_vars, p.static_embed), None, p.static_vsn)
-        c_s, c_e, c_c, c_h = [self.grn(xi_static, None, enc) for enc in p.static_encoders]
+        c_s, c_e, c_c, c_h = self.grn([xi_static] * 4, None, p.static_encoders)
 
         past_sel = self.select(embed(past_vars, p.past_embed), c_s, p.past_vsn)
         future_sel = self.select(embed(future_vars, p.future_embed), c_s, p.future_vsn)

@@ -134,7 +134,87 @@ def test_quantum_forward_over_positions_matches_per_row_runs(seed, positions, wi
             np.testing.assert_array_equal(rule_w, jw[..., q].sum(axis=0) if windows else jw[:, q])
 
 
+def _copy(circuit):
+    """An equal circuit that is a distinct object."""
+    return quantum_sim.ParameterizedCircuit(circuit.num_qubits, circuit.ops,
+                                            circuit.num_feature_slots, circuit.num_weight_slots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), sets=st.integers(1, 4),
+       windows=st.lists(st.sampled_from([None, 1, 3]), min_size=4, max_size=4),
+       positions=st.lists(st.integers(1, 4), min_size=4, max_size=4), shared=st.booleans())
+def test_quantum_forward_of_many_sets_matches_each_set_run_alone(seed, sets, windows, positions,
+                                                                  shared):
+    """Sets of one gate list run in one simulator call, and each set gets
+    what it gets alone: its values, one circuit node per position fed by
+    its own row, and that row's parameter-shift Jacobians."""
+    rng = np.random.default_rng(seed)
+    circ, _, _ = oracles.random_circuit(rng, max_qubits=5, max_depth=12)
+    n, nf, nw = circ.num_qubits, circ.num_feature_slots, circ.num_weight_slots
+    tol = 0.0 if n <= 2 else 1e-15
+    circuits = [circ] + [_copy(circ) for _ in range(sets - 1)]
+    if sets > 1:   # the last one compiled apart from the others, as after a cache eviction
+        plan = circ.plan
+        quantum_sim._compiled.cache_clear()
+        assert circuits[-1].plan is not plan
+    leads = [(positions[i],) if windows[i] is None else (windows[i], positions[i])
+             for i in range(sets)]
+    if shared:
+        leads = leads[:1] * sets
+        features = [grad.param(rng.uniform(-1.5, 1.5, leads[0] + (nf,)))] * sets
+    else:
+        features = [grad.param(rng.uniform(-1.5, 1.5, lead + (nf,))) for lead in leads]
+    weights = [grad.param(rng.uniform(-math.pi, math.pi, nw)) for _ in range(sets)]
+
+    calls = []
+    original = grad.run_circuit
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grad, "run_circuit", lambda *args: calls.append(1) or original(*args))
+        outs = grad.quantum_forward(circuits, features, weights)
+        with grad.no_tape():
+            plain = grad.quantum_forward(circuits, features, weights)
+    assert len(calls) == 2 and len(outs) == len(plain) == sets
+
+    for c, f, w, lead, out, value in zip(circuits, features, weights, leads, outs, plain):
+        alone = measure_all_z(original(c, f.value, w.value))
+        assert out.value.shape == lead + (n,)
+        np.testing.assert_allclose(out.value, alone, rtol=0, atol=tol)
+        assert type(value) is grad.Node and value.parents == ()
+        np.testing.assert_array_equal(value.value, out.value)
+        assert len(out.parents) == lead[-1]
+        for t, node in enumerate(out.parents):
+            assert isinstance(node, grad.QuantumNode) and node.circuit is c
+            assert node.weight_parent is w
+            row = f.value[..., t, :]
+            np.testing.assert_array_equal(node.feature_parent.value, row)
+            np.testing.assert_array_equal(node.value, out.value[..., t, :])
+            if not _shiftable(c):
+                continue
+            jf, jw = grad.shift_rule_jacobians(c, row, w.value)
+            for q in range(n):
+                u = np.zeros(node.value.shape)
+                u[..., q] = 1.0
+                rule_f, rule_w = node.backward_rule(u)
+                np.testing.assert_array_equal(rule_f, jf[..., q])
+                np.testing.assert_array_equal(rule_w, jw[..., q].sum(axis=0)
+                                              if len(lead) > 1 else jw[:, q])
+
+    other = quantum_sim.ParameterizedCircuit(n, circ.ops + (quantum_sim.Gate("H", (0,)),),
+                                             nf, nw)
+    with pytest.raises(CircuitError, match="equal gate lists"):
+        grad.quantum_forward([circ, other], features[:1] * 2, weights[:1] * 2)
+
+
 def test_single_window_forward_runs_each_block_circuit_once(monkeypatch):
+    """Every circuit block of a stage whose circuits share a gate list runs in one call.
+
+    Calls per stage of desk qtft, with one call per block circuit (53 in all) first:
+    static VSN 3 -> 2, static encoders 12 -> 2, past VSN (the 5-qubit weight QGRN and
+    5 variable QGRNs) 19 -> 4, future VSN 3 -> 2, the post-LSTM, post-attention and
+    final QGLUs 2 -> 1 each, enrichment 4 -> 2, attention 3 -> 1, positionwise 3 -> 2.
+    The QLSTM adds one call per LSTM step for its four gates (69 -> 22 in all).
+    """
     runs = []
     original = grad.run_circuit
 
@@ -143,11 +223,12 @@ def test_single_window_forward_runs_each_block_circuit_once(monkeypatch):
         return original(circuit, features, weights)
 
     monkeypatch.setattr(grad, "run_circuit", counting)
-    model = forecasting.build_model(TrainConfig(model_kind="qtft"), 5, 1, 1)
     w = random_windows(np.random.default_rng(3), 1)[0]
-    model.predict_nodes(w.static, w.past, w.future_known)
-    # One call per block circuit over all its positions (109 at one call per position).
-    assert len(runs) == len(set(runs)) == 53
+    for kind, calls in (("qtft", 18), ("qtft-qlstm", 22)):
+        runs.clear()
+        model = forecasting.build_model(TrainConfig(model_kind=kind), 5, 1, 1)
+        model.predict_nodes(w.static, w.past, w.future_known)
+        assert len(runs) == calls, kind
 
 
 def test_state_vector_rejects_one_unnormalized_row():

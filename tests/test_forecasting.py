@@ -292,6 +292,34 @@ def test_train_bit_identical_given_seed():
     assert run() == run()
 
 
+@pytest.mark.parametrize("epochs", [0, 1, 3])
+def test_train_builds_the_loss_no_backward_reads_without_a_tape(monkeypatch, epochs):
+    """Each loss but the last drives a backward pass; the last is built untaped."""
+    from qtft import forecasting
+
+    taping = []
+
+    def spy(model, samples, q):
+        node = batch_loss_node(model, samples, q)
+        taping.append(grad._taping.get())
+        assert bool(node.parents) == taping[-1]
+        return node
+
+    monkeypatch.setattr(forecasting, "batch_loss_node", spy)
+    cfg = TrainConfig(epochs=epochs)
+    samples = [sample_of([3.0, 1.0]), sample_of([2.0, 4.0])]
+    history = train(ConstantModel(2, value=0.5), samples, cfg)
+    assert taping == [True] * epochs + [False]
+    monkeypatch.undo()
+    model = ConstantModel(2, value=0.5)
+    taped = [float(batch_loss_node(model, samples, cfg.quantile).value[0])]
+    for _ in range(epochs):
+        grad.backward(batch_loss_node(model, samples, cfg.quantile))
+        grad.sgd_step(model.leaves(), cfg.learning_rate)
+        taped.append(float(batch_loss_node(model, samples, cfg.quantile).value[0]))
+    assert history == taped
+
+
 def test_train_diverged_error_carries_epoch():
     cfg = TrainConfig(epochs=3)
     with pytest.raises(TrainingDivergedError) as exc:

@@ -402,10 +402,10 @@ def test_every_circuit_run_reaches_the_outputs(rng, monkeypatch, use_qlstm):
 
     built = []
 
-    def recording(circuit, features, weights):
-        node = grad.quantum_forward(circuit, features, weights)
-        built.append(node)
-        return node
+    def recording(circuits, features, weights):
+        nodes = grad.quantum_forward(circuits, features, weights)
+        built.extend(nodes)
+        return nodes
 
     monkeypatch.setattr(qtft_core, "quantum_forward", recording)
     model = desk_model("qtft-qlstm" if use_qlstm else "qtft", seed=4)
