@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import itertools
 import math
 
 import numpy as np
 
 from .quantum_sim import (
-    BindingError,
     CircuitError,
     ParameterizedCircuit,
     all_z_from_amplitudes,
@@ -432,22 +432,13 @@ def quantum_forward(circuits: ParameterizedCircuit | list[ParameterizedCircuit],
         raise CircuitError("circuits run in one call need equal gate lists")
     feature_nodes = [as_node(f) for f in feature_nodes]
     weight_nodes = [as_node(w) for w in weight_nodes]
-    nf, nw = circuit.num_feature_slots, circuit.num_weight_slots
-    leads, bounds = [], [0]
-    for f, w in zip(feature_nodes, weight_nodes):
-        if f.value.shape[-1:] != (nf,) or w.value.shape[-1:] != (nw,):
-            raise BindingError(f"circuit takes {nf} features and {nw} weights, got shapes "
-                               f"{f.value.shape} and {w.value.shape}")
-        lead = f.value.shape[:-1]
-        if w.value.ndim > 1:
-            lead = np.broadcast_shapes(lead, w.value.shape[:-1])
-        leads.append(lead)
-        bounds.append(bounds[-1] + math.prod(lead))
-    features, weights = np.empty((bounds[-1], nf)), np.empty((bounds[-1], nw))
-    for f, w, lead, start, stop in zip(feature_nodes, weight_nodes, leads, bounds, bounds[1:]):
-        features[start:stop].reshape(lead + (nf,))[...] = f.value
-        weights[start:stop].reshape(lead + (nw,))[...] = w.value
-    z = measure_all_z(run_circuit(circuit, features, weights))
+    sets = [plan.slot_values(f.value, w.value) for f, w in zip(feature_nodes, weight_nodes)]
+    leads = [v.shape[:-1] for v in sets]
+    sizes = [math.prod(lead) for lead in leads]
+    bounds = list(itertools.accumulate(sizes, initial=0))
+    values = np.concatenate([v.reshape(m, v.shape[-1]) for v, m in zip(sets, sizes)])
+    nf = circuit.num_feature_slots
+    z = measure_all_z(run_circuit(circuit, values[:, :nf], values[:, nf:]))
 
     outputs = []
     for c, f, w, lead, start, stop in zip(circuits, feature_nodes, weight_nodes, leads,

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qtft import data_io, forecasting, grad, quantum_sim
+from qtft import data_io, forecasting, grad, qtft_core, quantum_sim
 from qtft.forecasting import TrainConfig, WindowedSample
 from qtft.quantum_sim import (
     CircuitError,
@@ -214,21 +214,37 @@ def test_single_window_forward_runs_each_block_circuit_once(monkeypatch):
     5 variable QGRNs) 19 -> 4, future VSN 3 -> 2, the post-LSTM, post-attention and
     final QGLUs 2 -> 1 each, enrichment 4 -> 2, attention 3 -> 1, positionwise 3 -> 2.
     The QLSTM adds one call per LSTM step for its four gates (69 -> 22 in all).
+    Every block circuit runs in exactly one call, a QLSTM gate circuit in one per step.
     """
-    runs = []
-    original = grad.run_circuit
+    runs, sets = [], []
+    original_run, original_forward = grad.run_circuit, qtft_core.quantum_forward
 
     def counting(circuit, features, weights):
         runs.append(id(circuit))
-        return original(circuit, features, weights)
+        return original_run(circuit, features, weights)
+
+    def recording(circuits, features, weights):
+        sets.append([id(c) for c in circuits])
+        return original_forward(circuits, features, weights)
 
     monkeypatch.setattr(grad, "run_circuit", counting)
+    monkeypatch.setattr(qtft_core, "quantum_forward", recording)
     w = random_windows(np.random.default_rng(3), 1)[0]
     for kind, calls in (("qtft", 18), ("qtft-qlstm", 22)):
         runs.clear()
+        sets.clear()
         model = forecasting.build_model(TrainConfig(model_kind=kind), 5, 1, 1)
         model.predict_nodes(w.static, w.past, w.future_known)
-        assert len(runs) == calls, kind
+        assert len(runs) == len(sets) == calls, kind
+        assert runs == [ids[0] for ids in sets]
+        p = model.params
+        steps = {id(g.vqc.circuit): len(x) for lstm, x in ((p.encoder_lstm, w.past),
+                                                            (p.decoder_lstm, w.future_known))
+                 for g in (lstm.wi, lstm.wf, lstm.wg, lstm.wo) if kind == "qtft-qlstm"}
+        seen = [i for ids in sets for i in ids]
+        assert {i: seen.count(i) for i in seen} == {i: steps.get(i, 1) for i in seen}, kind
+        if kind == "qtft":
+            assert len(runs) == len(set(runs))
 
 
 def test_state_vector_rejects_one_unnormalized_row():
