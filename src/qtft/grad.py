@@ -64,7 +64,10 @@ class Node:
     """A value in the computation graph plus its gradient accumulator.
 
     ``backward_rule(upstream)`` returns one gradient contribution per
-    parent (or None for a parent that receives nothing).
+    parent (or None for a parent that receives nothing), each a float
+    array of exactly that parent's shape.  A contribution may be the
+    upstream array itself or a view of it, so a ``grad`` may be the same
+    array as another node's ``grad``: treat every ``grad`` as read-only.
     """
 
     __slots__ = ("value", "grad", "parents", "backward_rule")
@@ -117,8 +120,12 @@ def as_node(x) -> Node:
 def backward(loss: Node) -> None:
     """Populate ``grad`` on every node reachable from a scalar loss.
 
-    Gradients accumulate additively across fan-out.  Raises if the loss
-    is not a single scalar.
+    Gradients accumulate additively across fan-out: a parent's first
+    contribution becomes its ``grad`` as it is (backward rules return
+    contributions in their parents' shapes), and each later one is added
+    into a new array.  A ``grad`` may therefore be shared with other
+    nodes and must be treated as read-only.  Raises if the loss is not a
+    single scalar.
     """
     if loss.value.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.value.shape}")
@@ -148,9 +155,7 @@ def backward(loss: Node) -> None:
         for parent, contrib in zip(node.parents, contribs):
             if contrib is None:
                 continue
-            if parent.grad is None:
-                parent.grad = np.zeros_like(parent.value)
-            parent.grad = parent.grad + contrib
+            parent.grad = contrib if parent.grad is None else parent.grad + contrib
 
 
 def sgd_step(params, lr: float) -> None:

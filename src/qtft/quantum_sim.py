@@ -30,7 +30,7 @@ of shape (..., num_feature_slots) give states of shape (..., 2**n) and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
 
 import numpy as np
@@ -55,14 +55,14 @@ WEIGHT = "weight"
 # Angle sources
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiteralAngle:
     """A fixed angle, independent of any slot."""
 
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SlotAngle:
     """Angle proportional to one slot value: ``angle = coeff * s``."""
 
@@ -71,7 +71,7 @@ class SlotAngle:
     coeff: float = 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairInteractionAngle:
     """Pairwise interaction angle ``2 * (pi - s_i) * (pi - s_j)``."""
 
@@ -95,17 +95,20 @@ def _slots_of(source) -> tuple[tuple[str, int], ...]:
 # Gates and circuits
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """One gate: a kind, its target qubits and (if parametric) an angle source.
 
     ``targets`` is ``(qubit,)`` for single-qubit gates and
-    ``(control, target)`` for CNOT / CRZ.
+    ``(control, target)`` for CNOT / CRZ.  ``_key`` holds the same fields
+    as plain tuples, the angle source as its class and field values, for
+    :class:`ParameterizedCircuit`'s equality and hash.
     """
 
     kind: str
     targets: tuple[int, ...]
     angle: AngleSource | None = None
+    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
@@ -117,11 +120,20 @@ class Gate:
             raise CircuitError(f"{self.kind} control and target must differ: {self.targets}")
         if (self.kind in PARAMETRIC_KINDS) != (self.angle is not None):
             raise CircuitError(f"{self.kind} angle source mismatch")
+        a = self.angle
+        angle = None if a is None else (type(a), *map(a.__getattribute__, a.__slots__))
+        object.__setattr__(self, "_key", (self.kind, self.targets, angle))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParameterizedCircuit:
-    """Immutable ordered gate list with feature and weight slots."""
+    """Immutable ordered gate list with feature and weight slots.
+
+    Equality and hashing compare a plain tuple of the fields and of every
+    gate's fields, built when the circuit is made, so finding its plan in
+    the shared cache costs one tuple hash and, against an equal circuit,
+    one tuple comparison.
+    """
 
     num_qubits: int
     ops: tuple[Gate, ...]
@@ -141,6 +153,16 @@ class ParameterizedCircuit:
                     count = self.num_feature_slots if kind == FEATURE else self.num_weight_slots
                     if not 0 <= idx < count:
                         raise CircuitError(f"gate {g.kind} references {kind} slot {idx} of {count}")
+        object.__setattr__(self, "_key", (self.num_qubits, self.num_feature_slots,
+                                          self.num_weight_slots, tuple(g._key for g in self.ops)))
+
+    def __eq__(self, other):
+        if not isinstance(other, ParameterizedCircuit):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     @property
     def num_gates(self) -> int:
@@ -164,19 +186,17 @@ def compose(first: ParameterizedCircuit, second: ParameterizedCircuit) -> Parame
         raise CircuitError("composed circuits must share num_qubits")
     df, dw = first.num_feature_slots, first.num_weight_slots
 
-    def shift(src):
+    def shift(g):
+        src, off = g.angle, 0
+        if isinstance(src, (SlotAngle, PairInteractionAngle)):
+            off = df if src.kind == FEATURE else dw
+        if not off:
+            return g   # gates are immutable, so one that needs no offset is shared
         if isinstance(src, SlotAngle):
-            off = df if src.kind == FEATURE else dw
-            return SlotAngle(src.kind, src.index + off, src.coeff)
-        if isinstance(src, PairInteractionAngle):
-            off = df if src.kind == FEATURE else dw
-            return PairInteractionAngle(src.kind, src.i + off, src.j + off)
-        return src
+            return Gate(g.kind, g.targets, SlotAngle(src.kind, src.index + off, src.coeff))
+        return Gate(g.kind, g.targets, PairInteractionAngle(src.kind, src.i + off, src.j + off))
 
-    shifted = tuple(
-        Gate(g.kind, g.targets, shift(g.angle) if g.angle is not None else None)
-        for g in second.ops
-    )
+    shifted = tuple(shift(g) for g in second.ops)
     return ParameterizedCircuit(
         num_qubits=first.num_qubits,
         ops=first.ops + shifted,
@@ -391,17 +411,23 @@ class CircuitPlan:
         """(B, 2**n) amplitudes for a (B, num_gates) array of angles.
 
         The circuit acts on |0...0>, or on ``start`` (a (B, 2**n) array).
-        Rows run in chunks whose gate coefficients fit in ``COEFF_BYTES``.
         """
-        batch, dim, chunk = angle_rows.shape[0], self.loc.size, self.chunk_rows
-        if batch > chunk:
-            return np.concatenate([
-                self.run(angle_rows[i:i + chunk], None if start is None else start[i:i + chunk])
-                for i in range(0, batch, chunk)])
         phi = angle_rows.take(self.par_gates, axis=1).T * self.trig_scale[:, None]
-        trig = np.ones((len(self.flips), 1, batch, 3))
+        trig = np.ones((len(self.flips), 1, angle_rows.shape[0], 3))
         trig[self.par_steps, 0, :, 0] = np.cos(phi)
         trig[self.par_steps, 0, :, 1] = np.sin(phi)
+        return self._steps(trig, start)
+
+    def _steps(self, trig: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
+        """(B, 2**n) amplitudes from (steps, 1, B, 3) ``(cos t, sin t, 1)`` triples.
+
+        Rows run in chunks whose gate coefficients fit in ``COEFF_BYTES``.
+        """
+        batch, dim, chunk = trig.shape[2], self.loc.size, self.chunk_rows
+        if batch > chunk:
+            return np.concatenate([
+                self._steps(trig[:, :, i:i + chunk], None if start is None else start[i:i + chunk])
+                for i in range(0, batch, chunk)])
         # a[k] and b[k] are contiguous (batch, dim) arrays, which the updates run fastest on.
         a, b = (trig @ self.recipe).view(complex).swapaxes(0, 1)
         if start is None:
@@ -417,52 +443,74 @@ class CircuitPlan:
         return st.take(self.loc, axis=1)
 
     def run_shifts(self, angle_rows: np.ndarray) -> np.ndarray:
-        """:meth:`run` of parameter-shift rows, bit for bit, sharing their unshifted prefix.
+        """:meth:`run` of parameter-shift rows, bit for bit, with trig per distinct angle.
 
         ``angle_rows`` holds, for each of B bindings, two rows per gate of
         ``shift_gates``: the binding's angles with that gate's angle shifted
         up, then down.  Rows of one binding must agree wherever they are not
-        shifted.
+        shifted, so only B P + 2 B G of their angles are distinct (P
+        parametric gates, G shift gates), and cos and sin are taken of
+        those alone.
 
-        The two rows of gate g equal their binding's unshifted row at every
-        step before g.  So one carrier row per binding runs the unshifted
-        circuit; at g's step, g's pair leaves the carrier's state before
-        that step through the shifted coefficients, and from then on every
-        live row advances with its binding's unshifted coefficients.  Every
-        shifted row goes through the same elementwise operations on the
-        same coefficient values as in :meth:`run`, but the steps before its
-        gate are shared, and coefficients are built for B rows plus two per
+        Above ``PREFIX_SWEEP_AMPLITUDES`` amplitudes per step the rows also
+        share their unshifted prefix (:meth:`_prefix_sweep`).  The two rows
+        of gate g equal their binding's unshifted row at every step before
+        g.  So one carrier row per binding runs the unshifted circuit; at
+        g's step, g's pair leaves the carrier's state before that step
+        through the shifted coefficients, and from then on every live row
+        advances with its binding's unshifted coefficients.  Every shifted
+        row goes through the same elementwise operations on the same
+        coefficient values as in :meth:`run`, but the steps before its gate
+        are shared, and coefficients are built for B rows plus two per
         shifted gate, not for 2 B G rows.  Bindings run in chunks whose
-        coefficients, summed over all steps, fit in ``COEFF_BYTES``; that sum
-        also exceeds the bytes of state rows the sweep holds at once.
+        coefficients, summed over all steps, fit in ``COEFF_BYTES``; that
+        sum also exceeds the bytes of state rows the sweep holds at once.
 
-        Below ``PREFIX_SWEEP_AMPLITUDES`` amplitudes per step the sweep's
-        extra numpy calls cost more than the row-steps it saves, and the
-        rows run through :meth:`run` instead.
+        Below that size the sweep's extra numpy calls cost more than the
+        row-steps it saves, and every row runs through :meth:`run`'s steps.
         """
         g = self.shift_gates.size
         if not g or angle_rows.shape[0] % (2 * g):
             raise BindingError("parameter-shift rows need shift gates, and two rows per "
                                "shift gate and binding")
-        if angle_rows.shape[0] * self.loc.size < PREFIX_SWEEP_AMPLITUDES:
-            return self.run(angle_rows)
         rows = angle_rows.reshape(-1, g, 2, angle_rows.shape[1])
+        if angle_rows.shape[0] * self.loc.size < PREFIX_SWEEP_AMPLITUDES:
+            phi, shifted = self._shift_phases(rows)
+            # Every row takes its binding's unshifted triples, then its own at its gate's step.
+            trig = np.ones((len(self.flips), rows.shape[0], g, 2, 3))
+            trig[self.par_steps, ..., 0] = np.cos(phi)[:, :, None, None]
+            trig[self.par_steps, ..., 1] = np.sin(phi)[:, :, None, None]
+            spawn = self.par_steps[self.shift_pos]
+            trig[spawn, :, np.arange(g), :, 0] = np.cos(shifted)
+            trig[spawn, :, np.arange(g), :, 1] = np.sin(shifted)
+            return self._steps(trig.reshape(len(self.flips), 1, -1, 3))
         chunk = max(1, COEFF_BYTES // ((len(self.flips) + 2 * g) * self.recipe[0, :, 0].nbytes))
         sweeps = [self._prefix_sweep(rows[i:i + chunk]) for i in range(0, rows.shape[0], chunk)]
         return sweeps[0] if len(sweeps) == 1 else np.concatenate(sweeps)
 
-    def _prefix_sweep(self, rows: np.ndarray) -> np.ndarray:
-        """The sweep of :meth:`run_shifts` over (B, G, 2, num_gates) shifted rows."""
-        gates, pos = self.shift_gates, self.shift_pos
-        batch, g, dim = rows.shape[0], gates.size, self.loc.size
+    def _shift_phases(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The phases ``t`` of (B, G, 2, num_gates) shift rows, each distinct angle once.
+
+        Returns the (P, B) unshifted phases of the parametric gates, per
+        binding, and the (G, B, 2) shifted phases of each shift gate, up
+        then down.
+        """
+        gates = self.shift_gates
+        g = gates.size
         base = rows[:, 0, 0]   # the unshifted angles: any row's at every gate but its own
         if g > 1:
             base = base.copy()
             base[:, gates] = rows[:, np.arange(1, g + 1) % g, 0, gates]
         phi = base.take(self.par_gates, axis=1).T * self.trig_scale[:, None]
-        shifted = rows[:, np.arange(g), :, gates].swapaxes(1, 2).reshape(g, 2 * batch)
-        shifted = shifted * self.trig_scale[pos][:, None]
-        spawn = self.par_steps[pos]
+        shifted = rows[:, np.arange(g), :, gates] * self.trig_scale[self.shift_pos][:, None, None]
+        return phi, shifted
+
+    def _prefix_sweep(self, rows: np.ndarray) -> np.ndarray:
+        """The sweep of :meth:`run_shifts` over (B, G, 2, num_gates) shifted rows."""
+        batch, g, dim = rows.shape[0], self.shift_gates.size, self.loc.size
+        phi, shifted = self._shift_phases(rows)
+        shifted = shifted.swapaxes(1, 2).reshape(g, 2 * batch)
+        spawn = self.par_steps[self.shift_pos]
         # Per step, the (cos, sin, 1) triples of the B unshifted rows, then of
         # the 2 B rows shifted at that step (if any).
         trig = np.ones((len(self.flips), 3 * batch, 3))

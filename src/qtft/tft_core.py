@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -344,6 +345,31 @@ def named_leaves(obj, prefix: str = "") -> list[tuple[str, Node]]:
     return out
 
 
+def leaves(obj) -> list[Node]:
+    """The leaf nodes of a parameter tree in :func:`named_leaves` order, without names."""
+    from .quantum_sim import ParameterizedCircuit
+
+    out: list[Node] = []
+
+    def walk(o):
+        if isinstance(o, Node):
+            out.append(o)
+        elif isinstance(o, (list, tuple)):
+            for item in o:
+                walk(item)
+        elif hasattr(o, "__dataclass_fields__") and not isinstance(o, ParameterizedCircuit):
+            for name in _field_names(type(o)):
+                walk(getattr(o, name))
+
+    walk(obj)
+    return out
+
+
+@cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
 class TFTModel:
     """Classical model: parameters plus the windowed forward pass.
 
@@ -466,7 +492,7 @@ class TFTModel:
         return named_leaves(self.params)
 
     def leaves(self) -> list[Node]:
-        return [node for _, node in self.named_leaves()]
+        return leaves(self.params)
 
     def param_count(self) -> int:
         return sum(node.value.size for node in self.leaves())

@@ -257,6 +257,8 @@ def test_build_model_keeps_param_counts_and_leaf_names(kind, count, leaves, dige
     assert model.kind == kind
     names = [name for name, _ in model.named_leaves()]
     assert (model.param_count(), len(names)) == (count, leaves)
+    # leaves() walks the tree without names, in the same order: the draw and update order.
+    assert list(map(id, model.leaves())) == [id(node) for _, node in model.named_leaves()]
     assert hashlib.sha256("\n".join(names).encode()).hexdigest()[:16] == digest
     assert [n for n in names if n.startswith("heads.")] == ["heads.0.W", "heads.0.b"]
 

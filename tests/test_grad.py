@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from qtft import grad
+from qtft import data_io, forecasting, grad
 from qtft.quantum_sim import (
     WEIGHT,
     CircuitError,
@@ -163,6 +165,116 @@ def test_pinball_gradient(rng):
 
     fd = oracles.central_difference(f, p0)
     assert oracles.grads_close(p.grad, fd)
+
+
+# ------------------------------------------------------ gradient accumulation
+
+def _reached(*outputs):
+    """Every node reachable from the outputs, each once."""
+    seen, stack = {}, list(outputs)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.parents)
+    return list(seen.values())
+
+
+def _graphs_of_every_op(rng, lead):
+    """One output node per op, with operands batched over ``lead`` or unbatched."""
+    def leaf(*shape):
+        return param(rng.uniform(-1, 1, shape))
+
+    x, y, v = leaf(*lead, 3), leaf(*lead, 3), leaf(3)
+    m, mt = leaf(*lead, 2, 3), leaf(3, 4)
+    circ = compose(angle_embedding(2), basic_entangler_layers(2, 1))
+    return [
+        grad.add(x, v), grad.add(v, x), grad.mul(x, v), grad.mul(v, y), grad.scale(x, -2.0),
+        grad.matvec(leaf(2, 3), x), grad.affine(leaf(2, 3), x, leaf(2)),
+        grad.matmul(m, mt), grad.matmul(leaf(4, 2), m), grad.matmul(m, leaf(*lead, 3, 2)),
+        grad.transpose(m), grad.concat([x, y]),
+        grad.concat([m, leaf(*lead, 1, 3)], axis=-2), grad.stack_rows([x, y]),
+        grad.row(m, 1), grad.rows(m, 0, 1), grad.reshape(m, lead + (6,)),
+        grad.weighted_sum(grad.softmax(leaf(*lead, 2)), [x, v]),
+        grad.elu(x), grad.sigmoid(x), grad.tanh(x), grad.softmax(x), grad.layer_norm(x),
+        grad.mean_all(m), grad.pinball(rng.uniform(-1, 1, lead + (3,)), v, 0.3),
+        grad.pinball(rng.uniform(-1, 1, 3), x, 0.7),
+        quantum_forward(circ, leaf(*lead, 2), leaf(2)),
+        quantum_forward(circ, leaf(*lead, 3, 2), leaf(3, 2)),
+    ]
+
+
+@settings(max_examples=25, deadline=None)
+@given(lead=st.sampled_from([(), (1,), (3,), (2, 3)]), seed=st.integers(0, 2 ** 32 - 1))
+def test_every_rule_returns_contributions_in_its_parents_shapes(lead, seed):
+    """``backward`` stores a first contribution as the parent's ``grad``, so
+    every rule must return a float64 array of exactly its parent's shape."""
+    rng = np.random.default_rng(seed)
+    outputs = _graphs_of_every_op(rng, lead)
+    nodes = [n for n in _reached(*outputs) if n.backward_rule is not None]
+    feature_ranks = {n.feature_parent.value.ndim for n in nodes if isinstance(n, grad.QuantumNode)}
+    assert feature_ranks == ({len(lead), len(lead) + 1} if lead else {1})
+    for node in nodes:
+        contribs = node.backward_rule(rng.uniform(-1, 1, node.value.shape))
+        assert len(contribs) == len(node.parents)
+        for parent, contrib in zip(node.parents, contribs):
+            if contrib is not None:
+                assert isinstance(contrib, np.ndarray) and contrib.dtype == np.float64
+                assert contrib.shape == parent.value.shape, (node, parent)
+
+
+def _assert_backward_matches_zero_filling(loss):
+    want = oracles.zero_filling_backward(loss)
+    backward(loss)
+    assert len(want) == sum(n.grad is not None for n in _reached(loss))
+    for node, ref in want:
+        got = node.grad
+        assert got.shape == ref.shape == node.value.shape and got.dtype == ref.dtype
+        # Bit for bit, except that a zero may lose its sign: 0 + (-0) is +0.
+        assert (got + 0.0).tobytes() == (ref + 0.0).tobytes()
+
+
+def _random_fan_out_graph(rng, batch):
+    """A loss over random ops whose operands are drawn from every earlier node.
+
+    Nodes are unbatched or batched vectors of length 3; rule outputs include
+    views of the upstream gradient (``concat``, ``stack_rows``, ``reshape``).
+    """
+    nodes = [param(rng.uniform(-1, 1, 3)), param(rng.uniform(-1, 1, 3)),
+             grad.const(rng.uniform(-1, 1, batch + (3,)))]
+    w, w2, w6 = (param(rng.uniform(-1, 1, shape)) for shape in [(3, 3), (2, 3), (3, 6)])
+    ops = [
+        grad.add, grad.mul, lambda a, b: grad.scale(a, -0.5), lambda a, b: grad.tanh(a),
+        lambda a, b: grad.elu(a), lambda a, b: grad.layer_norm(a),
+        lambda a, b: grad.matvec(w, a),
+        lambda a, b: grad.weighted_sum(grad.softmax(grad.matvec(w2, a)), [a, b]),
+        lambda a, b: grad.matvec(w6, grad.concat([a, grad.sigmoid(a)])),
+        lambda a, b: grad.row(grad.stack_rows([a, grad.tanh(a)]), 1),
+        lambda a, b: grad.reshape(grad.rows(grad.stack_rows([grad.elu(a), a]), 1, 2),
+                                  a.value.shape),
+    ]
+    for _ in range(int(rng.integers(3, 25))):
+        a, b = (nodes[i] for i in rng.integers(len(nodes), size=2))
+        nodes.append(ops[int(rng.integers(len(ops)))](a, b))
+    return grad.pinball(rng.uniform(-1, 1, 3), grad.add(nodes[-1], nodes[-2]), 0.4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=st.sampled_from([(), (2,), (2, 3)]), seed=st.integers(0, 2 ** 32 - 1))
+def test_backward_matches_a_zero_filling_reference_on_fan_out_graphs(batch, seed):
+    _assert_backward_matches_zero_filling(_random_fan_out_graph(np.random.default_rng(seed),
+                                                                batch))
+
+
+@pytest.mark.parametrize("kind", ["tft", "qtft", "qtft-qlstm"])
+def test_backward_matches_a_zero_filling_reference_on_the_desk_graphs(kind, axis_csv):
+    cfg = forecasting.TrainConfig(model_kind=kind)
+    table = data_io.load_csv(axis_csv, ["Open", "High", "Low", "Last"], "Close")
+    train_w, _ = forecasting.build_stock_windows(table.rows, table.column_index("Close"), cfg)
+    model = forecasting.build_model(cfg, train_w[0].past.shape[1],
+                                    train_w[0].future_known.shape[1], train_w[0].static.shape[0])
+    _assert_backward_matches_zero_filling(forecasting.batch_loss_node(model, train_w,
+                                                                      cfg.quantile))
 
 
 # ------------------------------------------------------------ parameter shift

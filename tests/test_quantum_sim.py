@@ -430,6 +430,33 @@ def test_plan_is_built_once_per_circuit():
     assert other != circ and other.plan is not plan
 
 
+def test_circuits_are_equal_exactly_when_every_field_of_every_gate_is():
+    def circuit(*ops, qubits=2, features=1, weights=1):
+        return ParameterizedCircuit(qubits, ops, num_feature_slots=features,
+                                    num_weight_slots=weights)
+
+    base = (Gate("H", (0,)), Gate("RX", (1,), SlotAngle(FEATURE, 0, 2.0)),
+            Gate("CNOT", (0, 1)), Gate("RZ", (0,), LiteralAngle(0.5)))
+    circ = circuit(*base)
+    assert circ == circuit(*list(base)) and hash(circ) == hash(circuit(*base))
+    assert circ != base
+    others = [
+        circuit(*base, qubits=3), circuit(*base, features=2), circuit(*base, weights=2),
+        circuit(*base[:3]), circuit(*base[::-1]),
+        circuit(Gate("H", (1,)), *base[1:]),
+        circuit(base[0], Gate("RY", (1,), SlotAngle(FEATURE, 0, 2.0)), *base[2:]),
+        circuit(base[0], Gate("RX", (1,), SlotAngle(FEATURE, 0, 1.0)), *base[2:]),
+        circuit(base[0], Gate("RX", (1,), SlotAngle(WEIGHT, 0, 2.0)), *base[2:]),
+        circuit(*base[:3], Gate("RZ", (0,), LiteralAngle(0.25))),
+        circuit(*base[:3], Gate("RZ", (0,), SlotAngle(WEIGHT, 0, 0.5))),
+        circuit(*base[:3], Gate("RZ", (0,), PairInteractionAngle(FEATURE, 0, 0)),
+                features=1),
+    ]
+    for other in others:
+        assert other != circ and circ != other
+    assert len({circ, *others}) == len(others) + 1
+
+
 # ------------------------------------------------------- parameter-shift sweeps
 
 def shifted_rows(angles, gates):
