@@ -244,12 +244,11 @@ def concat(nodes, axis: int = -1) -> Node:
     ``axis=-2`` joins sequences of positions; every other axis must agree.
     """
     nodes = [as_node(x) for x in nodes]
-    offsets = np.cumsum([0] + [n.value.shape[axis] for n in nodes])
-    after = (slice(None),) * (-1 - axis)
 
     def rule(u):
-        return tuple(u[(..., slice(offsets[i], offsets[i + 1])) + after]
-                     for i in range(len(nodes)))
+        after = (slice(None),) * (-1 - axis)
+        bounds = list(itertools.accumulate((n.value.shape[axis] for n in nodes), initial=0))
+        return tuple(u[(..., slice(a, b)) + after] for a, b in zip(bounds, bounds[1:]))
 
     return Node(np.concatenate([n.value for n in nodes], axis=axis), tuple(nodes), rule)
 
@@ -307,10 +306,10 @@ def weighted_sum(weights: Node, vectors) -> Node:
 def elu(x: Node) -> Node:
     """ELU with alpha = 1."""
     x = as_node(x)
+    linear = x.value >= 0.0
     ex = np.exp(np.minimum(x.value, 0.0))
-    value = np.where(x.value >= 0.0, x.value, ex - 1.0)
-    deriv = np.where(x.value >= 0.0, 1.0, ex)
-    return Node(value, (x,), lambda u: (u * deriv,))
+    return Node(np.where(linear, x.value, ex - 1.0), (x,),
+                lambda u: (u * np.where(linear, 1.0, ex),))
 
 
 def sigmoid(x: Node) -> Node:
@@ -362,10 +361,10 @@ def pinball(targets, predictions: Node, q: float) -> Node:
     e = y - predictions.value
     value = np.maximum((q - 1.0) * e, q * e)
     m = e.size
-    # subgradient: d max / d e, the e >= 0 branch at the kink
-    coeff = np.where(e > 0.0, q, q - 1.0)
 
     def rule(u):
+        # subgradient: d max / d e, the (q - 1) e branch at the kink e = 0
+        coeff = np.where(e > 0.0, q, q - 1.0)
         return (_unbroadcast((-coeff) * (u[0] / m), predictions.value.shape),)
 
     return Node(np.array([value.mean()]), (predictions,), rule)
@@ -399,8 +398,11 @@ def shift_rule_jacobians(circuit: ParameterizedCircuit, features, weights):
         rows.reshape(batch, g, 2, -1)[:, np.arange(g), :, gates] += _SHIFTS
         z = all_z_from_amplitudes(run_bound_batch(circuit, rows, shifted=True), n)
         diff = (z[0::2] - z[1::2]).reshape(batch, g, n)
-        np.add.at(jac, (slice(None), plan.part_slot),
-                  (plan.angle_partials(values) * 0.5)[:, :, None] * diff[:, plan.part_row])
+        parts = (plan.angle_partials(values) * 0.5)[:, :, None] * diff[:, plan.part_row]
+        if plan.shared_slots:
+            np.add.at(jac, (slice(None), plan.part_slot), parts)
+        else:   # + 0.0 turns -0.0 into +0.0, as adding into the zeros does
+            jac[:, plan.part_slot] = parts + 0.0
     jac = jac.reshape(lead + jac.shape[1:])
     nf = circuit.num_feature_slots
     return jac[..., :nf, :], jac[..., nf:, :]
@@ -413,11 +415,12 @@ def quantum_forward(circuits: ParameterizedCircuit | list[ParameterizedCircuit],
     Takes lists of sets: one circuit, feature node and weight node per
     set, and returns one node per set.  A circuit with one feature node
     and one weight node is the one-set case and returns its node.  Every
-    row of every set runs in one simulator call: each set's features and
-    its weights, broadcast against them, are flattened and joined, so sets
-    may differ in their leading (window and position) axes.  That call
-    needs one gate list, so circuits whose gate lists differ raise
-    :class:`CircuitError`.
+    row of every set runs in one simulator call: one
+    :meth:`~qtft.quantum_sim.CircuitPlan.bind_sets` call writes each set's
+    features and its weights, broadcast against them, into one array of
+    slot rows, so sets may differ in their leading (window and position)
+    axes.  That call needs one gate list, so circuits whose gate lists
+    differ raise :class:`CircuitError`.
 
     1-D features give one :class:`QuantumNode`.  Features shaped
     (..., T, d) are a sequence of T positions behind any leading batch
@@ -437,19 +440,17 @@ def quantum_forward(circuits: ParameterizedCircuit | list[ParameterizedCircuit],
         raise CircuitError("circuits run in one call need equal gate lists")
     feature_nodes = [as_node(f) for f in feature_nodes]
     weight_nodes = [as_node(w) for w in weight_nodes]
-    sets = [plan.slot_values(f.value, w.value) for f, w in zip(feature_nodes, weight_nodes)]
-    leads = [v.shape[:-1] for v in sets]
-    sizes = [math.prod(lead) for lead in leads]
-    bounds = list(itertools.accumulate(sizes, initial=0))
-    values = np.concatenate([v.reshape(m, v.shape[-1]) for v, m in zip(sets, sizes)])
+    values, leads = plan.bind_sets([f.value for f in feature_nodes],
+                                   [w.value for w in weight_nodes])
+    bounds = list(itertools.accumulate(map(math.prod, leads), initial=0))
     nf = circuit.num_feature_slots
     z = measure_all_z(run_circuit(circuit, values[:, :nf], values[:, nf:]))
 
-    outputs = []
+    outputs, taping = [], _taping.get()
     for c, f, w, lead, start, stop in zip(circuits, feature_nodes, weight_nodes, leads,
                                           bounds, bounds[1:]):
         value = z[start:stop].reshape(lead + z.shape[-1:])
-        if not _taping.get():
+        if not taping:
             outputs.append(Node(value))
         elif f.value.ndim < 2:
             outputs.append(_quantum_node(c, f, w, value))

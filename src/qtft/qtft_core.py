@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -69,6 +70,9 @@ class VQCBlockParams:
     weights: Node
 
 
+# Circuits are immutable, so each distinct encoding and ansatz is built once and
+# shared by every block composed from it; each block still gets its own composed circuit.
+@lru_cache(maxsize=32)
 def build_encoding(num_qubits: int, kind: str) -> ParameterizedCircuit:
     if kind == "angle":
         return angle_embedding(num_qubits, "RX")
@@ -77,6 +81,7 @@ def build_encoding(num_qubits: int, kind: str) -> ParameterizedCircuit:
     raise ValueError(f"unknown encoding {kind!r}")
 
 
+@lru_cache(maxsize=32)
 def build_ansatz(num_qubits: int, num_layers: int, kind: str) -> ParameterizedCircuit:
     if kind == "basic":
         return basic_entangler_layers(num_qubits, num_layers, "RY")

@@ -308,6 +308,9 @@ class CircuitPlan:
         self.shift_gates, self.part_row = np.unique(part_gate, return_inverse=True)
         self.part_pair = np.flatnonzero(partner >= 0)
         self.part_partner = partner[self.part_pair]
+        # Whether some slot feeds more than one gate (a ZZ pair angle's slots do).  A
+        # first plain np.unique call raises the peak RSS of a process by over 1 MB (numpy 2.4).
+        self.shared_slots = len(set(self.part_slot.tolist())) < self.part_slot.size
         self.crz_slots = any(g.kind == "CRZ" for g in ops if g.angle is not None
                              and not isinstance(g.angle, LiteralAngle))
 
@@ -356,30 +359,50 @@ class CircuitPlan:
             if isinstance(table, np.ndarray):
                 table.setflags(write=False)
 
+    def bind_sets(self, features, weights) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+        """Slot values of several binding sets, every row of every set in one array.
+
+        ``features`` and ``weights`` hold one array per set, whose lengths
+        are checked.  A set's two arrays may carry leading batch axes and
+        broadcast against each other, giving one row of feature values
+        followed by weight values per binding.  Returns the (rows, slots)
+        array, each set's rows flattened in turn, and each set's leading
+        shape.
+        """
+        nf, nw = self.num_feature_slots, self.num_weight_slots
+        sets, leads, rows = [], [], 0
+        for f, w in zip(features, weights):
+            f = np.asarray(f, dtype=float)
+            w = np.asarray(w, dtype=float)
+            if f.shape[-1:] != (nf,):
+                raise BindingError(f"expected {nf} features, got shape {f.shape}")
+            if w.shape[-1:] != (nw,):
+                raise BindingError(f"expected {nw} weights, got shape {w.shape}")
+            # Unbatched weights against batched features is every node of a batched
+            # graph; it needs no broadcast_shapes, whose pure-Python body costs more
+            # than the copy.
+            lead = f.shape[:-1]
+            if w.ndim > 1 and w.shape[:-1] != lead:
+                lead = np.broadcast_shapes(lead, w.shape[:-1])
+            stop = rows + math.prod(lead)
+            sets.append((f, w, rows, stop))
+            leads.append(lead)
+            rows = stop
+        values = np.empty((rows, nf + nw))
+        for (f, w, start, stop), lead in zip(sets, leads):
+            block = values[start:stop].reshape(lead + (nf + nw,))
+            block[..., :nf] = f
+            block[..., nf:] = w
+        return values, leads
+
     def slot_values(self, features, weights) -> np.ndarray:
-        """Feature values followed by weight values, after checking both lengths.
+        """Feature values followed by weight values: :meth:`bind_sets` of one set.
 
         Either may carry leading batch axes; the two broadcast against each
         other, giving one row of slot values per binding.
         """
-        features = np.asarray(features, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        if features.shape[-1:] != (self.num_feature_slots,):
-            raise BindingError(
-                f"expected {self.num_feature_slots} features, got shape {features.shape}")
-        if weights.shape[-1:] != (self.num_weight_slots,):
-            raise BindingError(
-                f"expected {self.num_weight_slots} weights, got shape {weights.shape}")
-        # Unbatched weights against batched features is every node of a batched
-        # graph; it needs no broadcast_shapes, whose pure-Python body costs more
-        # than the copy.
-        lead = features.shape[:-1]
-        if weights.ndim > 1 and weights.shape[:-1] != lead:
-            lead = np.broadcast_shapes(lead, weights.shape[:-1])
-        values = np.empty(lead + (self.num_feature_slots + self.num_weight_slots,))
-        values[..., :self.num_feature_slots] = features
-        values[..., self.num_feature_slots:] = weights
-        return values
+        values, (lead,) = self.bind_sets((features,), (weights,))
+        return values.reshape(lead + values.shape[-1:])
 
     # Both maps below work on transposed arrays (slots or gates first), so that
     # every gather and scatter indexes the first axis, the fastest case for numpy.
@@ -585,9 +608,10 @@ def run_circuit(circuit: ParameterizedCircuit, features=(), weights=()) -> State
 
     Batched bindings give a batched state, one row per binding.
     """
-    angles = bind_angles(circuit, features, weights)
-    amps = circuit.plan.run(angles.reshape(math.prod(angles.shape[:-1]), angles.shape[-1]))
-    return StateVector(circuit.num_qubits, amps.reshape(angles.shape[:-1] + amps.shape[-1:]))
+    plan = circuit.plan
+    values, (lead,) = plan.bind_sets((features,), (weights,))
+    amps = plan.run(plan.angles(values))
+    return StateVector(circuit.num_qubits, amps.reshape(lead + amps.shape[-1:]))
 
 
 def run_bound_batch(circuit: ParameterizedCircuit, angle_rows: np.ndarray,

@@ -268,13 +268,15 @@ def test_backward_matches_a_zero_filling_reference_on_fan_out_graphs(batch, seed
 
 @pytest.mark.parametrize("kind", ["tft", "qtft", "qtft-qlstm"])
 def test_backward_matches_a_zero_filling_reference_on_the_desk_graphs(kind, axis_csv):
-    cfg = forecasting.TrainConfig(model_kind=kind)
     table = data_io.load_csv(axis_csv, ["Open", "High", "Low", "Last"], "Close")
-    train_w, _ = forecasting.build_stock_windows(table.rows, table.column_index("Close"), cfg)
-    model = forecasting.build_model(cfg, train_w[0].past.shape[1],
-                                    train_w[0].future_known.shape[1], train_w[0].static.shape[0])
-    _assert_backward_matches_zero_filling(forecasting.batch_loss_node(model, train_w,
-                                                                      cfg.quantile))
+    for d_model in (2, 4):
+        cfg = forecasting.TrainConfig(model_kind=kind, d_model=d_model)
+        train_w, _ = forecasting.build_stock_windows(table.rows, table.column_index("Close"), cfg)
+        model = forecasting.build_model(cfg, train_w[0].past.shape[1],
+                                        train_w[0].future_known.shape[1],
+                                        train_w[0].static.shape[0])
+        _assert_backward_matches_zero_filling(forecasting.batch_loss_node(model, train_w,
+                                                                          cfg.quantile))
 
 
 # ------------------------------------------------------------ parameter shift
@@ -325,6 +327,29 @@ def test_shift_rule_jacobians_run_every_shifted_row_in_one_call(monkeypatch):
         calls.clear()
         shift_rule_jacobians(circ, np.full(lead + (n,), 0.3), np.full(2 * n, 0.2))
         assert calls == [math.prod(lead) * 2 * 3 * n]
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_plain_scatter_of_unshared_slots_equals_add_at_bit_for_bit(lead, rng, monkeypatch):
+    # A negative slot coefficient times an exactly zero shift difference (RZ on |0>)
+    # is -0.0, which adding into the zero-filled Jacobian turns into +0.0.
+    signed = ParameterizedCircuit(2, (Gate("RZ", (0,), SlotAngle(WEIGHT, 0, coeff=-1.0)),
+                                      Gate("RY", (1,), SlotAngle(WEIGHT, 1, coeff=-2.0))),
+                                  num_weight_slots=2)
+    circuits = [compose(angle_embedding(n), basic_entangler_layers(n, 2)) for n in (1, 2, 5)]
+    for circ in circuits + [compose(angle_embedding(2), signed)]:
+        plan = circ.plan
+        assert not plan.shared_slots
+        feats = rng.uniform(-1, 1, lead + (circ.num_feature_slots,))
+        wts = rng.uniform(-math.pi, math.pi, circ.num_weight_slots)
+        got = shift_rule_jacobians(circ, feats, wts)
+        with monkeypatch.context() as mp:
+            mp.setattr(plan, "shared_slots", True)
+            want = shift_rule_jacobians(circ, feats, wts)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    zero = shift_rule_jacobians(compose(angle_embedding(2), signed), np.zeros(2), np.zeros(2))[1]
+    assert zero[0].tolist() == [0.0, 0.0] and not np.signbit(zero).any()
 
 
 def test_param_shift_rejects_crz_slots():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from qtft import grad
+from qtft import grad, qtft_core
 from qtft.forecasting import TrainConfig, build_model
 from qtft.grad import backward, param
 from qtft.quantum_sim import ParameterizedCircuit, compose, measure_all_z, run_circuit
@@ -386,6 +386,26 @@ def test_blocks_keep_only_the_circuits_they_run(kind, objects):
     assert len(circuits) == objects
     # encoding + ansatz and eta2 prefix + ansatz, at 2, 5 and 1 qubits
     assert len({c.ops for c in circuits.values()}) == 6
+
+
+@pytest.mark.parametrize("kind", ["qtft", "qtft-qlstm"])
+def test_each_distinct_encoding_and_ansatz_is_built_once(kind, monkeypatch):
+    built = []
+    for name in ("angle_embedding", "basic_entangler_layers"):
+        original = getattr(qtft_core, name)
+        monkeypatch.setattr(qtft_core, name,
+                            lambda *args, f=original, name=name: built.append((name, args))
+                            or f(*args))
+    qtft_core.build_encoding.cache_clear()
+    qtft_core.build_ansatz.cache_clear()
+    first = desk_model(kind)
+    # at 2, 5 and 1 qubits
+    assert sorted(built) == sorted(set(built)) and len(built) == 6
+    second = desk_model(kind)
+    assert len(built) == 6
+    # the blocks share the built gates, but each keeps its own circuit object
+    ours, theirs = (m.params.final_glu.branch_gate.circuit for m in (first, second))
+    assert ours is not theirs and all(a is b for a, b in zip(ours.ops, theirs.ops))
 
 
 def test_qtft_qlstm_variant_builds_and_runs(rng):

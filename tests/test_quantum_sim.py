@@ -581,3 +581,48 @@ def test_slot_values_equal_the_broadcast_concatenation_bit_for_bit(data, nf, nw,
                            np.broadcast_to(weights, out + (nw,))), axis=-1)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 5), st.integers(1, 4), st.sampled_from(["angle", "zz"]),
+       st.sampled_from(["basic", "nlocal"]))
+def test_bind_sets_joins_each_sets_slot_values_bit_for_bit(data, n, sets, encoding, ansatz):
+    first = angle_embedding(n) if encoding == "angle" else zz_feature_map(n)
+    circ = compose(first, basic_entangler_layers(n, 2) if ansatz == "basic" else n_local(n, 1))
+    plan, nf, nw = circ.plan, circ.num_feature_slots, circ.num_weight_slots
+    values = st.floats(allow_nan=True, allow_infinity=True)
+    features, weights = [], []
+    for _ in range(sets):
+        shapes = data.draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3,
+                                                             max_side=3)).input_shapes
+        w_lead = shapes[1] if data.draw(st.booleans()) else ()   # batched or unbatched weights
+        features.append(data.draw(hnp.arrays(float, shapes[0] + (nf,), elements=values)))
+        weights.append(data.draw(hnp.arrays(float, w_lead + (nw,), elements=values)))
+    got, leads = plan.bind_sets(features, weights)
+    each = [plan.slot_values(f, w) for f, w in zip(features, weights)]
+    want = np.concatenate([v.reshape(-1, nf + nw) for v in each])
+    assert leads == [v.shape[:-1] for v in each]
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    # A wrong width in any one set raises the message that set raises alone.
+    bad = data.draw(st.integers(0, sets - 1))
+    if data.draw(st.booleans()):
+        features[bad] = features[bad][..., 1:]
+        message = f"expected {nf} features, got shape {features[bad].shape}"
+    else:
+        weights[bad] = np.append(weights[bad][..., :1], weights[bad], axis=-1)
+        message = f"expected {nw} weights, got shape {weights[bad].shape}"
+    for call in (lambda: plan.bind_sets(features, weights),
+                 lambda: plan.slot_values(features[bad], weights[bad])):
+        with pytest.raises(BindingError) as err:
+            call()
+        assert str(err.value) == message
+
+
+def test_slots_shared_between_gates_are_marked_on_the_plan():
+    assert zz_feature_map(2).plan.shared_slots
+    assert not zz_feature_map(1).plan.shared_slots
+    assert not compose(angle_embedding(3), n_local(3, 2)).plan.shared_slots
+    reuse = ParameterizedCircuit(1, (Gate("RX", (0,), SlotAngle(WEIGHT, 0)),
+                                     Gate("RY", (0,), SlotAngle(WEIGHT, 0))), num_weight_slots=1)
+    assert reuse.plan.shared_slots
