@@ -173,7 +173,8 @@ def sgd_step(params, lr: float) -> None:
 # Every operation acts on the last axis of its operands (the last two for
 # ``matmul`` and ``transpose``, whose operands are matrices) and treats any
 # leading axes as a batch, so one graph can carry many windows.  Leaves are
-# unbatched and broadcast against batched operands; a backward rule sums
+# unbatched, and a context computed once for many windows has one leading
+# entry; both broadcast against batched operands, and a backward rule sums
 # the axes that broadcasting added, so each gradient has its node's shape.
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -241,16 +242,46 @@ def transpose(a: Node) -> Node:
 def concat(nodes, axis: int = -1) -> Node:
     """Concatenation along the last axis, or along ``axis`` counted from the end.
 
-    ``axis=-2`` joins sequences of positions; every other axis must agree.
+    ``axis=-2`` joins sequences of positions.  The axes after ``axis`` must
+    agree; the leading axes broadcast, so a context computed once for many
+    windows joins each window's vectors.
     """
     nodes = [as_node(x) for x in nodes]
+    values = [n.value for n in nodes]
+    try:
+        value = np.concatenate(values, axis=axis)
+    except ValueError:
+        lead = np.broadcast_shapes(*(v.shape[:axis] for v in values))
+        value = np.concatenate([np.broadcast_to(v, lead + v.shape[axis:]) for v in values],
+                               axis=axis)
 
     def rule(u):
         after = (slice(None),) * (-1 - axis)
         bounds = list(itertools.accumulate((n.value.shape[axis] for n in nodes), initial=0))
-        return tuple(u[(..., slice(a, b)) + after] for a, b in zip(bounds, bounds[1:]))
+        return tuple(_unbroadcast(u[(..., slice(a, b)) + after], n.value.shape)
+                     for n, a, b in zip(nodes, bounds, bounds[1:]))
 
-    return Node(np.concatenate([n.value for n in nodes], axis=axis), tuple(nodes), rule)
+    return Node(value, tuple(nodes), rule)
+
+
+def gather(x: Node, index) -> Node:
+    """The vectors of ``x`` (its last axis) picked by an integer array ``index``.
+
+    Vectors are numbered in order over every leading axis of ``x``, so an
+    (N, d) or (N, 1, d) node holds vectors 0 to N-1; the value has shape
+    ``index.shape + (d,)`` and may repeat a vector.  The backward rule adds
+    up the upstream rows of repeated entries.
+    """
+    x = as_node(x)
+    index = np.asarray(index)
+    d = x.value.shape[-1]
+
+    def rule(u):
+        g = np.zeros((x.value.size // d, d))
+        np.add.at(g, index, u)
+        return (g.reshape(x.value.shape),)
+
+    return Node(x.value.reshape(-1, d)[index], (x,), rule)
 
 
 def stack_rows(nodes) -> Node:

@@ -220,7 +220,9 @@ class StateVector:
     """Complex amplitudes over the 2^n computational basis states.
 
     ``amplitudes`` has shape (2**n,), or (..., 2**n) for a batch of states;
-    every row must be normalized.
+    every row must be normalized.  That is checked when a caller builds a
+    state; ``run_circuit`` returns its plan's result unchecked, because a
+    unitary run on |0...0> is normalized by construction.
     """
 
     num_qubits: int
@@ -240,6 +242,15 @@ class StateVector:
             raise CircuitError(f"state not normalized: sum |a_i|^2 = {norm!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+
+    @classmethod
+    def _of_plan_run(cls, num_qubits: int, amplitudes: np.ndarray) -> StateVector:
+        """The state a plan run computed, without the checks: unitary steps keep it normalized."""
+        state = object.__new__(cls)
+        amplitudes.setflags(write=False)
+        object.__setattr__(state, "num_qubits", num_qubits)
+        object.__setattr__(state, "amplitudes", amplitudes)
+        return state
 
 
 def zero_state(num_qubits: int) -> StateVector:
@@ -611,7 +622,7 @@ def run_circuit(circuit: ParameterizedCircuit, features=(), weights=()) -> State
     plan = circuit.plan
     values, (lead,) = plan.bind_sets((features,), (weights,))
     amps = plan.run(plan.angles(values))
-    return StateVector(circuit.num_qubits, amps.reshape(lead + amps.shape[-1:]))
+    return StateVector._of_plan_run(circuit.num_qubits, amps.reshape(lead + amps.shape[-1:]))
 
 
 def run_bound_batch(circuit: ParameterizedCircuit, angle_rows: np.ndarray,

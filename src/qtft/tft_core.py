@@ -200,6 +200,27 @@ def lstm_seq(inputs, h0, c0, p: LSTMParams, gate=dense_gates):
     return outputs, (h, c)
 
 
+def distinct_rows(rows: np.ndarray, groups: np.ndarray | None = None):
+    """Each distinct row of a 2-D array once, in the order rows first appear.
+
+    Returns ``(at, first)``, two integer arrays: ``rows[first]`` are the
+    distinct rows, and row i equals ``rows[first[at[i]]]``.  A row's entry
+    of ``groups``, when given, is part of what tells it apart.  Rows are
+    compared by their bytes, so 0.0 and -0.0 differ.
+    """
+    keys = [row.tobytes() for row in rows]
+    if groups is not None:
+        keys = list(zip(groups.tolist(), keys))
+    seen: dict = {}
+    at, first = [], []
+    for i, key in enumerate(keys):
+        if key not in seen:
+            seen[key] = len(first)
+            first.append(i)
+        at.append(seen[key])
+    return np.array(at), np.array(first)
+
+
 def causal_mask(n: int) -> np.ndarray:
     """Additive attention mask hiding positions after each query position."""
     m = np.zeros((n, n))
@@ -436,9 +457,19 @@ class TFTModel:
         static input is a one-position sequence, so the contexts c_s, c_e,
         c_c and c_h broadcast over positions.  Only the LSTM steps, on
         unit-length slices.
+
+        The static encoders and the selection networks read one static row
+        and one time step each, and stride-1 windows share most of their
+        rows.  So a batch of windows runs the static path once per distinct
+        static row, and the past and future embeddings and selection
+        networks once per distinct (static row, step row), as a batch of
+        one-position rows; ``grad.gather`` lays their outputs out per window
+        and step, and its backward rule adds up what repeated rows receive.
+        A context of one static row broadcasts over the windows.  A single
+        window, and a stream in which no row repeats, run as they are.
         """
         p = self.params
-        static_vars = np.asarray(static_vars, dtype=float)[..., None, :]
+        static_vars = np.asarray(static_vars, dtype=float)
         past_vars = np.asarray(past_vars, dtype=float)
         future_vars = np.asarray(future_vars, dtype=float)
         for name, values, embeds in (("static_vars", static_vars, p.static_embed),
@@ -463,11 +494,50 @@ class TFTModel:
         def future(seq):
             return grad.rows(seq, k, k + tau)
 
-        xi_static = self.select(embed(static_vars, p.static_embed), None, p.static_vsn)
+        windowed = (static_vars.ndim == 2
+                    and past_vars.shape[:-2] == future_vars.shape[:-2] == static_vars.shape[:-1])
+        every_window = None
+        if windowed:   # the static path runs once per distinct static row
+            s_at, s_first = distinct_rows(static_vars)
+            static_vars = static_vars[s_first]
+            every_window = np.arange(len(s_at))
+
+        def spread(context, windows):
+            """``context``, one row per distinct static row, at the static rows of ``windows``.
+
+            It is left as it is where it broadcasts: one row, or the distinct rows in order.
+            """
+            if not windowed or len(s_first) == 1:
+                return context
+            rows = s_at[windows]
+            if np.array_equal(rows, np.arange(len(s_first))):
+                return context
+            return grad.gather(context, rows[:, None])
+
+        def selected(series, embeds, vsn):
+            """The selection network's output at every (window, step).
+
+            In a batch of windows it runs once per distinct (static row, step
+            row), as one-position rows, and a gather lays the outputs out per
+            window and step, unless no row repeats.
+            """
+            if windowed:
+                length = series.shape[1]
+                flat = series.reshape(-1, series.shape[-1])
+                at, first = distinct_rows(flat, s_at.repeat(length) if len(s_first) > 1 else None)
+                if len(first) < len(flat):
+                    out = self.select(embed(flat[first, None, :], embeds),
+                                      spread(c_s, first // length), vsn)
+                    return grad.gather(out, at.reshape(-1, length))
+            return self.select(embed(series, embeds), spread(c_s, every_window), vsn)
+
+        xi_static = self.select(embed(static_vars[..., None, :], p.static_embed), None,
+                                p.static_vsn)
         c_s, c_e, c_c, c_h = self.grn([xi_static] * 4, None, p.static_encoders)
 
-        past_sel = self.select(embed(past_vars, p.past_embed), c_s, p.past_vsn)
-        future_sel = self.select(embed(future_vars, p.future_embed), c_s, p.future_vsn)
+        past_sel = selected(past_vars, p.past_embed, p.past_vsn)
+        future_sel = selected(future_vars, p.future_embed, p.future_vsn)
+        c_e, c_c, c_h = (spread(c, every_window) for c in (c_e, c_c, c_h))
 
         enc_out, (h_T, c_T) = self.recur(steps(past_sel), c_h, c_c, p.encoder_lstm)
         dec_out, _ = self.recur(steps(future_sel), h_T, c_T, p.decoder_lstm)

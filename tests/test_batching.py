@@ -6,6 +6,7 @@ all its rows in one simulator call.  These properties pin the batched
 paths to the per-window and per-row paths they replace.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -30,6 +31,19 @@ def random_windows(rng, count, k=2, tau=2):
                            future_known=rng.uniform(0, 1, (tau, 1)),
                            static=np.array([1.0]), targets=rng.uniform(20, 30, tau))
             for _ in range(count)]
+
+
+def stride_one_windows(rng, count, static_rows=((1.0,),), k=3, tau=2):
+    """``count`` stride-1 windows of ``make_windows`` over one random series per static row.
+
+    The groups are interleaved window by window, and windows of different
+    static rows share their past and future rows.
+    """
+    length = count + k + tau - 1
+    series = np.hstack([rng.uniform(20, 30, (length, 5)), np.linspace(0, 1, length)[:, None]])
+    groups = [forecasting.make_windows(series, 3, k, tau, (0, length - 1), (5,), static)
+              for static in static_rows]
+    return [w for same_anchor in zip(*groups) for w in same_anchor]
 
 
 def leaf_grads(model, loss):
@@ -307,6 +321,17 @@ def test_state_vector_rejects_one_unnormalized_row():
         StateVector(1, np.stack([good, good, np.array([math.sqrt(0.5), 0.5])]))
 
 
+def test_simulator_results_skip_the_norm_check(monkeypatch):
+    """A unitary run on |0...0> is normalized by construction, so only states
+    that callers build go through ``StateVector``'s per-row check."""
+    block = qtft_core.init_vqc_block(np.random.default_rng(0), 2, 2)
+    monkeypatch.setattr(StateVector, "__post_init__", lambda self: pytest.fail("checked"))
+    state = run_circuit(block.circuit, np.linspace(-1, 1, 6).reshape(3, 2), block.weights.value)
+    assert state.num_qubits == 2 and state.amplitudes.shape == (3, 4)
+    assert not state.amplitudes.flags.writeable
+    np.testing.assert_allclose((np.abs(state.amplitudes) ** 2).sum(axis=-1), 1.0, atol=1e-12)
+
+
 def quantum_nodes(root):
     """Every circuit node reachable from ``root``, each once."""
     seen, stack, out = set(), [root], []
@@ -320,6 +345,20 @@ def quantum_nodes(root):
     return out
 
 
+def block_circuits(*params):
+    """The ids of the circuits of every circuit block in ``params``."""
+    out, stack = set(), list(params)
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, qtft_core.VQCBlockParams):
+            out.add(id(obj.circuit))
+        elif isinstance(obj, list):
+            stack.extend(obj)
+        elif dataclasses.is_dataclass(obj):
+            stack.extend(getattr(obj, f.name) for f in dataclasses.fields(obj))
+    return out
+
+
 def test_single_window_graph_feeds_circuits_one_row():
     rng = np.random.default_rng(5)
     cfg = TrainConfig(model_kind="qtft")
@@ -328,6 +367,12 @@ def test_single_window_graph_feeds_circuits_one_row():
     w = random_windows(rng, 1)[0]
     single = grad.pinball(w.targets, model.predict_nodes(w.static, w.past, w.future_known)[0],
                           cfg.quantile)
+    # The three windows share their one static row, so the static VSN (3 nodes),
+    # the static encoders (12) and the circuits that read a static context
+    # alone (vqc_c of the past-VSN weight QGRN and of enrichment) run it once.
+    p = model.params
+    static_only = block_circuits(p.static_vsn, p.static_encoders,
+                                 p.past_vsn.weight_grn.vqc_c, p.enrichment.vqc_c)
     for root, lead in ((single, ()), (loss, (3,))):
         circuit_nodes = quantum_nodes(root)
         # 109 before block values carried a position axis: the context circuit
@@ -339,35 +384,47 @@ def test_single_window_graph_feeds_circuits_one_row():
         # lin, and vqc_c where a context enters) of the static VSN (3) and of
         # the future VSN at each of the 2 forecast steps (2 x 4).
         assert len(circuit_nodes) == 105
-        for node in circuit_nodes:
+        leads = [(1,) if lead and id(node.circuit) in static_only else lead
+                 for node in circuit_nodes]
+        assert leads.count((1,)) == (17 if lead else 0)
+        for node, node_lead in zip(circuit_nodes, leads):
             n = node.circuit.num_qubits
-            assert node.feature_parent.value.shape == lead + (node.circuit.num_feature_slots,)
+            assert node.feature_parent.value.shape == node_lead + (node.circuit.num_feature_slots,)
             assert node.weight_parent.value.ndim == 1
-            assert node.value.shape == lead + (n,)
+            assert node.value.shape == node_lead + (n,)
+
+
+def axis_training_loss(axis_csv, kind="qtft"):
+    table = data_io.load_csv(axis_csv, ["Open", "High", "Low", "Last"], "Close")
+    cfg = TrainConfig(model_kind=kind)
+    train_w, _ = forecasting.build_stock_windows(table.rows, table.column_index("Close"), cfg)
+    model = forecasting.build_model(cfg, 5, 1, 1)
+    return model, train_w, forecasting.batch_loss_node(model, train_w, cfg.quantile)
 
 
 def test_training_graph_differentiates_past_selection_through_the_prefix_sweep(
         axis_csv, monkeypatch):
-    """Every node of the 5-qubit past-VSN weight QGRN in the 17-window training
-    graph runs its shift batch through the prefix sweep; its backward rule must
-    give the Jacobian of the same shifted rows run one full row at a time."""
-    table = data_io.load_csv(axis_csv, ["Open", "High", "Low", "Last"], "Close")
-    cfg = TrainConfig(model_kind="qtft")
-    train_w, _ = forecasting.build_stock_windows(table.rows, table.column_index("Close"), cfg)
-    model = forecasting.build_model(cfg, 5, 1, 1)
-    loss = forecasting.batch_loss_node(model, train_w, cfg.quantile)
+    """The nodes of the 5-qubit past-VSN weight QGRN that run on the 17
+    training windows' 18 distinct past rows run their shift batches through
+    the prefix sweep; each backward rule must give the Jacobian of the same
+    shifted rows run one full row at a time."""
+    model, train_w, loss = axis_training_loss(axis_csv)
     wg = model.params.past_vsn.weight_grn
     circuits = [wg.vqc_a.circuit, wg.vqc_c.circuit,
                 wg.qglu.branch_gate.circuit, wg.qglu.branch_lin.circuit]
     nodes = [node for node in quantum_nodes(loss) if any(node.circuit is c for c in circuits)]
-    # vqc_a, gate and lin run per past step; vqc_c runs once on the one-position context.
-    assert len(nodes) == cfg.past_steps * 3 + 1
+    # 7 nodes of 17 rows before each distinct row ran once: vqc_a, gate and lin
+    # per past step, vqc_c once.  Now vqc_a, gate and lin run once on the 18
+    # distinct past rows (one position), and vqc_c on the one static context row.
+    assert len(train_w) == 17
+    assert sorted(node.feature_parent.value.shape[0] for node in nodes) == [1, 18, 18, 18]
     for node in nodes:
         circ, n = node.circuit, node.circuit.num_qubits
         features, weights = node.feature_parent.value, node.weight_parent.value
-        rows = len(train_w) * 2 * circ.plan.shift_gates.size
-        assert n == 5 and features.shape[0] == 17
-        assert rows * 2 ** n >= quantum_sim.PREFIX_SWEEP_AMPLITUDES
+        rows = features.shape[0] * 2 * circ.plan.shift_gates.size
+        assert n == 5 and features.ndim == 2
+        sweeps = rows * 2 ** n >= quantum_sim.PREFIX_SWEEP_AMPLITUDES
+        assert sweeps == (circ is not wg.vqc_c.circuit)
         with monkeypatch.context() as mp:
             mp.setattr(grad, "run_bound_batch",
                        lambda c, angle_rows, shifted: quantum_sim.run_bound_batch(c, angle_rows))
@@ -378,3 +435,80 @@ def test_training_graph_differentiates_past_selection_through_the_prefix_sweep(
             rule_f, rule_w = node.backward_rule(u)
             np.testing.assert_array_equal(rule_f, jf[..., q])
             np.testing.assert_array_equal(rule_w, jw[..., q].sum(axis=0))
+
+
+@pytest.mark.parametrize("kind,nodes,rows", [("qtft", 84, 19_274), ("qtft-qlstm", 100, 22_538)])
+def test_training_graph_runs_each_distinct_step_row_once(axis_csv, monkeypatch, kind, nodes,
+                                                         rows):
+    """The 17 stride-1 AXIS training windows hold 34 past and 34 future
+    (window, step) rows, 18 of each distinct, and one static row.
+
+    Running the selection networks once per distinct row, as one position,
+    takes 21 circuit nodes out of the training graph (105 -> 84; qtft-qlstm
+    121 -> 100): 18 of the past VSN's second step and 3 of the future VSN's.
+    Each node makes one shift batch, and a backward shifts 31,178 -> 19,274
+    rows (qtft-qlstm 34,442 -> 22,538).
+    """
+    _, _, loss = axis_training_loss(axis_csv, kind)
+    assert len(quantum_nodes(loss)) == nodes
+    batches = []
+    original = grad.run_bound_batch
+    monkeypatch.setattr(grad, "run_bound_batch",
+                        lambda c, angle_rows, shifted=False: batches.append(len(angle_rows))
+                        or original(c, angle_rows, shifted))
+    grad.backward(loss)
+    assert (len(batches), sum(batches)) == (nodes, rows)
+
+
+@pytest.mark.parametrize("kind", ["tft", "qtft", "qtft-qlstm"])
+@pytest.mark.parametrize("d_model", [2, 4])
+@pytest.mark.parametrize("static_rows,gathers", [(((1.0,),), 2), (((1.0,), (0.5,)), 7)],
+                         ids=["one_static_row", "two_static_rows"])
+def test_stride_one_batch_predicts_what_each_window_predicts(monkeypatch, kind, d_model,
+                                                            static_rows, gathers):
+    """A batch of stride-1 windows runs each distinct row once and gathers the
+    results back per window; every window must get what it gets alone.
+
+    One static row takes two gathers (past and future selection).  Two static
+    rows take seven: the past and the future rows also gather their c_s, and
+    c_e, c_c and c_h are gathered per window.  Rows of different static rows
+    are never merged, though their series rows are equal.
+    """
+    model = forecasting.build_model(TrainConfig(model_kind=kind, d_model=d_model), 5, 1, 1)
+    windows = stride_one_windows(np.random.default_rng(23), 5, static_rows)
+    static, past, future, _ = forecasting.stack_windows(windows)
+    calls = []
+    original = grad.gather
+    monkeypatch.setattr(grad, "gather", lambda x, index: calls.append(1) or original(x, index))
+    batched = model.predict(static, past, future)
+    assert len(calls) == gathers
+    alone = np.stack([model.predict(w.static, w.past, w.future_known) for w in windows])
+    if kind == "qtft" and d_model == 2:
+        assert batched.tobytes() == alone.tobytes()
+    else:
+        np.testing.assert_allclose(batched, alone, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["tft", "qtft", "qtft-qlstm"])
+def test_every_leaf_gradient_of_a_stride_one_batch_matches_central_differences(kind):
+    """Gathered rows add their gradients: each leaf's gradient on a batch of
+    stride-1 windows over two static rows, along a random unit direction,
+    agrees with central differences of the loss."""
+    rng = np.random.default_rng(31)
+    cfg = TrainConfig(model_kind=kind, d_model=4)
+    model = forecasting.build_model(cfg, 5, 1, 1)
+    windows = stride_one_windows(rng, 3, ((1.0,), (0.5,)))
+    grads = leaf_grads(model, forecasting.batch_loss_node(model, windows, cfg.quantile))
+    for leaf, g in zip(model.leaves(), grads):
+        base = leaf.value
+        direction = rng.standard_normal(base.shape)
+        direction /= np.linalg.norm(direction)
+
+        def f(t, leaf=leaf, base=base, direction=direction):
+            leaf.value = base + t[0] * direction
+            try:
+                return forecasting.evaluate(model, windows, cfg.quantile)
+            finally:
+                leaf.value = base
+
+        assert oracles.verify_gradient(f, np.zeros(1), [float(np.sum(g * direction))])

@@ -194,6 +194,9 @@ def _graphs_of_every_op(rng, lead):
         grad.matmul(m, mt), grad.matmul(leaf(4, 2), m), grad.matmul(m, leaf(*lead, 3, 2)),
         grad.transpose(m), grad.concat([x, y]),
         grad.concat([m, leaf(*lead, 1, 3)], axis=-2), grad.stack_rows([x, y]),
+        grad.concat([x, leaf(2)]), grad.concat([leaf(1, 2, 3), m], axis=-2),
+        grad.gather(m, rng.integers(0, m.value.size // 3, (4, 2))),
+        grad.gather(leaf(3, 1, 2), [[0], [2], [0]]),
         grad.row(m, 1), grad.rows(m, 0, 1), grad.reshape(m, lead + (6,)),
         grad.weighted_sum(grad.softmax(leaf(*lead, 2)), [x, v]),
         grad.elu(x), grad.sigmoid(x), grad.tanh(x), grad.softmax(x), grad.layer_norm(x),
@@ -221,6 +224,41 @@ def test_every_rule_returns_contributions_in_its_parents_shapes(lead, seed):
             if contrib is not None:
                 assert isinstance(contrib, np.ndarray) and contrib.dtype == np.float64
                 assert contrib.shape == parent.value.shape, (node, parent)
+
+
+@settings(max_examples=60, deadline=None)
+@given(count=st.integers(1, 6), picks=st.lists(st.integers(0, 5), min_size=1, max_size=8),
+       unit=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_gather_is_a_one_hot_product_and_adds_repeated_rows_going_back(count, picks, unit, seed):
+    """``gather(x, index)`` is ``E @ x`` for the one-hot rows E of ``index``,
+    and its rule ``E.T @ u`` sums the upstream rows of a repeated vector."""
+    rng = np.random.default_rng(seed)
+    index = np.array([i % count for i in picks])
+    x = param(rng.uniform(-1, 1, (count, 1, 3) if unit else (count, 3)))
+    one_hot = np.eye(count)[index]
+    out = grad.gather(x, index)
+    np.testing.assert_array_equal(out.value, one_hot @ x.value.reshape(count, 3))
+    u = rng.uniform(-1, 1, out.value.shape)
+    (got,) = out.backward_rule(u)
+    assert got.shape == x.value.shape
+    np.testing.assert_allclose(got.reshape(count, 3), one_hot.T @ u, rtol=1e-15, atol=1e-15)
+    if len(set(index.tolist())) == len(index):   # no repeats: each row is one upstream row
+        np.testing.assert_array_equal(got.reshape(count, 3)[index], u)
+
+
+def test_concat_broadcasts_leading_axes_and_sums_them_going_back():
+    x, c = param(np.arange(12.0).reshape(3, 2, 2)), param(np.array([[[7.0, 8.0]]]))
+    out = grad.concat([x, c])
+    np.testing.assert_array_equal(out.value, np.concatenate(
+        [x.value, np.broadcast_to(c.value, (3, 2, 2))], axis=-1))
+    u = np.arange(24.0).reshape(3, 2, 4)
+    gx, gc = out.backward_rule(u)
+    np.testing.assert_array_equal(gx, u[..., :2])
+    np.testing.assert_array_equal(gc, u[..., 2:].sum(axis=(0, 1), keepdims=True))
+    with pytest.raises(ValueError):
+        grad.concat([x, param(np.ones((3, 2, 3)))], axis=-2)   # the axis after -2 differs
+    with pytest.raises(ValueError):
+        grad.concat([x, param(np.ones((2, 2, 2)))])              # 3 and 2 windows
 
 
 def _assert_backward_matches_zero_filling(loss):
