@@ -453,14 +453,18 @@ def quantum_forward(circuits: ParameterizedCircuit | list[ParameterizedCircuit],
     axes.  That call needs one gate list, so circuits whose gate lists
     differ raise :class:`CircuitError`.
 
-    1-D features give one :class:`QuantumNode`.  Features shaped
-    (..., T, d) are a sequence of T positions behind any leading batch
-    axes: each position becomes its own QuantumNode fed by that position's
-    feature row (weights with a position axis are split the same way), and
-    the set's node stacks them back to (..., T, n).  Jacobians are
-    computed lazily at backward time, one shift batch per QuantumNode, so
-    forward-only evaluation (e.g. finite-difference probing) never pays for
-    shifts.  Under :func:`no_tape` a set's node is its plain value.
+    A set is one :class:`QuantumNode` over all its rows: 1-D features, or
+    (..., W, T, d) features of W windows at T positions, whose positions
+    share the block's weights and are just more rows of its shift batch.
+    Only an unbatched (T, d) sequence, the graph of a single window,
+    splits: each position becomes its own QuantumNode fed by that
+    position's 1-D feature row (weights with a position axis are split the
+    same way), and the set's node stacks them back to (T, n);
+    ``perfbench``'s circuit check reads one feature row per node.
+    Jacobians are computed lazily at backward time, one shift batch per
+    QuantumNode, so forward-only evaluation (e.g. finite-difference
+    probing) never pays for shifts.  Under :func:`no_tape` a set's node is
+    its plain value.
     """
     if isinstance(circuits, ParameterizedCircuit):
         return quantum_forward([circuits], [feature_nodes], [weight_nodes])[0]
@@ -483,7 +487,7 @@ def quantum_forward(circuits: ParameterizedCircuit | list[ParameterizedCircuit],
         value = z[start:stop].reshape(lead + z.shape[-1:])
         if not taping:
             outputs.append(Node(value))
-        elif f.value.ndim < 2:
+        elif f.value.ndim != 2:
             outputs.append(_quantum_node(c, f, w, value))
         else:
             outputs.append(stack_rows([

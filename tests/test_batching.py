@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -117,8 +117,10 @@ def test_batched_circuit_rows_match_single_rows(seed, rows):
 @given(seed=st.integers(0, 2 ** 32 - 1), positions=st.integers(1, 4),
        windows=st.sampled_from([None, 1, 3]))
 def test_quantum_forward_over_positions_matches_per_row_runs(seed, positions, windows):
-    """Features shaped (..., T, d) run in one simulator call and give one
-    circuit node per position, fed by that position's row."""
+    """Features shaped (..., T, d) run in one simulator call.  An unbatched
+    (T, d) sequence gives one circuit node per position, fed by that
+    position's row; a windowed (W, T, d) sequence gives one node over all
+    its rows, fed by the whole feature node."""
     rng = np.random.default_rng(seed)
     circ, _, wts = oracles.random_circuit(rng, max_qubits=5, max_depth=12)
     n = circ.num_qubits
@@ -128,24 +130,85 @@ def test_quantum_forward_over_positions_matches_per_row_runs(seed, positions, wi
 
     out = grad.quantum_forward(circ, features, wts)
     assert out.value.shape == lead + (n,)
+    if windows:
+        assert isinstance(out, grad.QuantumNode) and out.circuit is circ
+        np.testing.assert_array_equal(out.feature_parent.value, features)
+        for idx in np.ndindex(lead):
+            single = measure_all_z(run_circuit(circ, features[idx], wts))
+            np.testing.assert_allclose(out.value[idx], single, rtol=0, atol=tol)
+        if _shiftable(circ):
+            jf, jw = grad.shift_rule_jacobians(circ, features, wts)
+            for q in range(n):
+                u = np.zeros(out.value.shape)
+                u[..., q] = 1.0
+                rule_f, rule_w = out.backward_rule(u)
+                np.testing.assert_array_equal(rule_f, jf[..., q])
+                np.testing.assert_array_equal(rule_w, jw[..., q].sum(axis=(0, 1)))
+        return
     assert len(out.parents) == positions
     for t, node in enumerate(out.parents):
         assert isinstance(node, grad.QuantumNode) and node.circuit is circ
-        row = features[..., t, :]
+        row = features[t]
         np.testing.assert_array_equal(node.feature_parent.value, row)
-        np.testing.assert_array_equal(out.value[..., t, :], node.value)
-        for idx in np.ndindex(lead[:-1]):
-            single = measure_all_z(run_circuit(circ, row[idx], wts))
-            np.testing.assert_allclose(node.value[idx], single, rtol=0, atol=tol)
+        np.testing.assert_array_equal(out.value[t], node.value)
+        single = measure_all_z(run_circuit(circ, row, wts))
+        np.testing.assert_allclose(node.value, single, rtol=0, atol=tol)
         if not _shiftable(circ):
             continue
         jf, jw = grad.shift_rule_jacobians(circ, row, wts)
         for q in range(n):
-            u = np.zeros(node.value.shape)
-            u[..., q] = 1.0
+            u = np.zeros(n)
+            u[q] = 1.0
             rule_f, rule_w = node.backward_rule(u)
-            np.testing.assert_array_equal(rule_f, jf[..., q])
-            np.testing.assert_array_equal(rule_w, jw[..., q].sum(axis=0) if windows else jw[:, q])
+            np.testing.assert_array_equal(rule_f, jf[:, q])
+            np.testing.assert_array_equal(rule_w, jw[:, q])
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), windows=st.integers(1, 3), positions=st.integers(1, 4),
+       positional_weights=st.booleans())
+def test_windowed_set_node_differentiates_as_its_per_position_split(seed, windows, positions,
+                                                                     positional_weights):
+    """One circuit node over a set's (W, T, d) features gives what the T
+    per-position nodes it replaces give: the feature contribution is theirs
+    stacked on the position axis, and the weight contribution is their sum,
+    or theirs stacked for weights with a position axis.
+
+    Each slow-path node runs ``features[:, t, :]`` (kept as one position) as
+    its own set.  A sum over unbatched weights adds the same W x T row
+    contributions in another order (all rows at once, not per position and
+    then across positions), so it agrees to within that order's rounding.
+    """
+    rng = np.random.default_rng(seed)
+    circ, _, _ = oracles.random_circuit(rng, max_qubits=5, max_depth=12)
+    assume(_shiftable(circ))
+    n, nf, nw = circ.num_qubits, circ.num_feature_slots, circ.num_weight_slots
+    tol = 0.0 if n <= 2 else 1e-15
+    features = grad.param(rng.uniform(-1.5, 1.5, (windows, positions, nf)))
+    weights = grad.param(rng.uniform(-math.pi, math.pi,
+                                     (positions, nw) if positional_weights else nw))
+    merged = grad.quantum_forward(circ, features, weights)
+    split = grad.quantum_forward(
+        [circ] * positions, [features.value[:, t:t + 1] for t in range(positions)],
+        [weights.value[t:t + 1] if positional_weights else weights.value
+         for t in range(positions)])
+    assert isinstance(merged, grad.QuantumNode) and merged.feature_parent is features
+    np.testing.assert_allclose(merged.value, np.concatenate([s.value for s in split], axis=-2),
+                               rtol=0, atol=tol)
+
+    u = rng.normal(size=merged.value.shape)
+    rule_f, rule_w = merged.backward_rule(u)
+    parts_f, parts_w = zip(*(s.backward_rule(u[:, t:t + 1]) for t, s in enumerate(split)))
+    assert rule_f.shape == features.value.shape and rule_w.shape == weights.value.shape
+    np.testing.assert_allclose(rule_f, np.concatenate(parts_f, axis=-2), rtol=0, atol=tol)
+    if positional_weights:
+        np.testing.assert_allclose(rule_w, np.concatenate(parts_w, axis=-2), rtol=0, atol=tol)
+    else:
+        _, jw = grad.shift_rule_jacobians(circ, features.value, weights.value)
+        magnitude = np.abs(jw @ u[..., None]).sum(axis=(0, 1))[..., 0]
+        np.testing.assert_array_less(np.abs(rule_w - sum(parts_w)),
+                                     tol + windows * positions * np.finfo(float).eps * magnitude
+                                     + np.finfo(float).tiny)
 
 
 def _copy(circuit):
@@ -161,8 +224,9 @@ def _copy(circuit):
 def test_quantum_forward_of_many_sets_matches_each_set_run_alone(seed, sets, windows, positions,
                                                                   shared):
     """Sets of one gate list run in one simulator call, and each set gets
-    what it gets alone: its values, one circuit node per position fed by
-    its own row, and that row's parameter-shift Jacobians."""
+    what it gets alone: its values, its circuit nodes (one over all rows of
+    a windowed set, one per position of an unbatched sequence) fed by its
+    own rows, and those rows' parameter-shift Jacobians."""
     rng = np.random.default_rng(seed)
     circ, _, _ = oracles.random_circuit(rng, max_qubits=5, max_depth=12)
     n, nf, nw = circ.num_qubits, circ.num_feature_slots, circ.num_weight_slots
@@ -196,13 +260,17 @@ def test_quantum_forward_of_many_sets_matches_each_set_run_alone(seed, sets, win
         np.testing.assert_allclose(out.value, alone, rtol=0, atol=tol)
         assert type(value) is grad.Node and value.parents == ()
         np.testing.assert_array_equal(value.value, out.value)
-        assert len(out.parents) == lead[-1]
-        for t, node in enumerate(out.parents):
+        windowed = len(lead) > 1
+        if windowed:   # one node over all the set's rows
+            nodes, rows, values = [out], [f.value], [out.value]
+        else:          # one node per position
+            nodes, rows, values = out.parents, f.value, out.value
+        assert len(nodes) == len(rows)
+        for node, row, row_value in zip(nodes, rows, values):
             assert isinstance(node, grad.QuantumNode) and node.circuit is c
             assert node.weight_parent is w
-            row = f.value[..., t, :]
             np.testing.assert_array_equal(node.feature_parent.value, row)
-            np.testing.assert_array_equal(node.value, out.value[..., t, :])
+            np.testing.assert_array_equal(node.value, row_value)
             if not _shiftable(c):
                 continue
             jf, jw = grad.shift_rule_jacobians(c, row, w.value)
@@ -211,8 +279,8 @@ def test_quantum_forward_of_many_sets_matches_each_set_run_alone(seed, sets, win
                 u[..., q] = 1.0
                 rule_f, rule_w = node.backward_rule(u)
                 np.testing.assert_array_equal(rule_f, jf[..., q])
-                np.testing.assert_array_equal(rule_w, jw[..., q].sum(axis=0)
-                                              if len(lead) > 1 else jw[:, q])
+                np.testing.assert_array_equal(rule_w, jw[..., q].sum(axis=(0, 1))
+                                              if windowed else jw[:, q])
 
     other = quantum_sim.ParameterizedCircuit(n, circ.ops + (quantum_sim.Gate("H", (0,)),),
                                              nf, nw)
@@ -367,31 +435,42 @@ def test_single_window_graph_feeds_circuits_one_row():
     w = random_windows(rng, 1)[0]
     single = grad.pinball(w.targets, model.predict_nodes(w.static, w.past, w.future_known)[0],
                           cfg.quantile)
-    # The three windows share their one static row, so the static VSN (3 nodes),
-    # the static encoders (12) and the circuits that read a static context
-    # alone (vqc_c of the past-VSN weight QGRN and of enrichment) run it once.
+    # The single window's (T, d) sequences split into one node per position.
+    # 109 before block values carried a position axis: the context circuit
+    # (vqc_c) of the past-VSN weight QGRN ran once per past step (2) and
+    # that of enrichment once per position (4); both now run once on the
+    # one-position context, so 4 nodes are gone.
+    # 120 before one-variable selection networks skipped their weight QGRN.
+    # The 11 nodes gone are the 1-qubit weight QGRN's circuits (vqc_a, gate,
+    # lin, and vqc_c where a context enters) of the static VSN (3) and of
+    # the future VSN at each of the 2 forecast steps (2 x 4).
+    circuit_nodes = quantum_nodes(single)
+    assert len(circuit_nodes) == 105
+    for node in circuit_nodes:
+        assert node.feature_parent.value.shape == (node.circuit.num_feature_slots,)
+        assert node.weight_parent.value.ndim == 1
+        assert node.value.shape == (node.circuit.num_qubits,)
+
+    # Each set of the three windows is one node over all its (window,
+    # position) rows (105 nodes, one per position, before).  The windows share
+    # their one static row, so the static VSN (3 nodes), the static encoders
+    # (12) and the circuits that read a static context alone (vqc_c of the
+    # past-VSN weight QGRN and of enrichment) run it once, as one position.
+    # The other 36 run on (3, T) rows: 28 over the 2 past or 2 future steps,
+    # 8 over all 4 positions.
     p = model.params
     static_only = block_circuits(p.static_vsn, p.static_encoders,
                                  p.past_vsn.weight_grn.vqc_c, p.enrichment.vqc_c)
-    for root, lead in ((single, ()), (loss, (3,))):
-        circuit_nodes = quantum_nodes(root)
-        # 109 before block values carried a position axis: the context circuit
-        # (vqc_c) of the past-VSN weight QGRN ran once per past step (2) and
-        # that of enrichment once per position (4); both now run once on the
-        # one-position context, so 4 nodes are gone.
-        # 120 before one-variable selection networks skipped their weight QGRN.
-        # The 11 nodes gone are the 1-qubit weight QGRN's circuits (vqc_a, gate,
-        # lin, and vqc_c where a context enters) of the static VSN (3) and of
-        # the future VSN at each of the 2 forecast steps (2 x 4).
-        assert len(circuit_nodes) == 105
-        leads = [(1,) if lead and id(node.circuit) in static_only else lead
-                 for node in circuit_nodes]
-        assert leads.count((1,)) == (17 if lead else 0)
-        for node, node_lead in zip(circuit_nodes, leads):
-            n = node.circuit.num_qubits
-            assert node.feature_parent.value.shape == node_lead + (node.circuit.num_feature_slots,)
-            assert node.weight_parent.value.ndim == 1
-            assert node.value.shape == node_lead + (n,)
+    circuit_nodes = quantum_nodes(loss)
+    assert len(circuit_nodes) == 53
+    leads = [node.feature_parent.value.shape[:-1] for node in circuit_nodes]
+    assert all((lead == (1, 1)) == (id(node.circuit) in static_only)
+               for node, lead in zip(circuit_nodes, leads))
+    assert sorted(leads) == [(1, 1)] * 17 + [(3, 2)] * 28 + [(3, 4)] * 8
+    for node, lead in zip(circuit_nodes, leads):
+        assert node.feature_parent.value.shape == lead + (node.circuit.num_feature_slots,)
+        assert node.weight_parent.value.ndim == 1
+        assert node.value.shape == lead + (node.circuit.num_qubits,)
 
 
 def axis_training_loss(axis_csv, kind="qtft"):
@@ -416,13 +495,15 @@ def test_training_graph_differentiates_past_selection_through_the_prefix_sweep(
     # 7 nodes of 17 rows before each distinct row ran once: vqc_a, gate and lin
     # per past step, vqc_c once.  Now vqc_a, gate and lin run once on the 18
     # distinct past rows (one position), and vqc_c on the one static context row.
+    # Features keep their position axis, (18, 1, 5) and (1, 1, 5), since a
+    # windowed set is one node over all its rows rather than a node per position.
     assert len(train_w) == 17
     assert sorted(node.feature_parent.value.shape[0] for node in nodes) == [1, 18, 18, 18]
     for node in nodes:
         circ, n = node.circuit, node.circuit.num_qubits
         features, weights = node.feature_parent.value, node.weight_parent.value
         rows = features.shape[0] * 2 * circ.plan.shift_gates.size
-        assert n == 5 and features.ndim == 2
+        assert n == 5 and features.shape[1:] == (1, 5)
         sweeps = rows * 2 ** n >= quantum_sim.PREFIX_SWEEP_AMPLITUDES
         assert sweeps == (circ is not wg.vqc_c.circuit)
         with monkeypatch.context() as mp:
@@ -431,23 +512,25 @@ def test_training_graph_differentiates_past_selection_through_the_prefix_sweep(
             jf, jw = grad.shift_rule_jacobians(circ, features, weights)
         for q in range(n):
             u = np.zeros(node.value.shape)
-            u[:, q] = 1.0
+            u[..., q] = 1.0
             rule_f, rule_w = node.backward_rule(u)
             np.testing.assert_array_equal(rule_f, jf[..., q])
-            np.testing.assert_array_equal(rule_w, jw[..., q].sum(axis=0))
+            np.testing.assert_array_equal(rule_w, jw[..., q].sum(axis=(0, 1)))
 
 
-@pytest.mark.parametrize("kind,nodes,rows", [("qtft", 84, 19_274), ("qtft-qlstm", 100, 22_538)])
+@pytest.mark.parametrize("kind,nodes,rows", [("qtft", 53, 19_274), ("qtft-qlstm", 69, 22_538)])
 def test_training_graph_runs_each_distinct_step_row_once(axis_csv, monkeypatch, kind, nodes,
                                                          rows):
     """The 17 stride-1 AXIS training windows hold 34 past and 34 future
     (window, step) rows, 18 of each distinct, and one static row.
 
     Running the selection networks once per distinct row, as one position,
-    takes 21 circuit nodes out of the training graph (105 -> 84; qtft-qlstm
+    took 21 circuit nodes out of the training graph (105 -> 84; qtft-qlstm
     121 -> 100): 18 of the past VSN's second step and 3 of the future VSN's.
-    Each node makes one shift batch, and a backward shifts 31,178 -> 19,274
-    rows (qtft-qlstm 34,442 -> 22,538).
+    A backward shifts 31,178 -> 19,274 rows (qtft-qlstm 34,442 -> 22,538).
+    Each set over (window, position) rows is now one node, where it was one
+    node per position (84 -> 53; qtft-qlstm 100 -> 69); the shifted rows
+    stay, and each node still makes one shift batch.
     """
     _, _, loss = axis_training_loss(axis_csv, kind)
     assert len(quantum_nodes(loss)) == nodes
