@@ -86,21 +86,21 @@ class Node:
 
 
 class QuantumNode(Node):
-    """Per-qubit <Z> of a bound circuit, differentiable by parameter shift."""
+    """Per-qubit <Z> of the bound rows of one simulator call, differentiable by parameter shift.
+
+    Its parents are each set's feature node and weight node, in set order.
+    """
 
     __slots__ = ("circuit",)
 
-    def __init__(self, circuit, feature_parent, weight_parent, value, backward_rule):
-        super().__init__(value, (feature_parent, weight_parent), backward_rule)
+    def __init__(self, circuit, parents, value, backward_rule):
+        super().__init__(value, parents, backward_rule)
         self.circuit = circuit
 
     @property
-    def feature_parent(self):
-        return self.parents[0]
-
-    @property
-    def weight_parent(self):
-        return self.parents[1]
+    def sets(self) -> list[tuple[Node, Node]]:
+        """The (feature node, weight node) of each set, in set order."""
+        return list(zip(self.parents[0::2], self.parents[1::2]))
 
 
 def param(value) -> Node:
@@ -453,18 +453,23 @@ def quantum_forward(circuits: ParameterizedCircuit | list[ParameterizedCircuit],
     axes.  That call needs one gate list, so circuits whose gate lists
     differ raise :class:`CircuitError`.
 
-    A set is one :class:`QuantumNode` over all its rows: 1-D features, or
-    (..., W, T, d) features of W windows at T positions, whose positions
-    share the block's weights and are just more rows of its shift batch.
-    Only an unbatched (T, d) sequence, the graph of a single window,
-    splits: each position becomes its own QuantumNode fed by that
-    position's 1-D feature row (weights with a position axis are split the
-    same way), and the set's node stacks them back to (T, n);
-    ``perfbench``'s circuit check reads one feature row per node.
-    Jacobians are computed lazily at backward time, one shift batch per
-    QuantumNode, so forward-only evaluation (e.g. finite-difference
-    probing) never pays for shifts.  Under :func:`no_tape` a set's node is
-    its plain value.
+    A call whose sets all carry a window axis, (..., W, T, d) features as
+    in every stage of a batched graph, is one :class:`QuantumNode` over
+    the rows of all its sets: its parents are every set's feature and
+    weight node, its value is the joined <Z> rows, and each set's output
+    is a slice of it in the set's shape (a lone set's output is the node
+    itself).  The sets of a call are one block's variables, heads or
+    branches, so their rows are just more rows of one shift batch, and
+    the node's circuit is the first set's.  Other calls, from the graph of
+    a single window, keep one node per set: 1-D features give one node,
+    and an unbatched (T, d) sequence one node per position, fed by that
+    position's 1-D feature row (weights with a position axis are split
+    the same way) and stacked back to (T, n); ``perfbench``'s circuit
+    check reads one feature row and one weight row per node.  Jacobians
+    are computed lazily at backward time, one shift batch per
+    QuantumNode over the rows its forward bound, so forward-only
+    evaluation (e.g. finite-difference probing) never pays for shifts.
+    Under :func:`no_tape` a set's node is its plain value.
     """
     if isinstance(circuits, ParameterizedCircuit):
         return quantum_forward([circuits], [feature_nodes], [weight_nodes])[0]
@@ -481,32 +486,62 @@ def quantum_forward(circuits: ParameterizedCircuit | list[ParameterizedCircuit],
     nf = circuit.num_feature_slots
     z = measure_all_z(run_circuit(circuit, values[:, :nf], values[:, nf:]))
 
-    outputs, taping = [], _taping.get()
-    for c, f, w, lead, start, stop in zip(circuits, feature_nodes, weight_nodes, leads,
-                                          bounds, bounds[1:]):
-        value = z[start:stop].reshape(lead + z.shape[-1:])
-        if not taping:
-            outputs.append(Node(value))
-        elif f.value.ndim != 2:
-            outputs.append(_quantum_node(c, f, w, value))
-        else:
-            outputs.append(stack_rows([
-                _quantum_node(c, row(f, t), w if w.value.ndim < 2 else row(w, t),
-                              value[..., t, :])
-                for t in range(value.shape[-2])]))
+    if not _taping.get():
+        return [Node(z[a:b].reshape(lead + z.shape[-1:]))
+                for lead, a, b in zip(leads, bounds, bounds[1:])]
+    if all(f.value.ndim >= 3 for f in feature_nodes):
+        node = _circuit_node(circuit, feature_nodes, weight_nodes, leads, values, z)
+        if len(leads) == 1:
+            return [node]
+        return [_set_rows(node, a, b, lead) for lead, a, b in zip(leads, bounds, bounds[1:])]
+    outputs = []
+    for c, f, w, lead, a, b in zip(circuits, feature_nodes, weight_nodes, leads, bounds,
+                                   bounds[1:]):
+        if f.value.ndim != 2:
+            outputs.append(_circuit_node(c, [f], [w], [lead], values[a:b], z[a:b]))
+            continue
+        steps = lead[-1]   # position t's rows are every steps-th row from a + t
+        outputs.append(stack_rows([
+            _circuit_node(c, [row(f, t)], [w if w.value.ndim < 2 else row(w, t)], [lead[:-1]],
+                          values[a + t:b:steps], z[a + t:b:steps])
+            for t in range(steps)]))
     return outputs
 
 
-def _quantum_node(circuit: ParameterizedCircuit, feature_node: Node, weight_node: Node,
-                  value: np.ndarray) -> QuantumNode:
-    """A circuit node whose backward rule differentiates its own rows by parameter shift."""
-    features = feature_node.value.copy()
-    weights = weight_node.value.copy()
+def _circuit_node(circuit: ParameterizedCircuit, feature_nodes, weight_nodes, leads,
+                  values: np.ndarray, z: np.ndarray) -> QuantumNode:
+    """One circuit node over the bound slot ``values`` of its sets and their <Z> rows ``z``.
+
+    Set i is ``feature_nodes[i]`` and ``weight_nodes[i]``, broadcast to
+    ``leads[i]``, on its block of rows.  A lone set's value keeps the set's
+    shape; otherwise the value is the joined rows.  The backward rule
+    shifts every row in one batch and hands each parent its rows' part
+    of ``u . J``, summed over the axes its set broadcast.
+    """
 
     def rule(u):
-        jf, jw = shift_rule_jacobians(circuit, features, weights)
-        u = u[..., None]
-        return (_unbroadcast((jf @ u)[..., 0], features.shape),
-                _unbroadcast((jw @ u)[..., 0], weights.shape))
+        nf = circuit.num_feature_slots
+        jf, jw = shift_rule_jacobians(circuit, values[:, :nf], values[:, nf:])
+        u = u.reshape(z.shape)[..., None]
+        gf, gw = (jf @ u)[..., 0], (jw @ u)[..., 0]
+        contribs, a = [], 0
+        for f, w, lead in zip(feature_nodes, weight_nodes, leads):
+            b = a + math.prod(lead)
+            contribs += (_unbroadcast(gf[a:b].reshape(lead + gf.shape[-1:]), f.value.shape),
+                         _unbroadcast(gw[a:b].reshape(lead + gw.shape[-1:]), w.value.shape))
+            a = b
+        return contribs
 
-    return QuantumNode(circuit, feature_node, weight_node, value, rule)
+    value = z.reshape(leads[0] + z.shape[-1:]) if len(leads) == 1 else z
+    return QuantumNode(circuit, itertools.chain(*zip(feature_nodes, weight_nodes)), value, rule)
+
+
+def _set_rows(node: Node, start: int, stop: int, lead: tuple[int, ...]) -> Node:
+    """Rows ``start:stop`` of a (rows, n) node, shaped ``lead + (n,)``."""
+
+    def rule(u):
+        g = np.zeros_like(node.value)
+        g[start:stop] = u.reshape(stop - start, -1)
+        return (g,)
+
+    return Node(node.value[start:stop].reshape(lead + node.value.shape[-1:]), (node,), rule)

@@ -120,7 +120,9 @@ def test_quantum_forward_over_positions_matches_per_row_runs(seed, positions, wi
     """Features shaped (..., T, d) run in one simulator call.  An unbatched
     (T, d) sequence gives one circuit node per position, fed by that
     position's row; a windowed (W, T, d) sequence gives one node over all
-    its rows, fed by the whole feature node."""
+    its rows, fed by the whole feature node.  That node is a one-set call
+    node, so its parents are read off its ``sets`` (it had a
+    ``feature_parent`` when every circuit node had exactly one set)."""
     rng = np.random.default_rng(seed)
     circ, _, wts = oracles.random_circuit(rng, max_qubits=5, max_depth=12)
     n = circ.num_qubits
@@ -132,7 +134,9 @@ def test_quantum_forward_over_positions_matches_per_row_runs(seed, positions, wi
     assert out.value.shape == lead + (n,)
     if windows:
         assert isinstance(out, grad.QuantumNode) and out.circuit is circ
-        np.testing.assert_array_equal(out.feature_parent.value, features)
+        [(feature_node, weight_node)] = out.sets
+        np.testing.assert_array_equal(feature_node.value, features)
+        np.testing.assert_array_equal(weight_node.value, wts)
         for idx in np.ndindex(lead):
             single = measure_all_z(run_circuit(circ, features[idx], wts))
             np.testing.assert_allclose(out.value[idx], single, rtol=0, atol=tol)
@@ -149,7 +153,8 @@ def test_quantum_forward_over_positions_matches_per_row_runs(seed, positions, wi
     for t, node in enumerate(out.parents):
         assert isinstance(node, grad.QuantumNode) and node.circuit is circ
         row = features[t]
-        np.testing.assert_array_equal(node.feature_parent.value, row)
+        [(feature_node, _)] = node.sets
+        np.testing.assert_array_equal(feature_node.value, row)
         np.testing.assert_array_equal(out.value[t], node.value)
         single = measure_all_z(run_circuit(circ, row, wts))
         np.testing.assert_allclose(node.value, single, rtol=0, atol=tol)
@@ -175,7 +180,8 @@ def test_windowed_set_node_differentiates_as_its_per_position_split(seed, window
     or theirs stacked for weights with a position axis.
 
     Each slow-path node runs ``features[:, t, :]`` (kept as one position) as
-    its own set.  A sum over unbatched weights adds the same W x T row
+    its own set, in its own call: the T sets of one call would now be one
+    call node too.  A sum over unbatched weights adds the same W x T row
     contributions in another order (all rows at once, not per position and
     then across positions), so it agrees to within that order's rounding.
     """
@@ -188,11 +194,10 @@ def test_windowed_set_node_differentiates_as_its_per_position_split(seed, window
     weights = grad.param(rng.uniform(-math.pi, math.pi,
                                      (positions, nw) if positional_weights else nw))
     merged = grad.quantum_forward(circ, features, weights)
-    split = grad.quantum_forward(
-        [circ] * positions, [features.value[:, t:t + 1] for t in range(positions)],
-        [weights.value[t:t + 1] if positional_weights else weights.value
-         for t in range(positions)])
-    assert isinstance(merged, grad.QuantumNode) and merged.feature_parent is features
+    split = [grad.quantum_forward(circ, features.value[:, t:t + 1],
+                                  weights.value[t:t + 1] if positional_weights else weights.value)
+             for t in range(positions)]
+    assert isinstance(merged, grad.QuantumNode) and merged.sets == [(features, weights)]
     np.testing.assert_allclose(merged.value, np.concatenate([s.value for s in split], axis=-2),
                                rtol=0, atol=tol)
 
@@ -224,9 +229,19 @@ def _copy(circuit):
 def test_quantum_forward_of_many_sets_matches_each_set_run_alone(seed, sets, windows, positions,
                                                                   shared):
     """Sets of one gate list run in one simulator call, and each set gets
-    what it gets alone: its values, its circuit nodes (one over all rows of
-    a windowed set, one per position of an unbatched sequence) fed by its
-    own rows, and those rows' parameter-shift Jacobians."""
+    what it gets alone: its values, its parents and its rows' parameter-shift
+    Jacobians.
+
+    When every set carries a window axis, the call is one circuit node whose
+    parents are each set's feature and weight node in set order, and each
+    set's output is a slice of its joined rows (a lone set's output is the
+    node).  Its backward rule is checked against the Jacobians of the same
+    joined rows; ``test_call_node_differentiates_as_each_set_run_alone``
+    compares it with each set's own call.  Otherwise each set keeps its own
+    nodes: one over all rows of a windowed set, one per position of an
+    unbatched sequence, each with its own circuit and rows.  (Every set had
+    its own nodes, with ``feature_parent``/``weight_parent``, before a
+    windowed call became one node.)"""
     rng = np.random.default_rng(seed)
     circ, _, _ = oracles.random_circuit(rng, max_qubits=5, max_depth=12)
     n, nf, nw = circ.num_qubits, circ.num_feature_slots, circ.num_weight_slots
@@ -260,32 +275,145 @@ def test_quantum_forward_of_many_sets_matches_each_set_run_alone(seed, sets, win
         np.testing.assert_allclose(out.value, alone, rtol=0, atol=tol)
         assert type(value) is grad.Node and value.parents == ()
         np.testing.assert_array_equal(value.value, out.value)
-        windowed = len(lead) > 1
-        if windowed:   # one node over all the set's rows
-            nodes, rows, values = [out], [f.value], [out.value]
-        else:          # one node per position
-            nodes, rows, values = out.parents, f.value, out.value
-        assert len(nodes) == len(rows)
-        for node, row, row_value in zip(nodes, rows, values):
-            assert isinstance(node, grad.QuantumNode) and node.circuit is c
-            assert node.weight_parent is w
-            np.testing.assert_array_equal(node.feature_parent.value, row)
-            np.testing.assert_array_equal(node.value, row_value)
-            if not _shiftable(c):
-                continue
-            jf, jw = grad.shift_rule_jacobians(c, row, w.value)
-            for q in range(n):
-                u = np.zeros(node.value.shape)
-                u[..., q] = 1.0
-                rule_f, rule_w = node.backward_rule(u)
-                np.testing.assert_array_equal(rule_f, jf[..., q])
-                np.testing.assert_array_equal(rule_w, jw[..., q].sum(axis=(0, 1))
-                                              if windowed else jw[:, q])
+
+    if all(len(lead) > 1 for lead in leads):   # one call node over every set's rows
+        node = outs[0] if sets == 1 else outs[0].parents[0]
+        assert isinstance(node, grad.QuantumNode) and node.circuit is circ
+        assert node.sets == list(zip(features, weights))
+        if sets > 1:
+            assert all(type(out) is grad.Node and out.parents == (node,) for out in outs)
+        values, _ = circ.plan.bind_sets([f.value for f in features], [w.value for w in weights])
+        bounds = np.cumsum([0] + [math.prod(lead) for lead in leads])
+        np.testing.assert_array_equal(node.value.reshape(-1, n),
+                                      np.concatenate([o.value.reshape(-1, n) for o in outs]))
+        if not _shiftable(circ):
+            return
+        jf, jw = grad.shift_rule_jacobians(circ, values[:, :nf], values[:, nf:])
+        for q in range(n):
+            u = np.zeros(node.value.shape)
+            u[..., q] = 1.0
+            contribs = node.backward_rule(u)
+            assert len(contribs) == 2 * sets
+            for i, lead in enumerate(leads):
+                a, b = bounds[i], bounds[i + 1]
+                np.testing.assert_array_equal(contribs[2 * i], jf[a:b, :, q].reshape(lead + (nf,)))
+                np.testing.assert_array_equal(contribs[2 * i + 1],
+                                              jw[a:b, :, q].reshape(lead + (nw,)).sum(axis=(0, 1)))
+    else:
+        for c, f, w, lead, out in zip(circuits, features, weights, leads, outs):
+            windowed = len(lead) > 1
+            if windowed:   # one node over all the set's rows
+                nodes, rows, values = [out], [f.value], [out.value]
+            else:          # one node per position
+                nodes, rows, values = out.parents, f.value, out.value
+            assert len(nodes) == len(rows)
+            for node, row, row_value in zip(nodes, rows, values):
+                assert isinstance(node, grad.QuantumNode) and node.circuit is c
+                [(feature_node, weight_node)] = node.sets
+                assert weight_node is w
+                np.testing.assert_array_equal(feature_node.value, row)
+                np.testing.assert_array_equal(node.value, row_value)
+                if not _shiftable(c):
+                    continue
+                jf, jw = grad.shift_rule_jacobians(c, row, w.value)
+                for q in range(n):
+                    u = np.zeros(node.value.shape)
+                    u[..., q] = 1.0
+                    rule_f, rule_w = node.backward_rule(u)
+                    np.testing.assert_array_equal(rule_f, jf[..., q])
+                    np.testing.assert_array_equal(rule_w, jw[..., q].sum(axis=(0, 1))
+                                                  if windowed else jw[:, q])
 
     other = quantum_sim.ParameterizedCircuit(n, circ.ops + (quantum_sim.Gate("H", (0,)),),
                                              nf, nw)
     with pytest.raises(CircuitError, match="equal gate lists"):
         grad.quantum_forward([circ, other], features[:1] * 2, weights[:1] * 2)
+
+
+def _contributions_by_parent(nodes, upstreams):
+    """Each parent's contributions from ``nodes``' rules, added in parent order.
+
+    Returns ``{id(parent): (parent, total, count)}``.
+    """
+    out = {}
+    for node, u in zip(nodes, upstreams):
+        for parent, contrib in zip(node.parents, node.backward_rule(u)):
+            _, total, count = out.get(id(parent), (parent, None, 0))
+            out[id(parent)] = (parent, contrib if total is None else total + contrib, count + 1)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), sets=st.integers(1, 4),
+       windows=st.lists(st.integers(1, 3), min_size=4, max_size=4),
+       positions=st.lists(st.integers(1, 4), min_size=4, max_size=4),
+       feature_of=st.lists(st.integers(0, 3), min_size=4, max_size=4),
+       positional=st.lists(st.booleans(), min_size=4, max_size=4))
+def test_call_node_differentiates_as_each_set_run_alone(seed, sets, windows, positions,
+                                                        feature_of, positional):
+    """A call whose sets all carry a window axis is one circuit node, and it
+    must give each set what that set's own one-set call gives: its values,
+    and every parent's gradient contribution for any upstream gradient.
+
+    Sets may share a feature node, as ``qglu``'s two branches (``x + x``) and
+    attention's value, query and key blocks (``[s] * (1 + 2 h)``) do; set i
+    reads the feature node of set ``feature_of[i]`` when that is an earlier
+    set.  Weights are unbatched or carry the set's position axis.  A
+    parent's contributions are added in set order on both sides.  At 1-2
+    qubits every row's <Z> and Jacobian does not depend on which rows share
+    its batch, so values and contributions agree bit for bit.  Wider <Z>
+    rows may round differently per batch, so values agree within 1e-15 and
+    a contribution within rows * eps times the summed absolute terms of its
+    ``u . J`` products.
+    """
+    rng = np.random.default_rng(seed)
+    circ, _, _ = oracles.random_circuit(rng, max_qubits=5, max_depth=12)
+    assume(_shiftable(circ))
+    n, nf, nw = circ.num_qubits, circ.num_feature_slots, circ.num_weight_slots
+    features = []
+    for i in range(sets):
+        j = feature_of[i]
+        features.append(features[j] if j < i else
+                        grad.param(rng.uniform(-1.5, 1.5, (windows[i], positions[i], nf))))
+    weights = [grad.param(rng.uniform(-math.pi, math.pi,
+                                      (f.value.shape[1], nw) if positional[i] else nw))
+               for i, f in enumerate(features)]
+    circuits = [circ] * sets
+    outs = grad.quantum_forward(circuits, features, weights)
+    alone = [grad.quantum_forward(circ, f, w) for f, w in zip(features, weights)]
+    node = outs[0] if sets == 1 else outs[0].parents[0]
+    assert isinstance(node, grad.QuantumNode)
+    assert node.sets == list(zip(features, weights))
+    assert all(isinstance(a, grad.QuantumNode) for a in alone)
+
+    exact = n <= 2
+    for out, a in zip(outs, alone):
+        if exact:
+            assert out.value.tobytes() == a.value.tobytes()
+        else:
+            np.testing.assert_allclose(out.value, a.value, rtol=0, atol=1e-15)
+
+    upstreams = [rng.normal(size=a.value.shape) for a in alone]
+    joined = upstreams[0] if sets == 1 else np.concatenate([u.reshape(-1, n) for u in upstreams])
+    got = _contributions_by_parent([node], [joined])
+    want = _contributions_by_parent(alone, upstreams)
+    assert got.keys() == want.keys()
+    rows = node.value.size // n
+    for key, (parent, total, count) in got.items():
+        _, reference, ref_count = want[key]
+        assert count == ref_count and total.shape == parent.value.shape
+        if exact:
+            assert total.tobytes() == reference.tobytes()
+            continue
+        terms = 0.0
+        for (f, w), u in zip(node.sets, upstreams):
+            jf, jw = grad.shift_rule_jacobians(circ, f.value, w.value)
+            for p, j in ((f, jf), (w, jw)):
+                if p is parent:
+                    terms = terms + grad._unbroadcast((np.abs(j) @ np.abs(u)[..., None])[..., 0],
+                                                      parent.value.shape)
+        np.testing.assert_array_less(np.abs(total - reference),
+                                     rows * np.finfo(float).eps * terms + np.finfo(float).tiny)
 
 
 def test_single_window_forward_runs_each_block_circuit_once(monkeypatch):
@@ -447,35 +575,49 @@ def test_single_window_graph_feeds_circuits_one_row():
     circuit_nodes = quantum_nodes(single)
     assert len(circuit_nodes) == 105
     for node in circuit_nodes:
-        assert node.feature_parent.value.shape == (node.circuit.num_feature_slots,)
-        assert node.weight_parent.value.ndim == 1
+        [(feature_node, weight_node)] = node.sets
+        assert feature_node.value.shape == (node.circuit.num_feature_slots,)
+        assert weight_node.value.ndim == 1
         assert node.value.shape == (node.circuit.num_qubits,)
 
-    # Each set of the three windows is one node over all its (window,
-    # position) rows (105 nodes, one per position, before).  The windows share
-    # their one static row, so the static VSN (3 nodes), the static encoders
-    # (12) and the circuits that read a static context alone (vqc_c of the
-    # past-VSN weight QGRN and of enrichment) run it once, as one position.
-    # The other 36 run on (3, T) rows: 28 over the 2 past or 2 future steps,
-    # 8 over all 4 positions.
+    # Each simulator call of the three windows is one node over the (window,
+    # position) rows of all its sets: 18 nodes holding 53 sets.  (53 nodes
+    # before, one per set, and 105 before that, one per position.)  The
+    # windows share their one static row, so the static VSN (3 sets in 2
+    # calls), the static encoders (12 sets in 2 calls) and the circuits that
+    # read a static context alone (vqc_c of the past-VSN weight QGRN and of
+    # enrichment, each in its QGRN's vqc_a call) run it once, as one
+    # position.  The other 36 sets run on (3, T) rows: 28 over the 2 past or
+    # 2 future steps, 8 over all 4 positions.
     p = model.params
-    static_only = block_circuits(p.static_vsn, p.static_encoders,
-                                 p.past_vsn.weight_grn.vqc_c, p.enrichment.vqc_c)
+    static_path = block_circuits(p.static_vsn, p.static_encoders)
+    with_context = block_circuits(p.past_vsn.weight_grn.vqc_a, p.enrichment.vqc_a)
     circuit_nodes = quantum_nodes(loss)
-    assert len(circuit_nodes) == 53
-    leads = [node.feature_parent.value.shape[:-1] for node in circuit_nodes]
-    assert all((lead == (1, 1)) == (id(node.circuit) in static_only)
-               for node, lead in zip(circuit_nodes, leads))
-    assert sorted(leads) == [(1, 1)] * 17 + [(3, 2)] * 28 + [(3, 4)] * 8
-    for node, lead in zip(circuit_nodes, leads):
-        assert node.feature_parent.value.shape == lead + (node.circuit.num_feature_slots,)
-        assert node.weight_parent.value.ndim == 1
-        assert node.value.shape == lead + (node.circuit.num_qubits,)
+    assert len(circuit_nodes) == 18
+    leads = [[f.value.shape[:-1] for f, _ in node.sets] for node in circuit_nodes]
+    one, past, every = (1, 1), (3, 2), (3, 4)
+    assert sorted(leads) == sorted(
+        [[one], [one] * 2, [one] * 4, [one] * 8, [past], [past], [past, one], [past] * 2,
+         [past] * 2, [past] * 2, [past] * 2, [past] * 2, [past] * 5, [past] * 10, [every, one],
+         [every] * 2, [every] * 2, [every] * 3])
+    for node, node_leads in zip(circuit_nodes, leads):
+        if id(node.circuit) in static_path:
+            assert set(node_leads) == {one}
+        elif id(node.circuit) in with_context:
+            assert node_leads[0] != one and node_leads[1:] == [one]
+        else:
+            assert one not in node_leads
+        n, nf = node.circuit.num_qubits, node.circuit.num_feature_slots
+        for (feature_node, weight_node), lead in zip(node.sets, node_leads):
+            assert feature_node.value.shape == lead + (nf,)
+            assert weight_node.value.ndim == 1
+        rows = sum(math.prod(lead) for lead in node_leads)
+        assert node.value.shape == (node_leads[0] + (n,) if len(node_leads) == 1 else (rows, n))
 
 
-def axis_training_loss(axis_csv, kind="qtft"):
+def axis_training_loss(axis_csv, kind="qtft", d_model=2):
     table = data_io.load_csv(axis_csv, ["Open", "High", "Low", "Last"], "Close")
-    cfg = TrainConfig(model_kind=kind)
+    cfg = TrainConfig(model_kind=kind, d_model=d_model)
     train_w, _ = forecasting.build_stock_windows(table.rows, table.column_index("Close"), cfg)
     model = forecasting.build_model(cfg, 5, 1, 1)
     return model, train_w, forecasting.batch_loss_node(model, train_w, cfg.quantile)
@@ -483,42 +625,48 @@ def axis_training_loss(axis_csv, kind="qtft"):
 
 def test_training_graph_differentiates_past_selection_through_the_prefix_sweep(
         axis_csv, monkeypatch):
-    """The nodes of the 5-qubit past-VSN weight QGRN that run on the 17
+    """The calls of the 5-qubit past-VSN weight QGRN that run on the 17
     training windows' 18 distinct past rows run their shift batches through
     the prefix sweep; each backward rule must give the Jacobian of the same
     shifted rows run one full row at a time."""
     model, train_w, loss = axis_training_loss(axis_csv)
     wg = model.params.past_vsn.weight_grn
-    circuits = [wg.vqc_a.circuit, wg.vqc_c.circuit,
-                wg.qglu.branch_gate.circuit, wg.qglu.branch_lin.circuit]
+    circuits = [wg.vqc_a.circuit, wg.qglu.branch_gate.circuit]
     nodes = [node for node in quantum_nodes(loss) if any(node.circuit is c for c in circuits)]
     # 7 nodes of 17 rows before each distinct row ran once: vqc_a, gate and lin
-    # per past step, vqc_c once.  Now vqc_a, gate and lin run once on the 18
-    # distinct past rows (one position), and vqc_c on the one static context row.
-    # Features keep their position axis, (18, 1, 5) and (1, 1, 5), since a
-    # windowed set is one node over all its rows rather than a node per position.
+    # per past step, vqc_c once.  Then vqc_a, gate and lin ran once on the 18
+    # distinct past rows (one position), and vqc_c on the one static context
+    # row, as 4 nodes.  Now each simulator call is one node: vqc_a with vqc_c
+    # (18 + 1 rows) and the gate with the lin branch (18 + 18 rows).  So
+    # vqc_c's one row, below the sweep's bound alone, now sweeps with vqc_a's.
     assert len(train_w) == 17
-    assert sorted(node.feature_parent.value.shape[0] for node in nodes) == [1, 18, 18, 18]
+    assert len(nodes) == 2
+    assert sorted([f.value.shape for f, _ in node.sets] for node in nodes) == [
+        [(18, 1, 5), (1, 1, 5)], [(18, 1, 5), (18, 1, 5)]]
     for node in nodes:
         circ, n = node.circuit, node.circuit.num_qubits
-        features, weights = node.feature_parent.value, node.weight_parent.value
-        rows = features.shape[0] * 2 * circ.plan.shift_gates.size
-        assert n == 5 and features.shape[1:] == (1, 5)
-        sweeps = rows * 2 ** n >= quantum_sim.PREFIX_SWEEP_AMPLITUDES
-        assert sweeps == (circ is not wg.vqc_c.circuit)
+        nf, nw = circ.num_feature_slots, circ.num_weight_slots
+        values, leads = circ.plan.bind_sets([f.value for f, _ in node.sets],
+                                            [w.value for _, w in node.sets])
+        rows = values.shape[0] * 2 * circ.plan.shift_gates.size
+        assert n == 5 and rows * 2 ** n >= quantum_sim.PREFIX_SWEEP_AMPLITUDES
         with monkeypatch.context() as mp:
             mp.setattr(grad, "run_bound_batch",
                        lambda c, angle_rows, shifted: quantum_sim.run_bound_batch(c, angle_rows))
-            jf, jw = grad.shift_rule_jacobians(circ, features, weights)
+            jf, jw = grad.shift_rule_jacobians(circ, values[:, :nf], values[:, nf:])
+        bounds = np.cumsum([0] + [math.prod(lead) for lead in leads])
         for q in range(n):
             u = np.zeros(node.value.shape)
             u[..., q] = 1.0
-            rule_f, rule_w = node.backward_rule(u)
-            np.testing.assert_array_equal(rule_f, jf[..., q])
-            np.testing.assert_array_equal(rule_w, jw[..., q].sum(axis=(0, 1)))
+            contribs = node.backward_rule(u)
+            for i, lead in enumerate(leads):
+                a, b = bounds[i], bounds[i + 1]
+                np.testing.assert_array_equal(contribs[2 * i], jf[a:b, :, q].reshape(lead + (nf,)))
+                np.testing.assert_array_equal(contribs[2 * i + 1],
+                                              jw[a:b, :, q].reshape(lead + (nw,)).sum(axis=(0, 1)))
 
 
-@pytest.mark.parametrize("kind,nodes,rows", [("qtft", 53, 19_274), ("qtft-qlstm", 69, 22_538)])
+@pytest.mark.parametrize("kind,nodes,rows", [("qtft", 18, 19_274), ("qtft-qlstm", 22, 22_538)])
 def test_training_graph_runs_each_distinct_step_row_once(axis_csv, monkeypatch, kind, nodes,
                                                          rows):
     """The 17 stride-1 AXIS training windows hold 34 past and 34 future
@@ -528,9 +676,11 @@ def test_training_graph_runs_each_distinct_step_row_once(axis_csv, monkeypatch, 
     took 21 circuit nodes out of the training graph (105 -> 84; qtft-qlstm
     121 -> 100): 18 of the past VSN's second step and 3 of the future VSN's.
     A backward shifts 31,178 -> 19,274 rows (qtft-qlstm 34,442 -> 22,538).
-    Each set over (window, position) rows is now one node, where it was one
-    node per position (84 -> 53; qtft-qlstm 100 -> 69); the shifted rows
-    stay, and each node still makes one shift batch.
+    Each set over (window, position) rows then became one node, where it
+    was one node per position (84 -> 53; qtft-qlstm 100 -> 69).  Now each
+    simulator call is one node over the rows of all its sets (53 -> 18;
+    qtft-qlstm 69 -> 22), as many as a forward makes calls.  The shifted
+    rows stay, and each node still makes one shift batch.
     """
     _, _, loss = axis_training_loss(axis_csv, kind)
     assert len(quantum_nodes(loss)) == nodes
@@ -541,6 +691,75 @@ def test_training_graph_runs_each_distinct_step_row_once(axis_csv, monkeypatch, 
                         or original(c, angle_rows, shifted))
     grad.backward(loss)
     assert (len(batches), sum(batches)) == (nodes, rows)
+
+
+@pytest.mark.parametrize("kind,calls,sets", [("qtft", 18, 53), ("qtft-qlstm", 22, 69)])
+@pytest.mark.parametrize("d_model", [2, 4])
+def test_training_gradients_match_one_node_per_set(axis_csv, monkeypatch, kind, calls, sets,
+                                                   d_model):
+    """Every leaf gradient of the 17-window AXIS training loss is what the
+    same graph gives with one circuit node, and one shift batch, per set.
+
+    The per-set path builds each set's node in a call of its own and gives
+    it the value its set gets in the joint call, as the graph did before
+    calls became one node: run alone, the one context row of the 5-qubit
+    past-VSN weight QGRN's ``vqc_c`` rounds its <Z> differently from the
+    19-row call it shares with ``vqc_a`` (a <Z> row of 3 or more qubits
+    depends on its batch).  The call node adds a shared parent's
+    contributions in set order, and wider circuits' Jacobian rows may round
+    differently in a larger shift batch, so only qtft at d_model 2 is bit
+    for bit; elsewhere gradients agree within 1e-15 of the largest leaf
+    gradient.
+    """
+    model, _, loss = axis_training_loss(axis_csv, kind, d_model)
+    assert len(quantum_nodes(loss)) == calls
+    merged = leaf_grads(model, loss)
+
+    original = qtft_core.quantum_forward
+
+    def one_node_per_set(circuits, features, weights):
+        with grad.no_tape():
+            joint = original(circuits, features, weights)
+        nodes = [original(c, f, w) for c, f, w in zip(circuits, features, weights)]
+        for node, value in zip(nodes, joint):
+            node.value = value.value
+        return nodes
+
+    monkeypatch.setattr(qtft_core, "quantum_forward", one_node_per_set)
+    model, _, split_loss = axis_training_loss(axis_csv, kind, d_model)
+    assert len(quantum_nodes(split_loss)) == sets
+    assert split_loss.value.tobytes() == loss.value.tobytes()
+    split = leaf_grads(model, split_loss)
+
+    scale = max(float(np.max(np.abs(g))) for g in split)
+    for leaf, g, reference in zip(model.leaves(), merged, split):
+        assert g.shape == reference.shape == leaf.value.shape
+        if kind == "qtft" and d_model == 2:
+            np.testing.assert_array_equal(g, reference)
+        else:
+            np.testing.assert_allclose(g, reference, rtol=0, atol=1e-15 * scale)
+
+
+@pytest.mark.parametrize("kind,calls", [("qtft", 18), ("qtft-qlstm", 22)])
+def test_each_call_node_runs_the_circuits_of_one_params_field(axis_csv, monkeypatch, kind,
+                                                              calls):
+    """A call node differentiates all its sets in one shift batch, handed the
+    first set's circuit.  The benchmark's tracer attributes that batch's time
+    to the ``TFTParams`` field holding the circuit it is handed, so every
+    call of the training graph must run circuits of one field only."""
+    runs = []
+    original = qtft_core.quantum_forward
+    monkeypatch.setattr(qtft_core, "quantum_forward",
+                        lambda cs, fs, ws: runs.append(list(cs)) or original(cs, fs, ws))
+    model, _, loss = axis_training_loss(axis_csv, kind)
+    field_of = {i: f.name for f in dataclasses.fields(model.params)
+                for i in block_circuits(getattr(model.params, f.name))}
+    circuits_of = {id(cs[0]): cs for cs in runs}
+    nodes = quantum_nodes(loss)
+    assert len(nodes) == len(runs) == calls
+    for node in nodes:
+        fields = {field_of[id(c)] for c in circuits_of[id(node.circuit)]}
+        assert len(fields) == 1 and field_of[id(node.circuit)] in fields
 
 
 @pytest.mark.parametrize("kind", ["tft", "qtft", "qtft-qlstm"])

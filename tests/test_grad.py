@@ -215,7 +215,8 @@ def test_every_rule_returns_contributions_in_its_parents_shapes(lead, seed):
     rng = np.random.default_rng(seed)
     outputs = _graphs_of_every_op(rng, lead)
     nodes = [n for n in _reached(*outputs) if n.backward_rule is not None]
-    feature_ranks = {n.feature_parent.value.ndim for n in nodes if isinstance(n, grad.QuantumNode)}
+    feature_ranks = {f.value.ndim for n in nodes if isinstance(n, grad.QuantumNode)
+                     for f, _ in n.sets}
     # The two circuit sets have features of rank len(lead) + 1 and + 2.  An
     # unbatched (T, d) sequence splits into T nodes of 1-D rows; a set of any
     # other rank, windowed sequences included, is one node over all its rows.
