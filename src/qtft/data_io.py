@@ -271,9 +271,11 @@ def save_params(named_leaves: list[tuple[str, object]], config: dict[str, object
 def load_params(path: str, required_config: tuple[str, ...] = ()
                 ) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     """Read a snapshot back; the first of ``required_config`` it lacks is an error,
-    and so is a leaf line that is not ``name | shape | values`` (naming the line)."""
+    and so is a leaf line that is not ``name | shape | values`` (naming the line)
+    and a leaf or ``config.`` key set on two lines (naming both)."""
     config: dict[str, str] = {}
     arrays: dict[str, np.ndarray] = {}
+    line_of: dict[str, int] = {}   # each key read so far -> its line
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -282,17 +284,21 @@ def load_params(path: str, required_config: tuple[str, ...] = ()
             if line.startswith("config."):
                 key, _, value = line.partition(" = ")
                 config[key[len("config."):]] = value
-                continue
-            try:
-                name, shape_s, flat = (part.strip() for part in line.split("|"))
-                shape = () if shape_s == "scalar" else tuple(int(s) for s in shape_s.split("x"))
-                values = np.array([float(tok) for tok in flat.split()], dtype=float)
-                if values.size != math.prod(shape):
-                    raise ValueError(f"{values.size} values for shape {shape_s}")
-                arrays[name] = values.reshape(shape)
-            except ValueError as exc:
-                raise SnapshotError(f"snapshot {path} line {line_no}: expected "
-                                    f"'name | shape | values' ({exc})") from None
+            else:
+                try:
+                    key, shape_s, flat = (part.strip() for part in line.split("|"))
+                    shape = () if shape_s == "scalar" else tuple(int(s) for s in shape_s.split("x"))
+                    values = np.array([float(tok) for tok in flat.split()], dtype=float)
+                    if values.size != math.prod(shape):
+                        raise ValueError(f"{values.size} values for shape {shape_s}")
+                    arrays[key] = values.reshape(shape)
+                except ValueError as exc:
+                    raise SnapshotError(f"snapshot {path} line {line_no}: expected "
+                                        f"'name | shape | values' ({exc})") from None
+            if key in line_of:
+                raise SnapshotError(f"snapshot {path} sets {key} on line {line_of[key]} "
+                                    f"and again on line {line_no}")
+            line_of[key] = line_no
     missing = [key for key in required_config if key not in config]
     if missing:
         raise SnapshotError(f"snapshot {path} has no config.{missing[0]} line")

@@ -124,9 +124,15 @@ def make_windows(series: np.ndarray, target_col: int, k: int, tau_max: int,
     For each anchor t the past is rows [t-k+1, t] of the observed columns
     (everything not in ``known_cols``), the targets are the target column
     at rows [t+1, t+tau_max] and the known future inputs are
-    ``known_cols`` at those same rows.
+    ``known_cols`` at those same rows.  The target and each known column
+    must be distinct columns of ``series``, so no target reaches the model
+    as a known input.
     """
     series = np.asarray(series, dtype=float)
+    columns = (target_col, *known_cols)
+    if len(set(columns)) < len(columns) or not all(0 <= c < series.shape[1] for c in columns):
+        raise ValueError(f"target_col {target_col} and known_cols {tuple(known_cols)} must be "
+                         f"distinct columns of a series with {series.shape[1]} columns")
     first, last = rows_range
     if first < 0 or last >= series.shape[0] or first > last:
         raise ValueError(f"row range {rows_range} outside series of length {series.shape[0]}")

@@ -200,20 +200,18 @@ def lstm_seq(inputs, h0, c0, p: LSTMParams, gate=dense_gates):
     return outputs, (h, c)
 
 
-def distinct_rows(rows: np.ndarray, groups: np.ndarray | None = None):
+def distinct_rows(rows: np.ndarray):
     """Each distinct row of a 2-D array once, in the order rows first appear.
 
     Returns ``(at, first)``, two integer arrays: ``rows[first]`` are the
-    distinct rows, and row i equals ``rows[first[at[i]]]``.  A row's entry
-    of ``groups``, when given, is part of what tells it apart.  Rows are
-    compared by their bytes, so 0.0 and -0.0 differ.
+    distinct rows, and row i equals ``rows[first[at[i]]]``.  Rows are
+    compared by their bytes, so 0.0 and -0.0 differ.  ``predict_nodes``
+    tells one entity's batch by its one distinct static row, and runs that
+    batch's selection networks on its distinct step rows.
     """
-    keys = [row.tobytes() for row in rows]
-    if groups is not None:
-        keys = list(zip(groups.tolist(), keys))
     seen: dict = {}
     at, first = [], []
-    for i, key in enumerate(keys):
+    for i, key in enumerate(row.tobytes() for row in rows):
         if key not in seen:
             seen[key] = len(first)
             first.append(i)
@@ -449,8 +447,8 @@ class TFTModel:
         The inputs are one window, shaped (m_static,), (k, m_past) and
         (tau, m_future), or a batch of windows with one leading axis more
         each; the predictions then have shape (batch, tau).  An input whose
-        last axis does not hold the model's number of variables raises
-        ``ValueError``.
+        last axis does not hold the model's number of variables, or whose
+        leading (window) axes differ from the others', raises ``ValueError``.
 
         Every block value carries a position axis at -2, (..., T, width),
         and each stage makes one block call over all its positions.  The
@@ -459,14 +457,15 @@ class TFTModel:
         unit-length slices.
 
         The static encoders and the selection networks read one static row
-        and one time step each, and stride-1 windows share most of their
-        rows.  So a batch of windows runs the static path once per distinct
-        static row, and the past and future embeddings and selection
-        networks once per distinct (static row, step row), as a batch of
-        one-position rows; ``grad.gather`` lays their outputs out per window
-        and step, and its backward rule adds up what repeated rows receive.
-        A context of one static row broadcasts over the windows.  A single
-        window, and a stream in which no row repeats, run as they are.
+        and one time step each, and stride-1 windows of one entity share
+        their static row and most of their step rows.  So a batch whose
+        windows all hold one static row (compared by bytes) runs the static
+        path once, its contexts broadcasting over the windows, and the past
+        and future embeddings and selection networks once per distinct step
+        row, as a batch of one-position rows; ``grad.gather`` lays their
+        outputs out per window and step, and its backward rule adds up what
+        repeated rows receive.  Any other batch (several static rows, say), a
+        single window, and a stream in which no step row repeats run as they are.
         """
         p = self.params
         static_vars = np.asarray(static_vars, dtype=float)
@@ -478,6 +477,10 @@ class TFTModel:
             if values.shape[-1] != len(embeds):
                 raise ValueError(f"{name} has {values.shape[-1]} variables, "
                                  f"the model takes {len(embeds)}")
+        leading = (static_vars.shape[:-1], past_vars.shape[:-2], future_vars.shape[:-2])
+        if not leading[0] == leading[1] == leading[2]:
+            raise ValueError("static_vars, past_vars and future_vars have window shapes "
+                             f"{leading[0]}, {leading[1]} and {leading[2]}; they must agree")
         k, tau = past_vars.shape[-2], future_vars.shape[-2]
         mask = causal_mask(k + tau) if self.cfg.use_causal_mask else None
 
@@ -494,42 +497,24 @@ class TFTModel:
         def future(seq):
             return grad.rows(seq, k, k + tau)
 
-        windowed = (static_vars.ndim == 2
-                    and past_vars.shape[:-2] == future_vars.shape[:-2] == static_vars.shape[:-1])
-        every_window = None
-        if windowed:   # the static path runs once per distinct static row
-            s_at, s_first = distinct_rows(static_vars)
-            static_vars = static_vars[s_first]
-            every_window = np.arange(len(s_at))
-
-        def spread(context, windows):
-            """``context``, one row per distinct static row, at the static rows of ``windows``.
-
-            It is left as it is where it broadcasts: one row, or the distinct rows in order.
-            """
-            if not windowed or len(s_first) == 1:
-                return context
-            rows = s_at[windows]
-            if np.array_equal(rows, np.arange(len(s_first))):
-                return context
-            return grad.gather(context, rows[:, None])
+        one_entity = static_vars.ndim == 2 and len(distinct_rows(static_vars)[1]) == 1
+        if one_entity:   # the static path runs once
+            static_vars = static_vars[:1]
 
         def selected(series, embeds, vsn):
             """The selection network's output at every (window, step).
 
-            In a batch of windows it runs once per distinct (static row, step
-            row), as one-position rows, and a gather lays the outputs out per
-            window and step, unless no row repeats.
+            In one entity's batch it runs once per distinct step row, as
+            one-position rows, and a gather lays the outputs out per window
+            and step, unless no row repeats.
             """
-            if windowed:
-                length = series.shape[1]
+            if one_entity:
                 flat = series.reshape(-1, series.shape[-1])
-                at, first = distinct_rows(flat, s_at.repeat(length) if len(s_first) > 1 else None)
+                at, first = distinct_rows(flat)
                 if len(first) < len(flat):
-                    out = self.select(embed(flat[first, None, :], embeds),
-                                      spread(c_s, first // length), vsn)
-                    return grad.gather(out, at.reshape(-1, length))
-            return self.select(embed(series, embeds), spread(c_s, every_window), vsn)
+                    out = self.select(embed(flat[first, None, :], embeds), c_s, vsn)
+                    return grad.gather(out, at.reshape(series.shape[:-1]))
+            return self.select(embed(series, embeds), c_s, vsn)
 
         xi_static = self.select(embed(static_vars[..., None, :], p.static_embed), None,
                                 p.static_vsn)
@@ -537,7 +522,6 @@ class TFTModel:
 
         past_sel = selected(past_vars, p.past_embed, p.past_vsn)
         future_sel = selected(future_vars, p.future_embed, p.future_vsn)
-        c_e, c_c, c_h = (spread(c, every_window) for c in (c_e, c_c, c_h))
 
         enc_out, (h_T, c_T) = self.recur(steps(past_sel), c_h, c_c, p.encoder_lstm)
         dec_out, _ = self.recur(steps(future_sel), h_T, c_T, p.decoder_lstm)

@@ -764,17 +764,17 @@ def test_each_call_node_runs_the_circuits_of_one_params_field(axis_csv, monkeypa
 
 @pytest.mark.parametrize("kind", ["tft", "qtft", "qtft-qlstm"])
 @pytest.mark.parametrize("d_model", [2, 4])
-@pytest.mark.parametrize("static_rows,gathers", [(((1.0,),), 2), (((1.0,), (0.5,)), 7)],
+@pytest.mark.parametrize("static_rows,gathers", [(((1.0,),), 2), (((1.0,), (0.5,)), 0)],
                          ids=["one_static_row", "two_static_rows"])
 def test_stride_one_batch_predicts_what_each_window_predicts(monkeypatch, kind, d_model,
                                                             static_rows, gathers):
-    """A batch of stride-1 windows runs each distinct row once and gathers the
-    results back per window; every window must get what it gets alone.
+    """A batch of one entity's stride-1 windows runs each distinct row once and
+    gathers the results back per window; every window must get what it gets alone.
 
     One static row takes two gathers (past and future selection).  Two static
-    rows take seven: the past and the future rows also gather their c_s, and
-    c_e, c_c and c_h are gathered per window.  Rows of different static rows
-    are never merged, though their series rows are equal.
+    rows, two entities whose series rows are equal, take none: such a batch
+    runs every window's rows as they are, so rows of different static rows are
+    never merged.
     """
     model = forecasting.build_model(TrainConfig(model_kind=kind, d_model=d_model), 5, 1, 1)
     windows = stride_one_windows(np.random.default_rng(23), 5, static_rows)
@@ -792,14 +792,18 @@ def test_stride_one_batch_predicts_what_each_window_predicts(monkeypatch, kind, 
 
 
 @pytest.mark.parametrize("kind", ["tft", "qtft", "qtft-qlstm"])
-def test_every_leaf_gradient_of_a_stride_one_batch_matches_central_differences(kind):
-    """Gathered rows add their gradients: each leaf's gradient on a batch of
-    stride-1 windows over two static rows, along a random unit direction,
-    agrees with central differences of the loss."""
+@pytest.mark.parametrize("static_rows", [((1.0,),), ((1.0,), (0.5,))],
+                         ids=["one_static_row", "two_static_rows"])
+def test_every_leaf_gradient_of_a_stride_one_batch_matches_central_differences(kind,
+                                                                               static_rows):
+    """Each leaf's gradient on a batch of stride-1 windows, along a random unit
+    direction, agrees with central differences of the loss.  Over one static
+    row the selection outputs are gathered, so repeated rows must add their
+    gradients; over two the batch runs as it is, windows side by side."""
     rng = np.random.default_rng(31)
     cfg = TrainConfig(model_kind=kind, d_model=4)
     model = forecasting.build_model(cfg, 5, 1, 1)
-    windows = stride_one_windows(rng, 3, ((1.0,), (0.5,)))
+    windows = stride_one_windows(rng, 3, static_rows)
     grads = leaf_grads(model, forecasting.batch_loss_node(model, windows, cfg.quantile))
     for leaf, g in zip(model.leaves(), grads):
         base = leaf.value

@@ -252,3 +252,17 @@ def test_params_snapshot_names_malformed_leaf_line(tmp_path, line):
                     f"block.W | 1x2 | 1.0 2.0\n{line}\n", encoding="utf-8")
     with pytest.raises(SnapshotError, match=rf"{re.escape(str(path))} line 4:"):
         load_params(str(path))
+
+
+@pytest.mark.parametrize("lines,key,first,second", [
+    ("config.seed = 1\nconfig.seed = 2\nblock.b | 1 | 0.5\n", "config.seed", 2, 3),
+    ("config.seed = 1\nblock.b | 1 | 0.5\nblock.W | 1 | 1.0\nblock.b | 1 | 0.25\n",
+     "block.b", 3, 5),
+], ids=["config-key", "leaf"])
+def test_params_snapshot_rejects_a_key_set_twice(tmp_path, lines, key, first, second):
+    """The last of two lines would otherwise win silently, so both line numbers are named."""
+    path = tmp_path / "params.txt"
+    path.write_text("# qtft parameter snapshot\n" + lines, encoding="utf-8")
+    with pytest.raises(SnapshotError, match=rf"{re.escape(key)} on line {first} "
+                                            rf"and again on line {second}"):
+        load_params(str(path))

@@ -436,3 +436,16 @@ def test_evaluate_is_the_training_loss_and_predictions_are_predict(axis_csv, kin
     rows = window_predictions(model, windows)
     assert [p for _, _, p in rows] == model.predict(static, past, future).ravel().tolist()
     assert [y for _, y, _ in rows] == targets.ravel().tolist()
+
+
+@pytest.mark.parametrize("target_col,known_cols", [(1, (1,)), (0, (2, 2)), (0, (5,)), (3, ()),
+                                                   (0, (-1,))],
+                         ids=["target-known", "known-twice", "known-out-of-range",
+                              "target-out-of-range", "known-negative"])
+def test_make_windows_rejects_overlapping_or_missing_columns(target_col, known_cols):
+    """A target listed as known would leak the answer into ``future_known``;
+    a repeated or absent column is a caller's slip, not a window layout."""
+    series = np.arange(12, dtype=float).reshape(4, 3)
+    with pytest.raises(ValueError, match="distinct columns of a series with 3 columns"):
+        make_windows(series, target_col, k=1, tau_max=1, rows_range=(0, 3),
+                     known_cols=known_cols)

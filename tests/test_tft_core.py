@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -364,6 +365,24 @@ def test_input_of_the_wrong_width_is_rejected(rng, kind, name, width, takes):
     with pytest.raises(ValueError, match=f"^{name} has {width} variables, "
                                          f"the model takes {takes}$"):
         model.predict_nodes(**inputs)
+
+
+@pytest.mark.parametrize("kind", ["tft", "qtft"])
+@pytest.mark.parametrize("past_shape,future_shape,shapes", [
+    ((2, 5), (2, 1), "(3,), () and ()"),
+    ((3, 2, 5), (1, 2, 1), "(3,), (3,) and (1,)"),
+    ((3, 2, 5), (2, 1), "(3,), (3,) and ()"),
+    ((1, 3, 2, 5), (1, 3, 2, 1), "(3,), (1, 3) and (1, 3)"),
+], ids=["one-window-series", "one-window-future", "unbatched-future", "extra-axis"])
+def test_inputs_of_disagreeing_window_shapes_are_rejected(rng, kind, past_shape, future_shape,
+                                                          shapes):
+    """Leading axes that differ would broadcast into as many predictions as
+    the largest of them, pairing a window's series with other windows' rows."""
+    model = build_model(TrainConfig(model_kind=kind), 5, 1, 1)
+    with pytest.raises(ValueError, match=re.escape(
+            f"static_vars, past_vars and future_vars have window shapes {shapes}")):
+        model.predict_nodes(np.ones((3, 1)), rng.uniform(20, 30, past_shape),
+                            rng.uniform(0, 1, future_shape))
 
 
 def test_permuting_identical_variables_is_invariant(rng):
