@@ -208,12 +208,13 @@ def cmd_eval(args) -> int:
         values["test_range"] = args.range
     try:
         cfg = _config(values)
+        _, eval_w, model = _windows_and_model(cfg, args.data, values["features"],
+                                              values["target"])
     except ConfigError as exc:
         if exc.field == "test_range" and args.range is not None:
             raise ConfigError("range", str(exc)) from None  # main names the flag --range
         key = _KEY_OF_FIELD.get(exc.field, exc.field)
         raise data_io.SnapshotError(f"snapshot {path} config.{key}: {exc}") from None
-    _, eval_w, model = _windows_and_model(cfg, args.data, values["features"], values["target"])
     named = dict(model.named_leaves())
     missing = [name for name in named if name not in arrays]
     unexpected = [name for name in arrays if name not in named]
@@ -226,7 +227,7 @@ def cmd_eval(args) -> int:
         if node.value.shape != arrays[name].shape:
             raise data_io.SnapshotError(f"snapshot leaf {name} has shape "
                                         f"{arrays[name].shape}, expected {node.value.shape}")
-        node.value = arrays[name]
+        node.value[...] = arrays[name]   # a block's slice writes through to its stacked leaf
     loss = forecasting.evaluate(model, eval_w, cfg.quantile)
     print(f"eval loss: {loss!r}")
     return 0
@@ -329,8 +330,7 @@ def _classical_block_deviation(rng) -> float:
     c0 = rng.uniform(-1, 1, d)
     targets = rng.uniform(-1, 1, 4)
 
-    leaves = [node for _, node in tft_core.named_leaves(grn_p, "grn")]
-    leaves += [node for _, node in tft_core.named_leaves(attn_p, "attn")]
+    leaves = tft_core.leaves(grn_p) + tft_core.leaves(attn_p)
 
     def loss_node():
         g1 = tft_core.grn(a0, c0, grn_p)

@@ -118,7 +118,8 @@ def quantile_loss(y, yhat, q: float) -> float:
 
 def make_windows(series: np.ndarray, target_col: int, k: int, tau_max: int,
                  rows_range: tuple[int, int], known_cols: tuple[int, ...] = (),
-                 static: tuple[float, ...] = ()) -> list[WindowedSample]:
+                 static: tuple[float, ...] = (), name: str = "rows_range"
+                 ) -> list[WindowedSample]:
     """Stride-1 overlapping windows over an inclusive row interval.
 
     For each anchor t the past is rows [t-k+1, t] of the observed columns
@@ -126,7 +127,8 @@ def make_windows(series: np.ndarray, target_col: int, k: int, tau_max: int,
     at rows [t+1, t+tau_max] and the known future inputs are
     ``known_cols`` at those same rows.  The target and each known column
     must be distinct columns of ``series``, so no target reaches the model
-    as a known input.
+    as a known input.  A range too short for one window raises a
+    ``ConfigError`` whose field is ``name``, the setting the range came from.
     """
     series = np.asarray(series, dtype=float)
     columns = (target_col, *known_cols)
@@ -138,7 +140,8 @@ def make_windows(series: np.ndarray, target_col: int, k: int, tau_max: int,
         raise ValueError(f"row range {rows_range} outside series of length {series.shape[0]}")
     length = last - first + 1
     if length < k + tau_max:
-        raise ValueError(f"range of {length} rows cannot hold {k} past + {tau_max} future steps")
+        raise ConfigError(name, f"{name} {tuple(rows_range)} holds {length} rows, too few for one "
+                                f"window of {k} past + {tau_max} future steps")
     observed_cols = [c for c in range(series.shape[1]) if c not in known_cols]
     static_arr = np.asarray(static, dtype=float)
     samples = []
@@ -177,11 +180,9 @@ def build_stock_windows(values: np.ndarray, target_col: int, cfg: TrainConfig):
     time_index = (np.arange(values.shape[0], dtype=float) / t_max)[:, None]
     series = np.hstack([values, time_index])
     known = (series.shape[1] - 1,)
-    train = make_windows(series, target_col, cfg.past_steps, cfg.forecast_steps,
-                         cfg.train_range, known, static=(1.0,))
-    test = make_windows(series, target_col, cfg.past_steps, cfg.forecast_steps,
-                        cfg.test_range, known, static=(1.0,))
-    return train, test
+    return tuple(make_windows(series, target_col, cfg.past_steps, cfg.forecast_steps,
+                              getattr(cfg, name), known, (1.0,), name)
+                 for name in ("train_range", "test_range"))
 
 
 def build_model(cfg: TrainConfig, num_past_vars: int, num_future_vars: int,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import itertools
 import math
 
@@ -204,27 +205,52 @@ def scale(a: Node, c: float) -> Node:
     return Node(c * a.value, (a,), lambda u: (c * u,))
 
 
+def _swap(m: np.ndarray) -> np.ndarray:
+    return m.swapaxes(-1, -2)
+
+
+def _per_set(a: np.ndarray, k: int) -> np.ndarray:
+    """The rows of each of k sets, (k, rows, width), from values whose set axis is -3."""
+    n = a.ndim
+    return a.transpose(n - 3, *range(n - 3), n - 2, n - 1).reshape(k, -1, a.shape[-1])
+
+
 def _matvec_grads(w: Node, x: Node, u: np.ndarray):
-    """Gradients of ``W x`` with respect to ``W`` (summed over the batch) and ``x``."""
-    rows = u.reshape(math.prod(u.shape[:-1]), u.shape[-1])
-    return rows.T @ x.value.reshape(rows.shape[0], x.value.shape[-1]), u @ w.value
+    """Gradients of ``W x`` with respect to ``W`` (summed over the batch) and ``x``.
+
+    A (k, out, in) ``W`` is k matrices, one per set: the values' axis -3 is
+    the set axis, an ``x`` with one entry there feeds every set, and each
+    matrix's gradient sums the rows of its own set.
+    """
+    if w.value.ndim == 2:
+        rows = u.reshape(math.prod(u.shape[:-1]), u.shape[-1])
+        return rows.T @ x.value.reshape(rows.shape[0], x.value.shape[-1]), u @ w.value
+    k, xs = w.value.shape[0], x.value
+    if xs.shape[:-1] != u.shape[:-1]:   # one input read by every set
+        xs = np.broadcast_to(xs, u.shape[:-1] + xs.shape[-1:])
+    return _swap(_per_set(u, k)) @ _per_set(xs, k), _unbroadcast(u @ w.value, x.value.shape)
 
 
 def matvec(w: Node, x: Node) -> Node:
-    """``W x`` for an unbatched matrix ``W`` and a (batch of) vector(s) ``x``."""
+    """``W x`` for an unbatched matrix ``W``, or k on a set axis, and (batches of) vectors ``x``."""
     w, x = as_node(w), as_node(x)
-    return Node(x.value @ w.value.T, (w, x), lambda u: _matvec_grads(w, x, u))
+    return Node(x.value @ _swap(w.value), (w, x), lambda u: _matvec_grads(w, x, u))
 
 
 def affine(w: Node, x: Node, b: Node) -> Node:
-    """``W x + b``: :func:`matvec` and :func:`add` fused into one node."""
+    """``W x + b``: :func:`matvec` and :func:`add` fused into one node.
+
+    With k matrices on a set axis, ``b`` is (k, out), one bias per set.
+    """
     w, x, b = as_node(w), as_node(x), as_node(b)
-    return Node(x.value @ w.value.T + b.value, (w, x, b),
-                lambda u: _matvec_grads(w, x, u) + (_unbroadcast(u, b.value.shape),))
+    stacked = w.value.ndim == 3
 
+    def rule(u):
+        db = _per_set(u, len(w.value)).sum(axis=1) if stacked else _unbroadcast(u, b.value.shape)
+        return _matvec_grads(w, x, u) + (db,)
 
-def _swap(m: np.ndarray) -> np.ndarray:
-    return np.swapaxes(m, -1, -2)
+    return Node(x.value @ _swap(w.value) + (b.value[:, None] if stacked else b.value), (w, x, b),
+                rule)
 
 
 def matmul(a: Node, b: Node) -> Node:
@@ -234,9 +260,10 @@ def matmul(a: Node, b: Node) -> Node:
                            _unbroadcast(_swap(a.value) @ u, b.value.shape)))
 
 
-def transpose(a: Node) -> Node:
+def transpose(a: Node, axes: tuple[int, int] = (-2, -1)) -> Node:
+    """Two axes swapped, the last two (a matrix's rows and columns) by default."""
     a = as_node(a)
-    return Node(_swap(a.value), (a,), lambda u: (_swap(u),))
+    return Node(np.swapaxes(a.value, *axes), (a,), lambda u: (np.swapaxes(u, *axes),))
 
 
 def concat(nodes, axis: int = -1) -> Node:
@@ -274,14 +301,14 @@ def gather(x: Node, index) -> Node:
     """
     x = as_node(x)
     index = np.asarray(index)
-    d = x.value.shape[-1]
+    vectors = (math.prod(x.value.shape[:-1]), x.value.shape[-1])
 
     def rule(u):
-        g = np.zeros((x.value.size // d, d))
+        g = np.zeros(vectors)
         np.add.at(g, index, u)
         return (g.reshape(x.value.shape),)
 
-    return Node(x.value.reshape(-1, d)[index], (x,), rule)
+    return Node(x.value.reshape(vectors)[index], (x,), rule)
 
 
 def stack_rows(nodes) -> Node:
@@ -291,15 +318,17 @@ def stack_rows(nodes) -> Node:
                 lambda u: tuple(u[..., i, :] for i in range(len(nodes))))
 
 
-def row(m: Node, i: int) -> Node:
+def row(m: Node, i: int, axis: int = -2) -> Node:
+    """Entry ``i`` of ``axis`` (a matrix's row by default), without that axis."""
     m = as_node(m)
+    at = (..., i) + (slice(None),) * (-1 - axis)
 
     def rule(u):
         g = np.zeros_like(m.value)
-        g[..., i, :] = u
+        g[at] = u
         return (g,)
 
-    return Node(m.value[..., i, :], (m,), rule)
+    return Node(m.value[at], (m,), rule)
 
 
 def rows(m: Node, start: int, stop: int) -> Node:
@@ -319,19 +348,29 @@ def reshape(x: Node, shape: tuple[int, ...]) -> Node:
     return Node(x.value.reshape(shape), (x,), lambda u: (u.reshape(x.value.shape),))
 
 
-def weighted_sum(weights: Node, vectors) -> Node:
-    """Sum_j weights[..., j] * vectors[j] for vector nodes of equal length."""
-    weights = as_node(weights)
-    vectors = [as_node(v) for v in vectors]
-    value = sum(weights.value[..., j:j + 1] * v.value for j, v in enumerate(vectors))
+def weighted_sum(weights: Node, vectors: Node) -> Node:
+    """Sum_j weights[..., j] * vectors[..., j, :, :], over the set axis (-3) of ``vectors``.
+
+    ``weights`` is (..., T, k), one weight per position and set, and
+    ``vectors`` (..., k, T, d); the terms are added in set order.
+    """
+    weights, vectors = as_node(weights), as_node(vectors)
+    w = np.swapaxes(weights.value, -1, -2)[..., None]
 
     def rule(u):
-        dw = np.stack([np.sum(v.value * u, axis=-1) for v in vectors], axis=-1)
-        return (_unbroadcast(dw, weights.value.shape),) + tuple(
-            _unbroadcast(weights.value[..., j:j + 1] * u, v.value.shape)
-            for j, v in enumerate(vectors))
+        u = u[..., None, :, :]
+        dw = np.swapaxes((vectors.value * u).sum(axis=-1), -1, -2)
+        return (_unbroadcast(dw, weights.value.shape), _unbroadcast(w * u, vectors.value.shape))
 
-    return Node(value, (weights, *vectors), rule)
+    return Node((w * vectors.value).sum(axis=-3), (weights, vectors), rule)
+
+
+def set_mean(x: Node) -> Node:
+    """The mean over the set axis (-3): the sets added in order, then scaled by 1/k."""
+    x = as_node(x)
+    c = 1.0 / x.value.shape[-3]
+    return Node(c * x.value.sum(axis=-3), (x,),
+                lambda u: (np.broadcast_to((c * u)[..., None, :, :], x.value.shape),))
 
 
 def elu(x: Node) -> Node:
@@ -443,33 +482,22 @@ def quantum_forward(circuits: ParameterizedCircuit | list[ParameterizedCircuit],
                     weight_nodes) -> Node | list[Node]:
     """Run circuits inside the graph; each value is the per-qubit <Z> vector.
 
-    Takes lists of sets: one circuit, feature node and weight node per
-    set, and returns one node per set.  A circuit with one feature node
-    and one weight node is the one-set case and returns its node.  Every
-    row of every set runs in one simulator call: one
-    :meth:`~qtft.quantum_sim.CircuitPlan.bind_sets` call writes each set's
-    features and its weights, broadcast against them, into one array of
-    slot rows, so sets may differ in their leading (window and position)
-    axes.  That call needs one gate list, so circuits whose gate lists
-    differ raise :class:`CircuitError`.
+    Takes lists of sets, one circuit, feature node and weight node each,
+    and returns one node per set; a lone circuit is the one-set case.
+    Every row of every set runs in one simulator call, bound by one
+    :meth:`~qtft.quantum_sim.CircuitPlan.bind_sets`, so the circuits need
+    one gate list (else :class:`CircuitError`).  A block with a set axis is
+    one set: (k, 1, nw) weights, and features with the set axis at -3.
 
-    A call whose sets all carry a window axis, (..., W, T, d) features as
-    in every stage of a batched graph, is one :class:`QuantumNode` over
-    the rows of all its sets: its parents are every set's feature and
-    weight node, its value is the joined <Z> rows, and each set's output
-    is a slice of it in the set's shape (a lone set's output is the node
-    itself).  The sets of a call are one block's variables, heads or
-    branches, so their rows are just more rows of one shift batch, and
-    the node's circuit is the first set's.  Other calls, from the graph of
-    a single window, keep one node per set: 1-D features give one node,
-    and an unbatched (T, d) sequence one node per position, fed by that
-    position's 1-D feature row (weights with a position axis are split
-    the same way) and stacked back to (T, n); ``perfbench``'s circuit
-    check reads one feature row and one weight row per node.  Jacobians
-    are computed lazily at backward time, one shift batch per
-    QuantumNode over the rows its forward bound, so forward-only
-    evaluation (e.g. finite-difference probing) never pays for shifts.
-    Under :func:`no_tape` a set's node is its plain value.
+    A set is windowed when its features have at least three axes and more
+    than its weights.  A call of windowed sets, as every call of a batched
+    graph is, makes one :class:`QuantumNode`: its parents are every set's
+    feature and weight node, and each set's output is its rows of the node
+    (a lone set's is the node).  In other calls a windowed set is one node
+    and any other set one node per binding, fed a 1-D feature row and
+    weight row, as ``perfbench``'s circuit check reads them.  Jacobians are
+    taken at backward time, one shift batch per node; under
+    :func:`no_tape` a set's node is its plain value.
     """
     if isinstance(circuits, ParameterizedCircuit):
         return quantum_forward([circuits], [feature_nodes], [weight_nodes])[0]
@@ -489,23 +517,34 @@ def quantum_forward(circuits: ParameterizedCircuit | list[ParameterizedCircuit],
     if not _taping.get():
         return [Node(z[a:b].reshape(lead + z.shape[-1:]))
                 for lead, a, b in zip(leads, bounds, bounds[1:])]
-    if all(f.value.ndim >= 3 for f in feature_nodes):
+    windowed = [f.value.ndim >= 3 and f.value.ndim > w.value.ndim
+                for f, w in zip(feature_nodes, weight_nodes)]
+    if all(windowed):
         node = _circuit_node(circuit, feature_nodes, weight_nodes, leads, values, z)
         if len(leads) == 1:
             return [node]
         return [_set_rows(node, a, b, lead) for lead, a, b in zip(leads, bounds, bounds[1:])]
     outputs = []
-    for c, f, w, lead, a, b in zip(circuits, feature_nodes, weight_nodes, leads, bounds,
-                                   bounds[1:]):
-        if f.value.ndim != 2:
+    for c, f, w, whole, lead, a, b in zip(circuits, feature_nodes, weight_nodes, windowed, leads,
+                                          bounds, bounds[1:]):
+        if whole or not lead:
             outputs.append(_circuit_node(c, [f], [w], [lead], values[a:b], z[a:b]))
             continue
-        steps = lead[-1]   # position t's rows are every steps-th row from a + t
-        outputs.append(stack_rows([
-            _circuit_node(c, [row(f, t)], [w if w.value.ndim < 2 else row(w, t)], [lead[:-1]],
-                          values[a + t:b:steps], z[a + t:b:steps])
-            for t in range(steps)]))
+        pick = functools.cache(gather)   # one node per distinct row
+        out = stack_rows([_circuit_node(c, [fi], [wi], [()], values[i:i + 1], z[i:i + 1])
+                          for i, fi, wi in zip(range(a, b), _binding_rows(f, lead, pick),
+                                               _binding_rows(w, lead, pick))])
+        outputs.append(out if len(lead) == 1 else reshape(out, lead + z.shape[-1:]))
     return outputs
+
+
+def _binding_rows(x: Node, lead: tuple[int, ...], pick) -> list[Node]:
+    """Each binding's 1-D row of ``x``, ``pick(x, row number)``, x's axes broadcast to ``lead``."""
+    shape = x.value.shape[:-1]
+    if not shape:
+        return [x] * math.prod(lead)
+    at = np.broadcast_to(np.arange(math.prod(shape)).reshape(shape), lead)
+    return [pick(x, r) for r in at.ravel().tolist()]
 
 
 def _circuit_node(circuit: ParameterizedCircuit, feature_nodes, weight_nodes, leads,
@@ -515,8 +554,9 @@ def _circuit_node(circuit: ParameterizedCircuit, feature_nodes, weight_nodes, le
     Set i is ``feature_nodes[i]`` and ``weight_nodes[i]``, broadcast to
     ``leads[i]``, on its block of rows.  A lone set's value keeps the set's
     shape; otherwise the value is the joined rows.  The backward rule
-    shifts every row in one batch and hands each parent its rows' part
-    of ``u . J``, summed over the axes its set broadcast.
+    shifts every row in one batch and hands each parent its rows' part of
+    ``u . J``, summed over the axes its set broadcast (per block, in row
+    order, for (k, 1, nw) weights).
     """
 
     def rule(u):
@@ -527,8 +567,10 @@ def _circuit_node(circuit: ParameterizedCircuit, feature_nodes, weight_nodes, le
         contribs, a = [], 0
         for f, w, lead in zip(feature_nodes, weight_nodes, leads):
             b = a + math.prod(lead)
+            g = gw[a:b].reshape(lead + gw.shape[-1:])
             contribs += (_unbroadcast(gf[a:b].reshape(lead + gf.shape[-1:]), f.value.shape),
-                         _unbroadcast(gw[a:b].reshape(lead + gw.shape[-1:]), w.value.shape))
+                         _unbroadcast(g, w.value.shape) if w.value.ndim < 3
+                         else _per_set(g, len(w.value)).sum(axis=1).reshape(w.value.shape))
             a = b
         return contribs
 

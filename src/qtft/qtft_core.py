@@ -21,7 +21,7 @@ map in place of the dense one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -38,6 +38,7 @@ from .quantum_sim import (
     zz_feature_map,
 )
 from .tft_core import (
+    SETS,
     DenseParams,
     LSTMParams,
     TFTModel,
@@ -48,6 +49,8 @@ from .tft_core import (
     init_dense,
     init_lstm,
     lstm_seq,
+    shared_input,
+    stack_sets,
     variable_selection,
 )
 
@@ -64,7 +67,10 @@ ANSATZE = ("basic", "nlocal")
 
 @dataclass
 class VQCBlockParams:
-    """One circuit block: its encoding (or prefix) then its ansatz, and the ansatz's angles."""
+    """One circuit block: its encoding (or prefix) then its ansatz, and the ansatz's angles.
+
+    With a set axis, ``weights`` is (k, num_weight_slots): k blocks of one circuit.
+    """
 
     circuit: ParameterizedCircuit
     weights: Node
@@ -101,24 +107,27 @@ def init_vqc_block(rng: np.random.Generator, num_qubits: int, num_layers: int,
 
 
 def vqc_apply(x, p: VQCBlockParams | list[VQCBlockParams],
-              prefix: VQCBlockParams | list[VQCBlockParams | None] | None = None
-              ) -> Node | list[Node]:
+              prefix: VQCBlockParams | None = None) -> Node | list[Node]:
     """Encode x, run the ansatz, measure every qubit with Pauli-Z (per row of a batch).
 
-    A block built after ``prefix`` runs with the prefix's angles ahead of its own.
-    A list of blocks of one gate list takes a list of inputs and of prefixes
-    (or None), one per block, runs them all in one simulator call and gives a list.
+    Blocks built after ``prefix`` run with the prefix's angles ahead of their own.
+    A list of blocks of one gate list takes a list of inputs, one per block,
+    runs them all in one simulator call and gives a list.  A block with a
+    set axis runs its k blocks on (..., k, T, d) inputs, or on one
+    (..., 1, T, d) input that all of them read.
     """
     if isinstance(p, VQCBlockParams):
-        return vqc_apply([x], [p], [prefix])[0]
+        return vqc_apply([x], [p], prefix)[0]
     xs = [as_node(v) for v in x]
-    prefixes = [None] * len(p) if prefix is None else prefix
+    weights = []
     for v, b in zip(xs, p):
         n = b.circuit.num_qubits
         if v.value.shape[-1:] != (n,):
             raise ValueError(f"block of {n} qubits got input shape {v.value.shape}")
-    weights = [b.weights if pre is None else grad.concat([pre.weights, b.weights])
-               for b, pre in zip(p, prefixes)]
+        w = b.weights if prefix is None else grad.concat([prefix.weights, b.weights])
+        if w.value.ndim == 2:   # k blocks: each one's weights meet its inputs' (k, T) rows
+            w = grad.reshape(w, (w.value.shape[0], 1, w.value.shape[1]))
+        weights.append(w)
     return quantum_forward([b.circuit for b in p], xs, weights)
 
 
@@ -140,20 +149,14 @@ def init_qglu(rng, num_qubits: int, num_layers: int, encoding: str = "angle",
     )
 
 
-def qglu(x, p: QGLUParams | list[QGLUParams],
-         prefix: VQCBlockParams | list[VQCBlockParams | None] | None = None
-         ) -> Node | list[Node]:
+def qglu(x, p: QGLUParams, prefix: VQCBlockParams | None = None) -> Node:
     """sigmoid of the gate branch's expectations times the linear branch's.
 
-    The input is encoded (or run through ``prefix``) once per branch execution.
-    A list of QGLUs takes a list of inputs and of prefixes (or None) and gives
-    a list; both branches of all of them run in one simulator call.
+    The input is encoded (or run through ``prefix``) once per branch
+    execution, and both branches run in one simulator call.
     """
-    if isinstance(p, QGLUParams):
-        return qglu([x], [p], [prefix])[0]
-    z = vqc_apply(x + x, [q.branch_gate for q in p] + [q.branch_lin for q in p],
-                  None if prefix is None else prefix + prefix)
-    return [grad.mul(grad.sigmoid(gate), lin) for gate, lin in zip(z[:len(p)], z[len(p):])]
+    gate, lin = vqc_apply([x, x], [p.branch_gate, p.branch_lin], prefix)
+    return grad.mul(grad.sigmoid(gate), lin)
 
 
 @dataclass
@@ -174,33 +177,25 @@ def init_qgrn(rng, num_qubits: int, num_layers: int, with_context: bool,
                       init_qglu(rng, num_qubits, num_layers, encoding, ansatz, vqc_eta2))
 
 
-def qgrn(a, c, p: QGRNParams | list[QGRNParams]) -> Node | list[Node]:
+def qgrn(a, c, p: QGRNParams) -> Node:
     """Quantum gated residual network.
 
     a'' and c'' are circuit expectations of the two inputs, eta1 is
     ELU(a'' + c''), and the gated output of the re-encoded eta1 state is
-    added back to ``a`` under layer normalization.  When ``c`` is absent
-    its branch circuit is skipped entirely.
-
-    A list of QGRNs takes a list of inputs ``a``, one per QGRN, shares the
-    context ``c`` and gives a list.  Each circuit stage of all of them runs
-    in one simulator call: every a'' and c'', then every gate branch.
+    added back to ``a`` under layer normalization; without ``c`` its branch
+    is skipped.  a'' and c'' run in one simulator call, and so do the gate
+    branches.  A QGRN with a set axis runs its k QGRNs side by side.
     """
-    if isinstance(p, QGRNParams):
-        return qgrn([a], c, [p])[0]
-    a = [as_node(x) for x in a]
-    blocks, inputs = [q.vqc_a for q in p], list(a)
+    a = as_node(a)
+    blocks, inputs = [p.vqc_a], [a]
     if c is not None:
-        if any(q.vqc_c is None for q in p):
+        if p.vqc_c is None:
             raise ValueError("QGRN got a context vector but was built without one")
-        c = as_node(c)
-        blocks += [q.vqc_c for q in p]
-        inputs += [c] * len(p)
+        blocks.append(p.vqc_c)
+        inputs.append(as_node(c))
     z = vqc_apply(inputs, blocks)
-    k = len(p)
-    eta1 = [grad.elu(z[i] if c is None else grad.add(z[i], z[k + i])) for i in range(k)]
-    gated = qglu(eta1, [q.qglu for q in p], [q.vqc_eta2 for q in p])
-    return [grad.layer_norm(grad.add(x, g)) for x, g in zip(a, gated)]
+    eta1 = grad.elu(z[0] if c is None else grad.add(z[0], z[1]))
+    return grad.layer_norm(grad.add(a, qglu(eta1, p.qglu, p.vqc_eta2)))
 
 
 # --------------------------------------------------------------------------
@@ -211,8 +206,8 @@ def init_qvsn(rng, d_model: int, num_vars: int, with_context: bool,
               num_layers: int, encoding: str, ansatz: str) -> VariableSelectionParams:
     """Selection parameters with QGRNs; the context is mapped to width m classically."""
     return VariableSelectionParams(
-        var_grns=[init_qgrn(rng, d_model, num_layers, False, encoding, ansatz)
-                  for _ in range(num_vars)],
+        var_grns=stack_sets([init_qgrn(rng, d_model, num_layers, False, encoding, ansatz)
+                             for _ in range(num_vars)]),
         flatten_proj=init_dense(rng, num_vars, num_vars * d_model),
         context_proj=init_dense(rng, num_vars, d_model) if with_context else None,
         weight_grn=init_qgrn(rng, num_vars, num_layers, with_context, encoding, ansatz),
@@ -226,8 +221,10 @@ def q_variable_selection(embeddings, c_s, p: VariableSelectionParams):
 
 @dataclass
 class QAttentionParams:
-    query_blocks: list[VQCBlockParams]   # one per head
-    key_blocks: list[VQCBlockParams]
+    """Query and key blocks on a head axis, weights (heads, num_weight_slots); one value block."""
+
+    query_blocks: VQCBlockParams = field(metadata=SETS)
+    key_blocks: VQCBlockParams = field(metadata=SETS)
     value_block: VQCBlockParams          # shared by all heads
 
 
@@ -235,8 +232,8 @@ def init_qattention(rng, num_qubits: int, num_heads: int, num_layers: int,
                     encoding: str, ansatz: str) -> QAttentionParams:
     block = lambda: init_vqc_block(rng, num_qubits, num_layers, encoding, ansatz)
     return QAttentionParams(
-        query_blocks=[block() for _ in range(num_heads)],
-        key_blocks=[block() for _ in range(num_heads)],
+        query_blocks=stack_sets([block() for _ in range(num_heads)]),
+        key_blocks=stack_sets([block() for _ in range(num_heads)]),
         value_block=block(),
     )
 
@@ -251,11 +248,9 @@ def q_interpretable_multi_head(s, p: QAttentionParams,
     final combine matrix.  ``d_attn`` equals the qubit count.
     """
     s = as_node(s)
-    heads = len(p.query_blocks)
-    v, *qk = vqc_apply([s] * (1 + 2 * heads),
-                       [p.value_block, *p.query_blocks, *p.key_blocks])
-    return head_average(qk[:heads], qk[heads:], v, float(p.value_block.circuit.num_qubits),
-                        mask)
+    v, q, k = vqc_apply([s, shared_input(s), shared_input(s)],
+                        [p.value_block, p.query_blocks, p.key_blocks])
+    return head_average(q, k, v, float(p.value_block.circuit.num_qubits), mask)
 
 
 @dataclass
@@ -303,13 +298,13 @@ def init_qtft(cfg: TrainConfig, num_past_vars: int, num_future_vars: int,
         enc_lstm = init_lstm(rng, d, d)
         dec_lstm = init_lstm(rng, d, d)
     return TFTParams(
-        static_embed=[init_dense(rng, d, 1) for _ in range(num_static_vars)],
-        past_embed=[init_dense(rng, d, 1) for _ in range(num_past_vars)],
-        future_embed=[init_dense(rng, d, 1) for _ in range(num_future_vars)],
+        static_embed=stack_sets([init_dense(rng, d, 1) for _ in range(num_static_vars)]),
+        past_embed=stack_sets([init_dense(rng, d, 1) for _ in range(num_past_vars)]),
+        future_embed=stack_sets([init_dense(rng, d, 1) for _ in range(num_future_vars)]),
         static_vsn=init_qvsn(rng, d, num_static_vars, False, L, enc, anz),
         past_vsn=init_qvsn(rng, d, num_past_vars, True, L, enc, anz),
         future_vsn=init_qvsn(rng, d, num_future_vars, True, L, enc, anz),
-        static_encoders=[init_qgrn(rng, d, L, False, enc, anz) for _ in range(4)],
+        static_encoders=stack_sets([init_qgrn(rng, d, L, False, enc, anz) for _ in range(4)]),
         encoder_lstm=enc_lstm,
         decoder_lstm=dec_lstm,
         post_lstm_glu=init_qglu(rng, d, L, enc, anz),

@@ -269,6 +269,10 @@ COEFF_BYTES = 2 << 20
 # Fewest amplitudes per gate step (shifted rows x 2**n) that run as a prefix sweep.
 PREFIX_SWEEP_AMPLITUDES = 4096
 
+# The prefix sweep's work rows: one array for every plan, grown to the largest sweep so
+# far.  Freed after each sweep, it went back to the system and faulted in again each time.
+_sweep_workspace = np.empty(0, dtype=complex)
+
 
 class CircuitPlan:
     """One circuit compiled into flat arrays for binding and execution.
@@ -556,9 +560,13 @@ class CircuitPlan:
         # Row 0 is the carrier; gate j's pair is rows 2j + 1 and 2j + 2.  The
         # live rows st[lo:hi] stay contiguous, and the carrier drops out once
         # the last pair has left it.  moved_rows takes each step's partner
-        # amplitudes, then the result.  Only the carrier is read before it is
-        # written, so only it starts at |0...0>.
-        st, moved_rows = np.empty((2, 2 * g + 1, batch, dim), dtype=complex)
+        # amplitudes.  Only the carrier is read before it is written, so only
+        # it starts at |0...0>.
+        global _sweep_workspace
+        size = 2 * (2 * g + 1) * batch * dim
+        if _sweep_workspace.size < size:
+            _sweep_workspace = np.empty(size, dtype=complex)
+        st, moved_rows = _sweep_workspace[:size].reshape(2, 2 * g + 1, batch, dim)
         st[0] = 0.0
         st[0, :, 0] = 1.0
         lo, hi = 0, 1
@@ -586,8 +594,10 @@ class CircuitPlan:
             if moved is not None:
                 np.multiply(b, moved, out=moved)
                 live += moved
-        amps = st[1:].take(self.loc, axis=2, out=moved_rows[1:], mode="clip")
-        return amps.reshape(g, 2, batch, dim).transpose(2, 0, 1, 3).reshape(-1, dim)   # as given
+        # The rows in the order given, (binding, gate, up | down), in an array of their own.
+        amps = np.empty((batch, 2 * g, dim), dtype=complex)
+        st[1:].swapaxes(0, 1).take(self.loc, axis=2, out=amps, mode="clip")
+        return amps.reshape(-1, dim)
 
 
 def _columns(records, *dtypes):

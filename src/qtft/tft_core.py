@@ -17,7 +17,7 @@ so one forward pass can cover many windows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cache
 from typing import TYPE_CHECKING
 
@@ -33,6 +33,13 @@ if TYPE_CHECKING:
 # --------------------------------------------------------------------------
 # Parameter containers
 # --------------------------------------------------------------------------
+#
+# A field marked ``SETS`` holds k blocks of one kind with a set axis: each
+# leaf holds the k blocks' leaves stacked, and its values carry the set
+# axis at -3, (..., k, T, width).  Snapshots name each block apart.
+
+SETS = {"sets": True}
+
 
 @dataclass
 class DenseParams:
@@ -56,9 +63,11 @@ class GRNParams:
 
 @dataclass
 class AttentionParams:
-    wq: list[Node]                  # one (d, d_attn) per head
-    wk: list[Node]
-    wv: Node                        # shared value projection
+    """Query and key projections on a head axis, (heads, d, d_attn); one shared value."""
+
+    wq: Node = field(metadata=SETS)
+    wk: Node = field(metadata=SETS)
+    wv: Node                        # (d, d_attn), shared by the heads
     wh: Node                        # (d_attn, d) head-combine matrix
 
 
@@ -72,7 +81,10 @@ class LSTMParams:
 
 @dataclass
 class VariableSelectionParams:
-    var_grns: list[GRNParams]       # one per input variable (QGRNs in the circuit model)
+    """Selection over m variables: ``var_grns`` holds W1, W3 (m, d, d) and b12, b3 (m, d),
+    or in the circuit model each QGRN block's weights (m, num_weight_slots)."""
+
+    var_grns: GRNParams = field(metadata=SETS)   # QGRNParams in the circuit model
     flatten_proj: DenseParams       # (m*d -> m) map feeding the weight GRN
     context_proj: DenseParams | None  # (d -> m) map of the context; None in the dense model
     weight_grn: GRNParams           # width m; context enters through its W2
@@ -84,16 +96,18 @@ class TFTParams:
 
     The circuit model fills the block fields with the circuit-block
     parameters of :mod:`qtft.qtft_core`; embeddings, heads and (without
-    the quantum LSTM) the recurrence stay dense.
+    the quantum LSTM) the recurrence stay dense.  The embeddings hold one
+    (d, 1) map per variable on a set axis, W (m, d, 1) and b (m, d), and
+    the four static encoders are one GRN with a set axis of 4.
     """
 
-    static_embed: list[DenseParams]
-    past_embed: list[DenseParams]
-    future_embed: list[DenseParams]
+    static_embed: DenseParams = field(metadata=SETS)
+    past_embed: DenseParams = field(metadata=SETS)
+    future_embed: DenseParams = field(metadata=SETS)
     static_vsn: VariableSelectionParams
     past_vsn: VariableSelectionParams
     future_vsn: VariableSelectionParams
-    static_encoders: list[GRNParams]          # -> c_s, c_e, c_c, c_h in this order
+    static_encoders: GRNParams = field(metadata=SETS)   # -> c_s, c_e, c_c, c_h in this order
     encoder_lstm: LSTMParams
     decoder_lstm: LSTMParams
     post_lstm_glu: GLUParams
@@ -124,14 +138,13 @@ def glu(x, p: GLUParams) -> Node:
     return grad.mul(grad.sigmoid(dense(p.gate, x)), dense(p.lin, x))
 
 
-def grn(a, c, p: GRNParams | list[GRNParams]) -> Node | list[Node]:
+def grn(a, c, p: GRNParams) -> Node:
     """Gated residual network: LayerNorm(a + GLU(W3 ELU(W1 a + W2 c + b12) + b3)).
 
-    The context term is dropped when ``c`` is None.  A list of GRNs takes
-    a list of inputs ``a``, one per GRN, shares ``c`` and gives a list.
+    The context term is dropped when ``c`` is None.  A GRN with a set axis
+    runs its k GRNs side by side on (..., k, T, d) inputs, or on one
+    (..., 1, T, d) input that every one of them reads.
     """
-    if isinstance(p, list):
-        return [grn(x, c, q) for x, q in zip(a, p)]
     a = as_node(a)
     eta1_pre = dense(p.primary, a)
     if c is not None:
@@ -147,12 +160,12 @@ def grn(a, c, p: GRNParams | list[GRNParams]) -> Node | list[Node]:
 def variable_selection(embeddings, c_s, p: VariableSelectionParams, block=grn):
     """Softmax-weighted combination of per-variable GRN outputs.
 
-    Selection weights come from a GRN (width m) over a dense projection of
-    the flattened concatenation; the static context, when given, enters
-    that GRN, through ``context_proj`` when that is set.  ``block``
-    is the GRN function (the circuit model passes its QGRN); the variable
-    GRNs go to it as one list.  Returns
-    ``(selected, weights)``.
+    ``embeddings`` (..., m, T, d) hold the m variables on the set axis of
+    the variable GRNs.  Selection weights come from a GRN (width m) over a
+    dense projection of the embeddings side by side; the static context,
+    when given, enters that GRN, through ``context_proj`` when that is set.
+    ``block`` is the GRN function (the circuit model passes its QGRN).
+    Returns ``(selected, weights)``.
 
     A softmax over one variable is exactly 1.0 and ``1.0 * v`` is ``v``,
     so with one variable neither the projections nor the selection GRN
@@ -160,17 +173,19 @@ def variable_selection(embeddings, c_s, p: VariableSelectionParams, block=grn):
     constant 1.0.  Their leaves stay in the parameters (and snapshots) but
     get no gradient, so training leaves them unchanged.
     """
-    embeddings = [as_node(e) for e in embeddings]
-    if len(embeddings) != len(p.var_grns):
-        raise ValueError(f"expected {len(p.var_grns)} embeddings, got {len(embeddings)}")
-    if len(embeddings) == 1:
-        selected = block(embeddings[0], None, p.var_grns[0])
+    embeddings = as_node(embeddings)
+    shape, m = embeddings.value.shape, p.flatten_proj.W.value.shape[0]
+    if shape[-3] != m:
+        raise ValueError(f"expected {m} embeddings, got {shape[-3]}")
+    processed = block(embeddings, None, p.var_grns)
+    if m == 1:
+        selected = grad.reshape(processed, shape[:-3] + shape[-2:])
         return selected, grad.const(np.ones(selected.value.shape[:-1] + (1,)))
-    flat = grad.concat(embeddings)
+    flat = grad.reshape(grad.transpose(embeddings, (-3, -2)),
+                        shape[:-3] + (shape[-2], m * shape[-1]))
     if c_s is not None and p.context_proj is not None:
         c_s = dense(p.context_proj, c_s)
     weights = softmax(block(dense(p.flatten_proj, flat), c_s, p.weight_grn))
-    processed = block(embeddings, None, p.var_grns)
     return grad.weighted_sum(weights, processed), weights
 
 
@@ -235,13 +250,19 @@ def attention(q, k, v, d_attn: float, mask: np.ndarray | None = None) -> Node:
     return grad.matmul(softmax(scores), v)
 
 
+def shared_input(x) -> Node:
+    """``x`` (..., T, d) with a set axis of one entry, (..., 1, T, d), read by every set."""
+    x = as_node(x)
+    shape = x.value.shape
+    return grad.reshape(x, shape[:-2] + (1,) + shape[-2:])
+
+
 def head_average(queries, keys, v, d_attn: float, mask: np.ndarray | None = None) -> Node:
-    """``mean_h attention(queries[h], keys[h], v)``: every head attends over one shared value."""
-    out = None
-    for q, k in zip(queries, keys):
-        head = attention(q, k, v, d_attn, mask)
-        out = head if out is None else grad.add(out, head)
-    return grad.scale(out, 1.0 / len(queries))
+    """``mean_h attention(queries_h, keys_h, v)``: every head attends over one shared value.
+
+    The heads are the set axis of ``queries`` and ``keys``, (..., h, T, d_attn).
+    """
+    return grad.set_mean(attention(queries, keys, shared_input(v), d_attn, mask))
 
 
 def interpretable_multi_head(s, p: AttentionParams, mask: np.ndarray | None = None) -> Node:
@@ -250,8 +271,8 @@ def interpretable_multi_head(s, p: AttentionParams, mask: np.ndarray | None = No
     Output is ``mean_h Attention(S Wq_h, S Wk_h, S Wv) @ Wh``.
     """
     s = as_node(s)
-    h_tilde = head_average([grad.matmul(s, wq) for wq in p.wq],
-                           [grad.matmul(s, wk) for wk in p.wk],
+    # One shared_input each, so s gets its query and key parts one at a time, as per head.
+    h_tilde = head_average(grad.matmul(shared_input(s), p.wq), grad.matmul(shared_input(s), p.wk),
                            grad.matmul(s, p.wv), p.wh.value.shape[0], mask)
     return grad.matmul(h_tilde, p.wh)
 
@@ -259,6 +280,22 @@ def interpretable_multi_head(s, p: AttentionParams, mask: np.ndarray | None = No
 # --------------------------------------------------------------------------
 # Construction
 # --------------------------------------------------------------------------
+
+def stack_sets(blocks: list):
+    """One params object with a set axis holding ``blocks``: each leaf their leaves stacked.
+
+    Drawn one after another, each block keeps the weights it would have on its own.
+    """
+    from .quantum_sim import ParameterizedCircuit
+
+    first = blocks[0]
+    if isinstance(first, Node):
+        return grad.param(np.stack([b.value for b in blocks]))
+    if first is None or isinstance(first, ParameterizedCircuit):
+        return first
+    return type(first)(*(stack_sets([getattr(b, name) for b in blocks])
+                         for name in _field_names(type(first))))
+
 
 def init_dense(rng: np.random.Generator, out_dim: int, in_dim: int) -> DenseParams:
     bound = 1.0 / math.sqrt(in_dim)
@@ -288,7 +325,7 @@ def init_grn(rng, dim: int, context_dim: int | None = None) -> GRNParams:
 def init_vsn(rng, d_model: int, num_vars: int,
              context_dim: int | None) -> VariableSelectionParams:
     return VariableSelectionParams(
-        var_grns=[init_grn(rng, d_model, None) for _ in range(num_vars)],
+        var_grns=stack_sets([init_grn(rng, d_model, None) for _ in range(num_vars)]),
         flatten_proj=init_dense(rng, num_vars, num_vars * d_model),
         context_proj=None,
         weight_grn=init_grn(rng, num_vars, context_dim),
@@ -312,8 +349,8 @@ def init_attention(rng, d_model: int, num_heads: int) -> AttentionParams:
         return grad.param(rng.uniform(-bound, bound, size=(rows, cols)))
 
     return AttentionParams(
-        wq=[mat(d_model, d_attn) for _ in range(num_heads)],
-        wk=[mat(d_model, d_attn) for _ in range(num_heads)],
+        wq=stack_sets([mat(d_model, d_attn) for _ in range(num_heads)]),
+        wk=stack_sets([mat(d_model, d_attn) for _ in range(num_heads)]),
         wv=mat(d_model, d_attn),
         wh=grad.param(rng.uniform(-1.0 / math.sqrt(d_attn), 1.0 / math.sqrt(d_attn),
                                   size=(d_attn, d_model))),
@@ -324,13 +361,13 @@ def init_tft(cfg: TrainConfig, num_past_vars: int, num_future_vars: int,
              num_static_vars: int, rng: np.random.Generator) -> TFTParams:
     d = cfg.d_model
     return TFTParams(
-        static_embed=[init_dense(rng, d, 1) for _ in range(num_static_vars)],
-        past_embed=[init_dense(rng, d, 1) for _ in range(num_past_vars)],
-        future_embed=[init_dense(rng, d, 1) for _ in range(num_future_vars)],
+        static_embed=stack_sets([init_dense(rng, d, 1) for _ in range(num_static_vars)]),
+        past_embed=stack_sets([init_dense(rng, d, 1) for _ in range(num_past_vars)]),
+        future_embed=stack_sets([init_dense(rng, d, 1) for _ in range(num_future_vars)]),
         static_vsn=init_vsn(rng, d, num_static_vars, None),
         past_vsn=init_vsn(rng, d, num_past_vars, d),
         future_vsn=init_vsn(rng, d, num_future_vars, d),
-        static_encoders=[init_grn(rng, d, None) for _ in range(4)],
+        static_encoders=stack_sets([init_grn(rng, d, None) for _ in range(4)]),
         encoder_lstm=init_lstm(rng, d, d),
         decoder_lstm=init_lstm(rng, d, d),
         post_lstm_glu=init_glu(rng, d),
@@ -343,16 +380,21 @@ def init_tft(cfg: TrainConfig, num_past_vars: int, num_future_vars: int,
     )
 
 
-def named_leaves(obj, prefix: str = "") -> list[tuple[str, Node]]:
-    """Flatten a parameter tree into (dotted name, leaf node) pairs."""
+def named_leaves(obj, prefix: str = "", index: int | None = None) -> list[tuple[str, Node]]:
+    """Flatten a parameter tree into (dotted name, leaf node) pairs.
+
+    A ``SETS`` field names each of its blocks apart, ``field.i.rest``, block
+    by block; a block's leaf is a node whose value is a view of its slice
+    of the stacked leaf, so writing into that value sets the block's weights.
+    """
     from .quantum_sim import ParameterizedCircuit
 
     out: list[tuple[str, Node]] = []
     if isinstance(obj, Node):
-        out.append((prefix or "leaf", obj))
+        out.append((prefix or "leaf", obj if index is None else Node(obj.value[index])))
     elif isinstance(obj, (list, tuple)):
         for i, item in enumerate(obj):
-            out.extend(named_leaves(item, f"{prefix}.{i}" if prefix else str(i)))
+            out.extend(named_leaves(item, f"{prefix}.{i}" if prefix else str(i), index))
     elif isinstance(obj, ParameterizedCircuit):
         pass  # cached circuit structure, not trainable
     elif hasattr(obj, "__dataclass_fields__"):
@@ -360,7 +402,12 @@ def named_leaves(obj, prefix: str = "") -> list[tuple[str, Node]]:
             val = getattr(obj, f.name)
             if val is None or isinstance(val, (int, float, str, bool, np.ndarray)):
                 continue
-            out.extend(named_leaves(val, f"{prefix}.{f.name}" if prefix else f.name))
+            name = f"{prefix}.{f.name}" if prefix else f.name
+            if f.metadata.get("sets"):
+                for i in range(len(leaves(val)[0].value)):
+                    out.extend(named_leaves(val, f"{name}.{i}", i))
+            else:
+                out.extend(named_leaves(val, name, index))
     return out
 
 
@@ -446,26 +493,17 @@ class TFTModel:
 
         The inputs are one window, shaped (m_static,), (k, m_past) and
         (tau, m_future), or a batch of windows with one leading axis more
-        each; the predictions then have shape (batch, tau).  An input whose
-        last axis does not hold the model's number of variables, or whose
-        leading (window) axes differ from the others', raises ``ValueError``.
+        each, giving (batch, tau).  An input whose last axis does not hold
+        the model's number of variables, or whose window axes differ from
+        the others', raises ``ValueError``.
 
-        Every block value carries a position axis at -2, (..., T, width),
-        and each stage makes one block call over all its positions.  The
-        static input is a one-position sequence, so the contexts c_s, c_e,
-        c_c and c_h broadcast over positions.  Only the LSTM steps, on
-        unit-length slices.
-
-        The static encoders and the selection networks read one static row
-        and one time step each, and stride-1 windows of one entity share
-        their static row and most of their step rows.  So a batch whose
-        windows all hold one static row (compared by bytes) runs the static
-        path once, its contexts broadcasting over the windows, and the past
-        and future embeddings and selection networks once per distinct step
-        row, as a batch of one-position rows; ``grad.gather`` lays their
-        outputs out per window and step, and its backward rule adds up what
-        repeated rows receive.  Any other batch (several static rows, say), a
-        single window, and a stream in which no step row repeats run as they are.
+        Block values are (..., T, width), and (..., k, T, width) for a block
+        with a set axis; each stage makes one block call over all positions,
+        and only the LSTM steps.  The static input is one position, so the
+        contexts broadcast over positions.  A batch whose windows all hold
+        one static row (by bytes), as one entity's do, runs the static path
+        once and the selection networks once per distinct step row, as
+        one-position rows that ``grad.gather`` lays out per window and step.
         """
         p = self.params
         static_vars = np.asarray(static_vars, dtype=float)
@@ -474,9 +512,9 @@ class TFTModel:
         for name, values, embeds in (("static_vars", static_vars, p.static_embed),
                                      ("past_vars", past_vars, p.past_embed),
                                      ("future_vars", future_vars, p.future_embed)):
-            if values.shape[-1] != len(embeds):
+            if values.shape[-1] != len(embeds.W.value):
                 raise ValueError(f"{name} has {values.shape[-1]} variables, "
-                                 f"the model takes {len(embeds)}")
+                                 f"the model takes {len(embeds.W.value)}")
         leading = (static_vars.shape[:-1], past_vars.shape[:-2], future_vars.shape[:-2])
         if not leading[0] == leading[1] == leading[2]:
             raise ValueError("static_vars, past_vars and future_vars have window shapes "
@@ -485,8 +523,8 @@ class TFTModel:
         mask = causal_mask(k + tau) if self.cfg.use_causal_mask else None
 
         def embed(series, embeds):
-            """One linear d_model embedding per scalar variable."""
-            return [self.dense(emb, series[..., j:j + 1]) for j, emb in enumerate(embeds)]
+            """One linear d_model embedding per scalar variable, the variables on the set axis."""
+            return self.dense(embeds, np.swapaxes(series, -1, -2)[..., None])
 
         def steps(seq):
             return [grad.rows(seq, t, t + 1) for t in range(seq.value.shape[-2])]
@@ -518,7 +556,8 @@ class TFTModel:
 
         xi_static = self.select(embed(static_vars[..., None, :], p.static_embed), None,
                                 p.static_vsn)
-        c_s, c_e, c_c, c_h = self.grn([xi_static] * 4, None, p.static_encoders)
+        contexts = self.grn(shared_input(xi_static), None, p.static_encoders)
+        c_s, c_e, c_c, c_h = (grad.row(contexts, i, axis=-3) for i in range(4))
 
         past_sel = selected(past_vars, p.past_embed, p.past_vsn)
         future_sel = selected(future_vars, p.future_embed, p.future_vsn)

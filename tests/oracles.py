@@ -10,6 +10,7 @@ simulator's tensor kernels or binding logic.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -226,3 +227,27 @@ def zero_filling_backward(loss) -> list[tuple[object, np.ndarray]]:
             if contrib is not None:
                 grads[id(parent)] = grads.get(id(parent), np.zeros_like(parent.value)) + contrib
     return [(node, grads[id(node)]) for node in order if id(node) in grads]
+
+
+# --------------------------------------------------------------------------
+# Blocks with a set axis
+# --------------------------------------------------------------------------
+
+def block(p, i: int):
+    """Block ``i`` of a params object with a set axis, as a params object of its own.
+
+    Every leaf is a fresh leaf holding slice ``i`` of the stacked leaf;
+    circuits (shared by the blocks) and absent fields are kept.
+    """
+    from qtft import grad
+
+    if isinstance(p, grad.Node):
+        return grad.param(p.value[i].copy())
+    if p is None or isinstance(p, ParameterizedCircuit):
+        return p
+    return type(p)(*(block(getattr(p, f.name), i) for f in dataclasses.fields(p)))
+
+
+def on_sets(vectors) -> np.ndarray:
+    """Arrays of shape (..., T, d) or (d,) put on a set axis at -3: (..., k, T, d)."""
+    return np.stack([np.atleast_2d(v) for v in vectors], axis=-3)

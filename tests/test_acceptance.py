@@ -260,7 +260,7 @@ def test_criterion_8_structural_reductions(rng):
     p = tft_core.init_attention(rng, 3, num_heads=1)
     s = rng.uniform(-1, 1, (5, 3))
     got = tft_core.interpretable_multi_head(s, p).value
-    want = tft_core.attention(s @ p.wq[0].value, s @ p.wk[0].value,
+    want = tft_core.attention(s @ p.wq.value[0], s @ p.wk.value[0],
                               s @ p.wv.value, p.wh.value.shape[0]).value @ p.wh.value
     classical_dev = float(np.max(np.abs(got - want)))
 
@@ -268,8 +268,8 @@ def test_criterion_8_structural_reductions(rng):
     qp = qtft_core.init_qattention(rng, 2, 1, 2, "angle", "basic")
     qs = rng.uniform(-1, 1, (4, 2))
     qgot = qtft_core.q_interpretable_multi_head(qs, qp).value
-    q = np.stack([qtft_core.vqc_apply(r, qp.query_blocks[0]).value for r in qs])
-    k = np.stack([qtft_core.vqc_apply(r, qp.key_blocks[0]).value for r in qs])
+    q = np.stack([qtft_core.vqc_apply(r, oracles.block(qp.query_blocks, 0)).value for r in qs])
+    k = np.stack([qtft_core.vqc_apply(r, oracles.block(qp.key_blocks, 0)).value for r in qs])
     v = np.stack([qtft_core.vqc_apply(r, qp.value_block).value for r in qs])
     qwant = tft_core.attention(q, k, v, 2.0).value
     quantum_dev = float(np.max(np.abs(qgot - qwant)))

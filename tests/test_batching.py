@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qtft import data_io, forecasting, grad, qtft_core, quantum_sim
+from qtft import data_io, forecasting, grad, qtft_core, quantum_sim, tft_core
 from qtft.forecasting import TrainConfig, WindowedSample
 from qtft.quantum_sim import (
     CircuitError,
@@ -462,16 +462,21 @@ def test_single_window_forward_runs_each_block_circuit_once(monkeypatch):
 def test_each_simulator_call_binds_all_its_sets_at_once(monkeypatch, kind, calls, sets, taped):
     """``quantum_forward`` binds every set of a call in one ``bind_sets`` call.
 
-    A desk qtft forward runs 53 block sets in 18 simulator calls, so binding
-    set by set would bind 53 times where this binds 18.  ``run_circuit``'s
-    own one-set binding of the joined rows, inside the call, is not counted.
+    A desk qtft forward runs 53 circuit blocks in 18 simulator calls, so
+    binding block by block would bind 53 times where this binds 18.  The
+    blocks with a set axis (the variable QGRNs of a selection network, the
+    four static encoders, the query and key heads) are one set each, whose
+    (k, 1, nw) weights hold k blocks: 32 sets (qtft-qlstm 48).
+    ``run_circuit``'s own one-set binding of the joined rows, inside the
+    call, is not counted.
     """
-    binds, inside = [], []
+    binds, blocks, inside = [], [], []
     original_bind, original_run = quantum_sim.CircuitPlan.bind_sets, grad.run_circuit
 
     def spy(plan, features, weights):
         if not inside:
             binds.append(len(features))
+            blocks.append(sum(np.shape(w)[0] if np.ndim(w) == 3 else 1 for w in weights))
         return original_bind(plan, features, weights)
 
     def running(circuit, features, weights):
@@ -489,7 +494,8 @@ def test_each_simulator_call_binds_all_its_sets_at_once(monkeypatch, kind, calls
         model.predict_nodes(w.static, w.past, w.future_known)
     else:
         model.predict(w.static, w.past, w.future_known)
-    assert (len(binds), sum(binds)) == (calls, sets)
+    assert (len(binds), sum(binds), sum(blocks)) == (calls, {"qtft": 32, "qtft-qlstm": 48}[kind],
+                                                     sets)
 
 
 @pytest.mark.parametrize("kind", ["tft", "qtft", "qtft-qlstm"])
@@ -581,36 +587,47 @@ def test_single_window_graph_feeds_circuits_one_row():
         assert node.value.shape == (node.circuit.num_qubits,)
 
     # Each simulator call of the three windows is one node over the (window,
-    # position) rows of all its sets: 18 nodes holding 53 sets.  (53 nodes
-    # before, one per set, and 105 before that, one per position.)  The
-    # windows share their one static row, so the static VSN (3 sets in 2
-    # calls), the static encoders (12 sets in 2 calls) and the circuits that
+    # position) rows of all its sets: 18 nodes holding 32 sets, which hold
+    # the 53 circuit blocks.  (53 nodes before, one per block, and 105 before
+    # that, one per position.)  A block with a set axis is one set of k
+    # blocks, whose rows are (windows, k, T): the variable QGRNs of a
+    # selection network, the four static encoders, the query and the key
+    # heads.  The windows share their one static row, so the static VSN (its
+    # QGRN, in 2 calls), the static encoders (2 calls) and the circuits that
     # read a static context alone (vqc_c of the past-VSN weight QGRN and of
     # enrichment, each in its QGRN's vqc_a call) run it once, as one
-    # position.  The other 36 sets run on (3, T) rows: 28 over the 2 past or
-    # 2 future steps, 8 over all 4 positions.
+    # position.  The other sets run on the 3 windows' rows: over the 2 past
+    # or 2 future steps, or over all 4 positions.
     p = model.params
     static_path = block_circuits(p.static_vsn, p.static_encoders)
     with_context = block_circuits(p.past_vsn.weight_grn.vqc_a, p.enrichment.vqc_a)
     circuit_nodes = quantum_nodes(loss)
     assert len(circuit_nodes) == 18
-    leads = [[f.value.shape[:-1] for f, _ in node.sets] for node in circuit_nodes]
+    leads = [[np.broadcast_shapes(f.value.shape[:-1], w.value.shape[:-1]) for f, w in node.sets]
+             for node in circuit_nodes]
     one, past, every = (1, 1), (3, 2), (3, 4)
+
+    def blocks(lead, k):
+        return lead[:-1] + (k,) + lead[-1:]
+
     assert sorted(leads) == sorted(
-        [[one], [one] * 2, [one] * 4, [one] * 8, [past], [past], [past, one], [past] * 2,
-         [past] * 2, [past] * 2, [past] * 2, [past] * 2, [past] * 5, [past] * 10, [every, one],
-         [every] * 2, [every] * 2, [every] * 3])
+        [[blocks(one, 1)], [blocks(one, 1)] * 2, [blocks(one, 4)], [blocks(one, 4)] * 2,
+         [blocks(past, 1)], [blocks(past, 1)] * 2, [past], [past, one], [past] * 2, [past] * 2,
+         [past] * 2, [past] * 2, [blocks(past, 5)], [blocks(past, 5)] * 2, [every, one],
+         [every, blocks(every, 1), blocks(every, 1)], [every] * 2, [every] * 2])
+    assert sum(math.prod(lead[1:-1]) for node_leads in leads for lead in node_leads) == 53
     for node, node_leads in zip(circuit_nodes, leads):
         if id(node.circuit) in static_path:
-            assert set(node_leads) == {one}
+            assert {lead[0] for lead in node_leads} == {1}
         elif id(node.circuit) in with_context:
             assert node_leads[0] != one and node_leads[1:] == [one]
         else:
-            assert one not in node_leads
-        n, nf = node.circuit.num_qubits, node.circuit.num_feature_slots
+            assert {lead[0] for lead in node_leads} == {3}
+        n, nf, nw = (node.circuit.num_qubits, node.circuit.num_feature_slots,
+                     node.circuit.num_weight_slots)
         for (feature_node, weight_node), lead in zip(node.sets, node_leads):
-            assert feature_node.value.shape == lead + (nf,)
-            assert weight_node.value.ndim == 1
+            assert feature_node.value.shape[-1] == nf
+            assert weight_node.value.shape == ((nw,) if len(lead) == 2 else (lead[1], 1, nw))
         rows = sum(math.prod(lead) for lead in node_leads)
         assert node.value.shape == (node_leads[0] + (n,) if len(node_leads) == 1 else (rows, n))
 
@@ -698,18 +715,26 @@ def test_training_graph_runs_each_distinct_step_row_once(axis_csv, monkeypatch, 
 def test_training_gradients_match_one_node_per_set(axis_csv, monkeypatch, kind, calls, sets,
                                                    d_model):
     """Every leaf gradient of the 17-window AXIS training loss is what the
-    same graph gives with one circuit node, and one shift batch, per set.
+    same graph gives with one circuit node, and one shift batch, per block.
 
-    The per-set path builds each set's node in a call of its own and gives
-    it the value its set gets in the joint call, as the graph did before
-    calls became one node: run alone, the one context row of the 5-qubit
-    past-VSN weight QGRN's ``vqc_c`` rounds its <Z> differently from the
-    19-row call it shares with ``vqc_a`` (a <Z> row of 3 or more qubits
-    depends on its batch).  The call node adds a shared parent's
+    The per-block path builds each block's node in a call of its own and
+    gives it the value its block gets in the joint call, as the graph did
+    before calls became one node and blocks of one kind one set: a block of
+    a set with a set axis reads its slice of the features (or the one
+    shared input) and of the (k, 1, nw) weights, and the blocks' outputs
+    are joined back on the set axis.  Run alone, the one context row of
+    the 5-qubit past-VSN weight QGRN's ``vqc_c`` rounds its <Z> differently
+    from the 19-row call it shares with ``vqc_a`` (a <Z> row of 3 or more
+    qubits depends on its batch).  The call node adds a shared parent's
     contributions in set order, and wider circuits' Jacobian rows may round
     differently in a larger shift batch, so only qtft at d_model 2 is bit
     for bit; elsewhere gradients agree within 1e-15 of the largest leaf
-    gradient.
+    gradient.  The static path is the exception at qtft d_model 2: the
+    four static encoders read one shared input, whose gradient sums the
+    encoders' parts on the set axis before adding the parts of the other
+    branch, where encoders of their own add them one by one.  So the
+    gradients of the static embedding and the static VSN, about 1e-24
+    there, round differently.
     """
     model, _, loss = axis_training_loss(axis_csv, kind, d_model)
     assert len(quantum_nodes(loss)) == calls
@@ -717,13 +742,26 @@ def test_training_gradients_match_one_node_per_set(axis_csv, monkeypatch, kind, 
 
     original = qtft_core.quantum_forward
 
+    def alone(c, f, w, value):
+        node = original(c, f, w)
+        node.value = value
+        return node
+
+    def one_node_per_block(c, f, w, value):
+        if w.value.ndim < 3:
+            return alone(c, f, w, value)
+        shared = f.value.shape[-3] == 1
+        return grad.concat([
+            grad.reshape(alone(c, grad.row(f, 0 if shared else j, axis=-3),
+                               grad.row(grad.row(w, j, axis=-3), 0), value[..., j, :, :]),
+                         value[..., j:j + 1, :, :].shape)
+            for j in range(w.value.shape[0])], axis=-3)
+
     def one_node_per_set(circuits, features, weights):
         with grad.no_tape():
             joint = original(circuits, features, weights)
-        nodes = [original(c, f, w) for c, f, w in zip(circuits, features, weights)]
-        for node, value in zip(nodes, joint):
-            node.value = value.value
-        return nodes
+        return [one_node_per_block(c, f, w, value.value)
+                for c, f, w, value in zip(circuits, features, weights, joint)]
 
     monkeypatch.setattr(qtft_core, "quantum_forward", one_node_per_set)
     model, _, split_loss = axis_training_loss(axis_csv, kind, d_model)
@@ -732,9 +770,11 @@ def test_training_gradients_match_one_node_per_set(axis_csv, monkeypatch, kind, 
     split = leaf_grads(model, split_loss)
 
     scale = max(float(np.max(np.abs(g))) for g in split)
+    p = model.params
+    static_path = {id(leaf) for leaf in tft_core.leaves([p.static_embed, p.static_vsn])}
     for leaf, g, reference in zip(model.leaves(), merged, split):
         assert g.shape == reference.shape == leaf.value.shape
-        if kind == "qtft" and d_model == 2:
+        if kind == "qtft" and d_model == 2 and id(leaf) not in static_path:
             np.testing.assert_array_equal(g, reference)
         else:
             np.testing.assert_allclose(g, reference, rtol=0, atol=1e-15 * scale)
@@ -818,3 +858,44 @@ def test_every_leaf_gradient_of_a_stride_one_batch_matches_central_differences(k
                 leaf.value = base
 
         assert oracles.verify_gradient(f, np.zeros(1), [float(np.sum(g * direction))])
+
+
+GRAPH_OPS = {   # the 17-window desk training graph, nodes by op
+    "tft": {"add": 16, "affine": 55, "concat": 6, "const": 3, "elu": 7, "gather": 2,
+            "layer_norm": 10, "leaf": 100, "matmul": 6, "matvec": 2, "mul": 22, "pinball": 1,
+            "reshape": 8, "row": 4, "rows": 7, "scale": 1, "set_mean": 1, "sigmoid": 22,
+            "softmax": 2, "tanh": 8, "transpose": 2, "weighted_sum": 1},
+    "qtft": {"_circuit_node": 18, "_set_rows": 27, "add": 16, "affine": 22, "concat": 20,
+             "const": 3, "elu": 7, "gather": 2, "layer_norm": 10, "leaf": 67, "matmul": 2,
+             "mul": 22, "pinball": 1, "reshape": 22, "row": 4, "rows": 7, "scale": 1,
+             "set_mean": 1, "sigmoid": 22, "softmax": 2, "tanh": 8, "transpose": 2,
+             "weighted_sum": 1},
+}
+
+
+@pytest.mark.parametrize("kind,nodes,ops", [("tft", 286, 183), ("qtft", 287, 217)])
+def test_training_graph_holds_one_node_per_block_with_a_set_axis(axis_csv, kind, nodes, ops):
+    """Node counts by op of the desk training graph, pinned so that a list
+    of blocks coming back, or a stage losing its set axis, fails a count.
+
+    Before the embeddings, variable GRNs, static encoders and attention heads
+    had a set axis, ``tft`` held 410 nodes (239 ops, 164 leaves, 87 of the
+    ops ``affine``) and ``qtft`` 378 (268 ops, 103 leaves, 50 ``_set_rows``
+    slices and 35 weight ``concat``s).  A leaf with a set axis holds k
+    blocks' weights, so the leaves fall too, and the 7 ``const`` inputs of
+    the 7 variables' embeddings are 3, one per embedding block.
+    """
+    model, _, loss = axis_training_loss(axis_csv, kind)
+    leaves = {id(leaf) for leaf in model.leaves()}
+    seen, stack, counts = set(), [loss], {}
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node.parents)
+        op = ("leaf" if id(node) in leaves else "const" if node.backward_rule is None
+              else node.backward_rule.__qualname__.split(".")[0])
+        counts[op] = counts.get(op, 0) + 1
+    assert counts == GRAPH_OPS[kind]
+    assert (len(seen), len(seen) - counts["leaf"] - counts["const"]) == (nodes, ops)

@@ -53,6 +53,39 @@ def test_negative_seed_or_row_index_is_flag_error(axis_csv, tmp_path, capsys, fl
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command,flag,field", [
+    (["train"], "--test-range", "test_range (20, 26)"),
+    (["train", "--train-range", "0:10"], "--train-range", "train_range (0, 10)"),
+], ids=["test_range", "train_range"])
+def test_a_range_too_short_for_one_window_names_the_range_and_its_flag(
+        axis_csv, tmp_path, capsys, command, flag, field):
+    out = str(tmp_path / "run")
+    assert main([*command, "--data", axis_csv, "--past-steps", "10", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ") and field in err
+    assert "10 past + 2 future" in err
+
+
+def test_eval_range_too_short_for_one_window_names_its_flag(axis_csv, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert main(train_args(axis_csv, out)) == 0
+    capsys.readouterr()
+    assert main(["eval", "--snapshot", os.path.join(out, "params.txt"), "--data", axis_csv,
+                 "--range", "20:22"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --range: ") and "test_range (20, 22)" in err
+
+
+def test_the_long_window_command_of_the_readme_runs(axis_csv, tmp_path):
+    out = str(tmp_path / "run")
+    assert main(["train", "--data", axis_csv, "--out", out, "--past-steps", "10",
+                 "--forecast-steps", "5", "--train-range", "0:14", "--test-range", "15:29",
+                 "--epochs", "1"]) == 0
+    # one test window: rows 15-24 are its past and 25-29 its targets
+    report = read_report(os.path.join(out, "report.txt"))
+    assert len(report["predictions"]) == (1 + 1) * 5
+
+
 def test_unknown_flag_is_exit_two(axis_csv, tmp_path):
     assert main(["train", "--data", axis_csv, "--nope"]) == 2
 

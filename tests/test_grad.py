@@ -198,12 +198,20 @@ def _graphs_of_every_op(rng, lead):
         grad.gather(m, rng.integers(0, m.value.size // 3, (4, 2))),
         grad.gather(leaf(3, 1, 2), [[0], [2], [0]]),
         grad.row(m, 1), grad.rows(m, 0, 1), grad.reshape(m, lead + (6,)),
-        grad.weighted_sum(grad.softmax(leaf(*lead, 2)), [x, v]),
+        grad.weighted_sum(grad.softmax(leaf(*lead, 1, 2)), leaf(2, 1, 3)),
+        grad.weighted_sum(grad.softmax(leaf(1, 2)), leaf(*lead, 2, 1, 3)),
+        # blocks with a set axis of 2 at -3: their own inputs, or one shared input
+        grad.affine(leaf(2, 4, 3), leaf(*lead, 2, 1, 3), leaf(2, 4)),
+        grad.affine(leaf(2, 4, 3), leaf(*lead, 1, 2, 3), leaf(2, 4)),
+        grad.matvec(leaf(2, 4, 3), leaf(*lead, 2, 1, 3)),
+        grad.set_mean(leaf(*lead, 2, 1, 3)), grad.row(leaf(*lead, 2, 1, 3), 1, axis=-3),
+        grad.transpose(leaf(*lead, 2, 1, 3), (-3, -2)),
         grad.elu(x), grad.sigmoid(x), grad.tanh(x), grad.softmax(x), grad.layer_norm(x),
         grad.mean_all(m), grad.pinball(rng.uniform(-1, 1, lead + (3,)), v, 0.3),
         grad.pinball(rng.uniform(-1, 1, 3), x, 0.7),
         quantum_forward(circ, leaf(*lead, 2), leaf(2)),
         quantum_forward(circ, leaf(*lead, 3, 2), leaf(3, 2)),
+        quantum_forward(circ, leaf(*lead, 2, 3, 2), leaf(2, 1, 2)),
     ]
 
 
@@ -217,10 +225,12 @@ def test_every_rule_returns_contributions_in_its_parents_shapes(lead, seed):
     nodes = [n for n in _reached(*outputs) if n.backward_rule is not None]
     feature_ranks = {f.value.ndim for n in nodes if isinstance(n, grad.QuantumNode)
                      for f, _ in n.sets}
-    # The two circuit sets have features of rank len(lead) + 1 and + 2.  An
-    # unbatched (T, d) sequence splits into T nodes of 1-D rows; a set of any
-    # other rank, windowed sequences included, is one node over all its rows.
-    assert feature_ranks == {1 if r == 2 else r for r in (len(lead) + 1, len(lead) + 2)}
+    # The three circuit sets have features of rank len(lead) + 1, + 2 and, with
+    # a set axis, + 3.  An unbatched (T, d) sequence, and a block's (k, T, d)
+    # sets, split into nodes of 1-D rows; a set of any other rank, windowed
+    # sequences included, is one node over all its rows.
+    assert feature_ranks == {1 if r == 2 else r for r in (len(lead) + 1, len(lead) + 2)} | {
+        len(lead) + 3 if lead else 1}
     for node in nodes:
         contribs = node.backward_rule(rng.uniform(-1, 1, node.value.shape))
         assert len(contribs) == len(node.parents)
@@ -276,6 +286,16 @@ def _assert_backward_matches_zero_filling(loss):
         assert (got + 0.0).tobytes() == (ref + 0.0).tobytes()
 
 
+def _weighted_pair(weights, a, b):
+    """``weighted_sum`` of two vectors, put on a set axis of 2 ahead of one position."""
+    def one_position(x):
+        return grad.reshape(x, x.value.shape[:-1] + (1, 1, x.value.shape[-1]))
+
+    out = grad.weighted_sum(grad.reshape(weights, weights.value.shape[:-1] + (1, 2)),
+                            grad.concat([one_position(a), one_position(b)], axis=-3))
+    return grad.reshape(out, out.value.shape[:-2] + out.value.shape[-1:])
+
+
 def _random_fan_out_graph(rng, batch):
     """A loss over random ops whose operands are drawn from every earlier node.
 
@@ -289,7 +309,7 @@ def _random_fan_out_graph(rng, batch):
         grad.add, grad.mul, lambda a, b: grad.scale(a, -0.5), lambda a, b: grad.tanh(a),
         lambda a, b: grad.elu(a), lambda a, b: grad.layer_norm(a),
         lambda a, b: grad.matvec(w, a),
-        lambda a, b: grad.weighted_sum(grad.softmax(grad.matvec(w2, a)), [a, b]),
+        lambda a, b: _weighted_pair(grad.softmax(grad.matvec(w2, a)), a, b),
         lambda a, b: grad.matvec(w6, grad.concat([a, grad.sigmoid(a)])),
         lambda a, b: grad.row(grad.stack_rows([a, grad.tanh(a)]), 1),
         lambda a, b: grad.reshape(grad.rows(grad.stack_rows([grad.elu(a), a]), 1, 2),

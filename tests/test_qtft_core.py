@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from qtft import grad, qtft_core
+from qtft import grad, qtft_core, tft_core
 from qtft.forecasting import TrainConfig, build_model
 from qtft.grad import backward, param
 from qtft.quantum_sim import ParameterizedCircuit, compose, measure_all_z, run_circuit
@@ -48,7 +48,7 @@ def fd_check(loss_fn, leaves):
 
 
 def collect(params):
-    return [node for _, node in named_leaves(params)]
+    return tft_core.leaves(params)
 
 
 # ------------------------------------------------------------------ vqc_apply
@@ -166,16 +166,18 @@ def test_qgrn_gradients(rng):
 
 def test_q_variable_selection_single_variable(rng):
     p = init_qvsn(rng, 2, 1, False, 1, "angle", "basic")
-    _, weights = q_variable_selection([rng.uniform(-1, 1, 2)], None, p)
-    np.testing.assert_allclose(weights.value, [1.0], atol=0)
+    _, weights = q_variable_selection(oracles.on_sets([rng.uniform(-1, 1, 2)]), None, p)
+    np.testing.assert_allclose(weights.value, [[1.0]], atol=0)
 
 
-@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("lead", [(1,), (3,), (2, 3)])
 def test_q_variable_selection_of_one_variable_runs_only_its_qgrn(rng, lead):
     p = init_qvsn(rng, 2, 1, True, 1, "angle", "basic")
     e = rng.uniform(-1, 1, lead + (2,))
-    selected, weights = q_variable_selection([e], rng.uniform(-1, 1, lead + (2,)), p)
-    np.testing.assert_array_equal(selected.value, qgrn(e, None, p.var_grns[0]).value)
+    selected, weights = q_variable_selection(oracles.on_sets([e]),
+                                             rng.uniform(-1, 1, lead + (2,)), p)
+    np.testing.assert_array_equal(selected.value,
+                                  qgrn(e, None, oracles.block(p.var_grns, 0)).value)
     assert weights.parents == () and weights.value.shape == lead + (1,)
     assert np.all(weights.value == 1.0)
     backward(grad.mean_all(selected))
@@ -187,31 +189,34 @@ def test_q_variable_selection_simplex_and_hull(rng):
     p = init_qvsn(rng, 2, 3, True, 1, "angle", "basic")
     embeds = [rng.uniform(-1, 1, 2) for _ in range(3)]
     c_s = rng.uniform(-1, 1, 2)
-    selected, weights = q_variable_selection(embeds, c_s, p)
+    selected, weights = q_variable_selection(oracles.on_sets(embeds), c_s, p)
     assert np.all(weights.value >= 0)
     assert weights.value.sum() == pytest.approx(1.0, abs=1e-12)
-    processed = np.stack([qgrn(e, None, g).value for e, g in zip(embeds, p.var_grns)])
-    assert np.all(selected.value >= processed.min(axis=0) - 1e-12)
-    assert np.all(selected.value <= processed.max(axis=0) + 1e-12)
+    processed = np.stack([qgrn(e, None, oracles.block(p.var_grns, i)).value
+                          for i, e in enumerate(embeds)])
+    assert np.all(selected.value[0] >= processed.min(axis=0) - 1e-12)
+    assert np.all(selected.value[0] <= processed.max(axis=0) + 1e-12)
 
 
 def test_q_static_covariate_encoder(rng):
     base = init_qgrn(rng, 2, 1, with_context=False)
-    encoders = [base] + [copy.deepcopy(base) for _ in range(3)]
-    xi = rng.uniform(-1, 1, 2)
-    outs = [qgrn(xi, None, enc) for enc in encoders]
-    assert all(c.value.shape == (2,) for c in outs)
+    encoders = tft_core.stack_sets([base] + [copy.deepcopy(base) for _ in range(3)])
+    xi = rng.uniform(-1, 1, (1, 2))
+    outs = qgrn(tft_core.shared_input(xi), None, encoders).value
+    assert outs.shape == (4, 1, 2)
+    np.testing.assert_array_equal(outs[0], qgrn(xi, None, base).value)
     for other in outs[1:]:
-        np.testing.assert_allclose(outs[0].value, other.value, atol=0)
+        np.testing.assert_allclose(outs[0], other, atol=0)
 
 
 def test_q_static_covariate_encoder_gradients(rng):
-    encoders = [init_qgrn(rng, 2, 1, with_context=False) for _ in range(4)]
-    xi = rng.uniform(-1, 1, 2)
-    y = rng.uniform(-1, 1, 2)
+    encoders = tft_core.stack_sets([init_qgrn(rng, 2, 1, with_context=False) for _ in range(4)])
+    xi = rng.uniform(-1, 1, (1, 2))
+    y = rng.uniform(-1, 1, (1, 2))
 
     def loss():
-        c_s, c_e, c_c, c_h = [qgrn(xi, None, enc) for enc in encoders]
+        out = qgrn(tft_core.shared_input(xi), None, encoders)
+        c_s, c_e, c_c, c_h = (grad.row(out, i, axis=-3) for i in range(4))
         return grad.pinball(y, grad.add(grad.add(c_s, c_e), grad.add(c_c, c_h)), 0.5)
 
     fd_check(loss, collect(encoders))
@@ -223,8 +228,8 @@ def test_q_attention_single_head_reduction(rng):
     p = init_qattention(rng, 2, 1, 1, "angle", "basic")
     s = rng.uniform(-1, 1, (3, 2))
     got = q_interpretable_multi_head(s, p).value
-    q = np.stack([vqc_apply(r, p.query_blocks[0]).value for r in s])
-    k = np.stack([vqc_apply(r, p.key_blocks[0]).value for r in s])
+    q = np.stack([vqc_apply(r, oracles.block(p.query_blocks, 0)).value for r in s])
+    k = np.stack([vqc_apply(r, oracles.block(p.key_blocks, 0)).value for r in s])
     v = np.stack([vqc_apply(r, p.value_block).value for r in s])
     want = attention(q, k, v, 2.0).value
     np.testing.assert_allclose(got, want, atol=1e-12)
@@ -234,8 +239,9 @@ def test_q_attention_averages_the_heads(rng):
     p = init_qattention(rng, 2, 3, 1, "angle", "basic")
     s = rng.uniform(-1, 1, (4, 2))
     v = vqc_apply(s, p.value_block).value
-    heads = [attention(vqc_apply(s, qb).value, vqc_apply(s, kb).value, v, 2.0).value
-             for qb, kb in zip(p.query_blocks, p.key_blocks)]
+    heads = [attention(vqc_apply(s, oracles.block(p.query_blocks, h)).value,
+                       vqc_apply(s, oracles.block(p.key_blocks, h)).value, v, 2.0).value
+             for h in range(3)]
     np.testing.assert_allclose(q_interpretable_multi_head(s, p).value,
                                np.mean(heads, axis=0), atol=1e-12)
 
@@ -340,7 +346,7 @@ def test_qtft_frozen_zero_smoke(axis_csv):
     model = desk_model()
     for name, node in model.named_leaves():
         if node.value.ndim == 1 and "weights" in name:
-            node.value = np.zeros_like(node.value)
+            node.value[...] = 0.0   # a block's slice of a stacked leaf writes through
     w = windows[0]
     out = model.predict(w.static, w.past, w.future_known)
     assert np.all(np.isfinite(out))
@@ -368,22 +374,26 @@ def test_qtft_param_count_self_consistent():
     assert model.param_count() == total == 506
 
 
-@pytest.mark.parametrize("kind, objects", [("qtft", 76), ("qtft-qlstm", 84)])
-def test_blocks_keep_only_the_circuits_they_run(kind, objects):
-    # one circuit per block; a QGRN gates through its QGLU's branch circuits,
-    # which run after the eta2 block's circuit
+@pytest.mark.parametrize("kind, blocks", [("qtft", 76), ("qtft-qlstm", 84)])
+def test_blocks_keep_only_the_circuits_they_run(kind, blocks):
+    # one circuit per block, and one for all k blocks of a block with a set
+    # axis (k rows of weights); a QGRN gates through its QGLU's branch
+    # circuits, which run after the eta2 block's circuit
     from dataclasses import fields, is_dataclass
 
-    circuits, stack = {}, [desk_model(kind).params]
+    circuits, counts, stack = {}, [], [desk_model(kind).params]
     while stack:
         obj = stack.pop()
-        if isinstance(obj, ParameterizedCircuit):
-            circuits[id(obj)] = obj
+        if isinstance(obj, qtft_core.VQCBlockParams):
+            circuits[id(obj.circuit)] = obj.circuit
+            counts.append(obj.weights.value.shape[0] if obj.weights.value.ndim == 2 else 1)
         elif isinstance(obj, (list, tuple)):
             stack.extend(obj)
         elif is_dataclass(obj):
             stack.extend(getattr(obj, f.name) for f in fields(obj))
-    assert len(circuits) == objects
+    assert sum(counts) == blocks
+    # the 5 past variable QGRNs' 20 circuits and the 4 static encoders' 16 are 4 each
+    assert len(circuits) == len(counts) == blocks - 28
     # encoding + ansatz and eta2 prefix + ansatz, at 2, 5 and 1 qubits
     assert len({c.ops for c in circuits.values()}) == 6
 

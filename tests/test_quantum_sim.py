@@ -529,6 +529,25 @@ def test_prefix_sweep_chunks_bindings_within_the_coefficient_budget(monkeypatch)
     assert chunks == [1] * 5
 
 
+@pytest.mark.parametrize("bindings", [1, 17])
+def test_prefix_sweeps_return_arrays_of_their_own(monkeypatch, bindings):
+    """The sweep's work rows live in one workspace kept between calls, so two
+    equal-shape sweeps must return equal arrays that share no memory with
+    each other or with the workspace, as a sweep of one binding once did."""
+    circ = compose(angle_embedding(5), basic_entangler_layers(5, 2))
+    rng = np.random.default_rng(6)
+    angles = bind_angles(circ, rng.uniform(-1, 1, (bindings, 5)), rng.uniform(-3, 3, 10))
+    rows = shifted_rows(angles, circ.plan.shift_gates)
+    monkeypatch.setattr(quantum_sim, "PREFIX_SWEEP_AMPLITUDES", 0)
+    first = circ.plan.run_shifts(rows)
+    second = circ.plan.run_shifts(rows.copy())
+    np.testing.assert_array_equal(first, run_bound_batch(circ, rows))
+    np.testing.assert_array_equal(first, second)
+    for out in (first, second):
+        assert not np.shares_memory(out, quantum_sim._sweep_workspace)
+    assert not np.shares_memory(first, second)
+
+
 def test_shift_gates_are_validated():
     circ = ParameterizedCircuit(2, (Gate("H", (0,)), Gate("RX", (0,), SlotAngle(WEIGHT, 0)),
                                     Gate("CNOT", (0, 1)), Gate("RY", (1,), LiteralAngle(0.3))),

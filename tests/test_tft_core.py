@@ -39,7 +39,7 @@ def zero_glu(dim):
 
 
 def collect_leaves(params):
-    return [node for _, node in named_leaves(params)]
+    return tft_core.leaves(params)
 
 
 def fd_check(loss_fn, leaves):
@@ -150,16 +150,17 @@ def test_softmax_shift_invariance(values, c):
 
 def test_variable_selection_single_variable_weight_is_one(rng):
     p = tft_core.init_vsn(rng, 2, 1, None)
-    _, weights = variable_selection([rng.uniform(-1, 1, 2)], None, p)
-    np.testing.assert_allclose(weights.value, [1.0], atol=0)
+    _, weights = variable_selection(oracles.on_sets([rng.uniform(-1, 1, 2)]), None, p)
+    np.testing.assert_allclose(weights.value, [[1.0]], atol=0)
 
 
-@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("lead", [(1,), (3,), (2, 3)])
 def test_variable_selection_of_one_variable_runs_only_its_grn(rng, lead):
     p = tft_core.init_vsn(rng, 2, 1, 2)
     e = rng.uniform(-1, 1, lead + (2,))
-    selected, weights = variable_selection([e], rng.uniform(-1, 1, lead + (2,)), p)
-    np.testing.assert_array_equal(selected.value, grn(e, None, p.var_grns[0]).value)
+    selected, weights = variable_selection(oracles.on_sets([e]), rng.uniform(-1, 1, lead + (2,)),
+                                           p)
+    np.testing.assert_array_equal(selected.value, grn(e, None, oracles.block(p.var_grns, 0)).value)
     assert weights.parents == () and weights.value.shape == lead + (1,)
     assert np.all(weights.value == 1.0)
     backward(grad.mean_all(selected))
@@ -169,34 +170,36 @@ def test_variable_selection_of_one_variable_runs_only_its_grn(rng, lead):
 
 def test_variable_selection_identical_inputs_shared_grn(rng):
     p = tft_core.init_vsn(rng, 2, 3, None)
-    shared = p.var_grns[0]
-    p.var_grns = [shared, shared, shared]
+    shared = oracles.block(p.var_grns, 0)
+    p.var_grns = tft_core.stack_sets([shared, shared, shared])
     e = rng.uniform(-1, 1, 2)
-    selected, _ = variable_selection([e, e, e], None, p)
-    np.testing.assert_allclose(selected.value, grn(e, None, shared).value, atol=1e-12)
+    selected, _ = variable_selection(oracles.on_sets([e, e, e]), None, p)
+    np.testing.assert_allclose(selected.value[0], grn(e, None, shared).value, atol=1e-12)
 
 
 def test_variable_selection_convexity(rng):
     p = tft_core.init_vsn(rng, 3, 4, 3)
     embeds = [rng.uniform(-1, 1, 3) for _ in range(4)]
     c_s = rng.uniform(-1, 1, 3)
-    selected, weights = variable_selection(embeds, c_s, p)
+    selected, weights = variable_selection(oracles.on_sets(embeds), c_s, p)
     assert np.all(weights.value >= 0)
     assert weights.value.sum() == pytest.approx(1.0, abs=1e-12)
-    processed = np.stack([grn(e, None, g).value for e, g in zip(embeds, p.var_grns)])
-    assert np.all(selected.value >= processed.min(axis=0) - 1e-12)
-    assert np.all(selected.value <= processed.max(axis=0) + 1e-12)
+    processed = np.stack([grn(e, None, oracles.block(p.var_grns, i)).value
+                          for i, e in enumerate(embeds)])
+    assert np.all(selected.value[0] >= processed.min(axis=0) - 1e-12)
+    assert np.all(selected.value[0] <= processed.max(axis=0) + 1e-12)
 
 
 # ------------------------------------------------------ static covariate path
 
 def test_static_encoder_identical_parameters(rng):
     base = init_grn(rng, 2)
-    encoders = [base] + [copy.deepcopy(base) for _ in range(3)]
-    xi = rng.uniform(-1, 1, 2)
-    c_s, c_e, c_c, c_h = [grn(xi, None, enc) for enc in encoders]
+    encoders = tft_core.stack_sets([base] + [copy.deepcopy(base) for _ in range(3)])
+    xi = rng.uniform(-1, 1, (1, 2))
+    c_s, c_e, c_c, c_h = grn(tft_core.shared_input(xi), None, encoders).value
+    np.testing.assert_array_equal(c_s, grn(xi, None, base).value)
     for other in (c_e, c_c, c_h):
-        np.testing.assert_allclose(c_s.value, other.value, atol=0)
+        np.testing.assert_allclose(c_s, other, atol=0)
 
 
 def test_static_encoder_zero_weights_reduces_to_normalization(rng):
@@ -207,12 +210,13 @@ def test_static_encoder_zero_weights_reduces_to_normalization(rng):
 
 
 def test_static_encoder_gradients(rng):
-    encoders = [init_grn(rng, 2) for _ in range(4)]
-    xi = rng.uniform(-1, 1, 2)
-    y = rng.uniform(-1, 1, 2)
+    encoders = tft_core.stack_sets([init_grn(rng, 2) for _ in range(4)])
+    xi = rng.uniform(-1, 1, (1, 2))
+    y = rng.uniform(-1, 1, (1, 2))
 
     def loss():
-        c_s, c_e, c_c, c_h = [grn(xi, None, enc) for enc in encoders]
+        out = grn(tft_core.shared_input(xi), None, encoders)
+        c_s, c_e, c_c, c_h = (grad.row(out, i, axis=-3) for i in range(4))
         total = grad.add(grad.add(c_s, c_e), grad.add(c_c, c_h))
         return grad.pinball(y, total, 0.4)
 
@@ -304,8 +308,8 @@ def test_interpretable_single_head_equals_plain_attention(rng):
     p = init_attention(rng, 3, num_heads=1)
     s = rng.uniform(-1, 1, (4, 3))
     got = interpretable_multi_head(s, p).value
-    q = s @ p.wq[0].value
-    k = s @ p.wk[0].value
+    q = s @ p.wq.value[0]
+    k = s @ p.wk.value[0]
     v = s @ p.wv.value
     want = attention(q, k, v, p.wh.value.shape[0]).value @ p.wh.value
     np.testing.assert_allclose(got, want, atol=1e-12)
@@ -313,11 +317,12 @@ def test_interpretable_single_head_equals_plain_attention(rng):
 
 def test_interpretable_identical_heads_equal_single_head(rng):
     p = init_attention(rng, 3, num_heads=3)
-    p.wq = [p.wq[0]] * 3
-    p.wk = [p.wk[0]] * 3
+    p.wq = param(np.stack([p.wq.value[0]] * 3))
+    p.wk = param(np.stack([p.wk.value[0]] * 3))
     s = rng.uniform(-1, 1, (4, 3))
     single = init_attention(rng, 3, num_heads=1)
-    single.wq, single.wk, single.wv, single.wh = [p.wq[0]], [p.wk[0]], p.wv, p.wh
+    single.wq, single.wk = param(p.wq.value[:1]), param(p.wk.value[:1])
+    single.wv, single.wh = p.wv, p.wh
     np.testing.assert_allclose(interpretable_multi_head(s, p).value,
                                interpretable_multi_head(s, single).value, atol=1e-12)
 
@@ -389,8 +394,10 @@ def test_permuting_identical_variables_is_invariant(rng):
     model = desk_model()
     p = model.params
     # make variables 1 and 2 identical in both parameters and data
-    p.past_embed[2] = copy.deepcopy(p.past_embed[1])
-    p.past_vsn.var_grns[2] = copy.deepcopy(p.past_vsn.var_grns[1])
+    for leaf in tft_core.leaves(p.past_embed) + tft_core.leaves(p.past_vsn.var_grns):
+        stacked = leaf.value.copy()
+        stacked[2] = stacked[1]
+        leaf.value = stacked
     w = p.past_vsn.flatten_proj.W.value.copy()
     w[:, 2 * 2:3 * 2] = w[:, 1 * 2:2 * 2]
     w[2, :] = w[1, :]
