@@ -284,7 +284,8 @@ def interpretable_multi_head(s, p: AttentionParams, mask: np.ndarray | None = No
 def stack_sets(blocks: list):
     """One params object with a set axis holding ``blocks``: each leaf their leaves stacked.
 
-    Drawn one after another, each block keeps the weights it would have on its own.
+    Drawn one after another, each block keeps the weights it would have on
+    its own.  The blocks share one circuit (or none), else ``ValueError``.
     """
     from .quantum_sim import ParameterizedCircuit
 
@@ -292,6 +293,8 @@ def stack_sets(blocks: list):
     if isinstance(first, Node):
         return grad.param(np.stack([b.value for b in blocks]))
     if first is None or isinstance(first, ParameterizedCircuit):
+        if any(b != first for b in blocks):
+            raise ValueError(f"blocks of one set need one circuit, got {blocks}")
         return first
     return type(first)(*(stack_sets([getattr(b, name) for b in blocks])
                          for name in _field_names(type(first))))
@@ -412,7 +415,7 @@ def named_leaves(obj, prefix: str = "", index: int | None = None) -> list[tuple[
 
 
 def leaves(obj) -> list[Node]:
-    """The leaf nodes of a parameter tree in :func:`named_leaves` order, without names."""
+    """The leaf nodes of a parameter tree, each stacked leaf once: what gradients reach."""
     from .quantum_sim import ParameterizedCircuit
 
     out: list[Node] = []
@@ -582,6 +585,8 @@ class TFTModel:
             return self.predict_nodes(static_vars, past_vars, future_vars)[0].value
 
     def named_leaves(self) -> list[tuple[str, Node]]:
+        """Snapshot names and nodes, to read or write in place (``value[...] =``); a block of a
+        set is a view of its slice and gets no gradient, so training uses :meth:`leaves`."""
         return named_leaves(self.params)
 
     def leaves(self) -> list[Node]:

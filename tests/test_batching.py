@@ -720,21 +720,18 @@ def test_training_gradients_match_one_node_per_set(axis_csv, monkeypatch, kind, 
     The per-block path builds each block's node in a call of its own and
     gives it the value its block gets in the joint call, as the graph did
     before calls became one node and blocks of one kind one set: a block of
-    a set with a set axis reads its slice of the features (or the one
-    shared input) and of the (k, 1, nw) weights, and the blocks' outputs
-    are joined back on the set axis.  Run alone, the one context row of
-    the 5-qubit past-VSN weight QGRN's ``vqc_c`` rounds its <Z> differently
-    from the 19-row call it shares with ``vqc_a`` (a <Z> row of 3 or more
-    qubits depends on its batch).  The call node adds a shared parent's
-    contributions in set order, and wider circuits' Jacobian rows may round
-    differently in a larger shift batch, so only qtft at d_model 2 is bit
-    for bit; elsewhere gradients agree within 1e-15 of the largest leaf
-    gradient.  The static path is the exception at qtft d_model 2: the
-    four static encoders read one shared input, whose gradient sums the
-    encoders' parts on the set axis before adding the parts of the other
-    branch, where encoders of their own add them one by one.  So the
-    gradients of the static embedding and the static VSN, about 1e-24
-    there, round differently.
+    a set with a set axis reads its slice of the features and of the
+    (k, 1, nw) weights, and the blocks' outputs are joined back on the set
+    axis.  One input that every block reads is first broadcast to the set
+    axis, so its gradient sums the blocks' parts there, as the call node
+    sums them, before it adds the parts of other branches.  Run alone, the
+    one context row of the 5-qubit past-VSN weight QGRN's ``vqc_c`` rounds
+    its <Z> differently from the 19-row call it shares with ``vqc_a`` (a <Z>
+    row of 3 or more qubits depends on its batch).  The call node adds a
+    shared parent's contributions in set order, and wider circuits'
+    Jacobian rows may round differently in a larger shift batch, so only
+    qtft at d_model 2 is bit for bit; elsewhere gradients agree within
+    1e-15 of the largest leaf gradient.
     """
     model, _, loss = axis_training_loss(axis_csv, kind, d_model)
     assert len(quantum_nodes(loss)) == calls
@@ -750,10 +747,11 @@ def test_training_gradients_match_one_node_per_set(axis_csv, monkeypatch, kind, 
     def one_node_per_block(c, f, w, value):
         if w.value.ndim < 3:
             return alone(c, f, w, value)
-        shared = f.value.shape[-3] == 1
+        if f.value.shape[-3] == 1:   # one input for every block, its parts summed on the set axis
+            f = grad.add(f, np.zeros(value.shape[:-1] + f.value.shape[-1:]))
         return grad.concat([
-            grad.reshape(alone(c, grad.row(f, 0 if shared else j, axis=-3),
-                               grad.row(grad.row(w, j, axis=-3), 0), value[..., j, :, :]),
+            grad.reshape(alone(c, grad.row(f, j, axis=-3), grad.row(grad.row(w, j, axis=-3), 0),
+                               value[..., j, :, :]),
                          value[..., j:j + 1, :, :].shape)
             for j in range(w.value.shape[0])], axis=-3)
 
@@ -770,11 +768,9 @@ def test_training_gradients_match_one_node_per_set(axis_csv, monkeypatch, kind, 
     split = leaf_grads(model, split_loss)
 
     scale = max(float(np.max(np.abs(g))) for g in split)
-    p = model.params
-    static_path = {id(leaf) for leaf in tft_core.leaves([p.static_embed, p.static_vsn])}
     for leaf, g, reference in zip(model.leaves(), merged, split):
         assert g.shape == reference.shape == leaf.value.shape
-        if kind == "qtft" and d_model == 2 and id(leaf) not in static_path:
+        if kind == "qtft" and d_model == 2:
             np.testing.assert_array_equal(g, reference)
         else:
             np.testing.assert_allclose(g, reference, rtol=0, atol=1e-15 * scale)

@@ -19,6 +19,7 @@ and more).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -153,3 +154,12 @@ def test_attention_heads_on_a_set_axis_average_as_heads_run_one_by_one(d, heads,
         assert_blocks_match(stacked, parts, exact)
     # s reaches every head's query and key: those parts are added per set
     assert_matches(s.grad, s_alone.grad, False)
+
+
+def test_blocks_of_different_circuits_are_no_set():
+    rng = np.random.default_rng(5)
+    same = [qtft_core.init_qgrn(rng, 2, 1, False) for _ in range(2)]
+    assert tft_core.stack_sets(same).vqc_a.circuit == same[0].vqc_a.circuit
+    other = qtft_core.init_qgrn(rng, 2, 1, False, encoding="zz")
+    with pytest.raises(ValueError, match="one circuit"):
+        tft_core.stack_sets(same + [other])
