@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -81,6 +82,14 @@ class TrainConfig:
     use_causal_mask: bool = False
 
     def __post_init__(self):
+        is_int = lambda v: isinstance(v, Integral) and not isinstance(v, bool)
+        fits = {int: is_int, float: lambda v: isinstance(v, Real) and not isinstance(v, bool),
+                bool: lambda v: isinstance(v, bool),
+                tuple: lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(is_int, v))}
+        for f in fields(self):   # types first, as the checks below compare; a bool is no number
+            v = getattr(self, f.name)
+            if not fits.get(type(f.default), lambda _: True)(v):
+                raise ConfigError(f.name, f"{f.name} must be {f.type}, got {v!r}")
         (a, b), (c, d) = self.train_range, self.test_range
         for field, ok, rule in (
             ("quantile", 0.0 < self.quantile < 1.0, "quantile must lie in (0, 1)"),

@@ -204,14 +204,15 @@ def qgrn(a, c, p: QGRNParams) -> Node:
 
 def init_qvsn(rng, d_model: int, num_vars: int, with_context: bool,
               num_layers: int, encoding: str, ansatz: str) -> VariableSelectionParams:
-    """Selection parameters with QGRNs; the context is mapped to width m classically."""
-    return VariableSelectionParams(
+    """As ``init_vsn``, with QGRNs; the context is mapped to width m classically."""
+    p = VariableSelectionParams(
         var_grns=stack_sets([init_qgrn(rng, d_model, num_layers, False, encoding, ansatz)
                              for _ in range(num_vars)]),
         flatten_proj=init_dense(rng, num_vars, num_vars * d_model),
         context_proj=init_dense(rng, num_vars, d_model) if with_context else None,
         weight_grn=init_qgrn(rng, num_vars, num_layers, with_context, encoding, ansatz),
     )
+    return p if num_vars > 1 else VariableSelectionParams(p.var_grns, None, None, None)
 
 
 def q_variable_selection(embeddings, c_s, p: VariableSelectionParams):
@@ -313,7 +314,7 @@ def init_qtft(cfg: TrainConfig, num_past_vars: int, num_future_vars: int,
         post_attn_glu=init_qglu(rng, d, L, enc, anz),
         positionwise=init_qgrn(rng, d, L, False, enc, anz),
         final_glu=init_qglu(rng, d, L, enc, anz),
-        heads=[init_dense(rng, 1, d)],
+        heads=init_dense(rng, 1, d),
     )
 
 

@@ -85,9 +85,9 @@ class VariableSelectionParams:
     or in the circuit model each QGRN block's weights (m, num_weight_slots)."""
 
     var_grns: GRNParams = field(metadata=SETS)   # QGRNParams in the circuit model
-    flatten_proj: DenseParams       # (m*d -> m) map feeding the weight GRN
-    context_proj: DenseParams | None  # (d -> m) map of the context; None in the dense model
-    weight_grn: GRNParams           # width m; context enters through its W2
+    flatten_proj: DenseParams | None  # (m*d -> m) map feeding the weight GRN; None if m = 1
+    context_proj: DenseParams | None  # (d -> m) map of the context; None in the dense model too
+    weight_grn: GRNParams | None    # width m, context entering through its W2; None if m = 1
 
 
 @dataclass
@@ -116,7 +116,7 @@ class TFTParams:
     post_attn_glu: GLUParams
     positionwise: GRNParams
     final_glu: GLUParams
-    heads: list[DenseParams]                  # one (1, d) dense, for the trained quantile
+    heads: DenseParams                        # one (1, d) dense, for the trained quantile
 
 
 # --------------------------------------------------------------------------
@@ -168,17 +168,15 @@ def variable_selection(embeddings, c_s, p: VariableSelectionParams, block=grn):
     Returns ``(selected, weights)``.
 
     A softmax over one variable is exactly 1.0 and ``1.0 * v`` is ``v``,
-    so with one variable neither the projections nor the selection GRN
-    run: the output is that variable's GRN output and the weights are a
-    constant 1.0.  Their leaves stay in the parameters (and snapshots) but
-    get no gradient, so training leaves them unchanged.
+    so parameters without selection blocks (one variable) give that
+    variable's GRN output and a constant 1.0 as the weights.
     """
     embeddings = as_node(embeddings)
-    shape, m = embeddings.value.shape, p.flatten_proj.W.value.shape[0]
+    shape, m = embeddings.value.shape, 1 if p.flatten_proj is None else len(p.flatten_proj.W.value)
     if shape[-3] != m:
         raise ValueError(f"expected {m} embeddings, got {shape[-3]}")
     processed = block(embeddings, None, p.var_grns)
-    if m == 1:
+    if p.flatten_proj is None:
         selected = grad.reshape(processed, shape[:-3] + shape[-2:])
         return selected, grad.const(np.ones(selected.value.shape[:-1] + (1,)))
     flat = grad.reshape(grad.transpose(embeddings, (-3, -2)),
@@ -327,12 +325,14 @@ def init_grn(rng, dim: int, context_dim: int | None = None) -> GRNParams:
 
 def init_vsn(rng, d_model: int, num_vars: int,
              context_dim: int | None) -> VariableSelectionParams:
-    return VariableSelectionParams(
+    p = VariableSelectionParams(
         var_grns=stack_sets([init_grn(rng, d_model, None) for _ in range(num_vars)]),
         flatten_proj=init_dense(rng, num_vars, num_vars * d_model),
         context_proj=None,
         weight_grn=init_grn(rng, num_vars, context_dim),
     )
+    # One variable never runs its selection blocks; drawing them first keeps every later weight.
+    return p if num_vars > 1 else VariableSelectionParams(p.var_grns, None, None, None)
 
 
 def init_lstm(rng, input_dim: int, hidden: int) -> LSTMParams:
@@ -379,7 +379,7 @@ def init_tft(cfg: TrainConfig, num_past_vars: int, num_future_vars: int,
         post_attn_glu=init_glu(rng, d),
         positionwise=init_grn(rng, d, None),
         final_glu=init_glu(rng, d),
-        heads=[init_dense(rng, 1, d)],
+        heads=init_dense(rng, 1, d),
     )
 
 
@@ -395,16 +395,9 @@ def named_leaves(obj, prefix: str = "", index: int | None = None) -> list[tuple[
     out: list[tuple[str, Node]] = []
     if isinstance(obj, Node):
         out.append((prefix or "leaf", obj if index is None else Node(obj.value[index])))
-    elif isinstance(obj, (list, tuple)):
-        for i, item in enumerate(obj):
-            out.extend(named_leaves(item, f"{prefix}.{i}" if prefix else str(i), index))
-    elif isinstance(obj, ParameterizedCircuit):
-        pass  # cached circuit structure, not trainable
-    elif hasattr(obj, "__dataclass_fields__"):
-        for f in fields(obj):
+    elif hasattr(obj, "__dataclass_fields__") and not isinstance(obj, ParameterizedCircuit):
+        for f in fields(obj):   # a circuit is cached structure, not trainable; None holds nothing
             val = getattr(obj, f.name)
-            if val is None or isinstance(val, (int, float, str, bool, np.ndarray)):
-                continue
             name = f"{prefix}.{f.name}" if prefix else f.name
             if f.metadata.get("sets"):
                 for i in range(len(leaves(val)[0].value)):
@@ -423,9 +416,6 @@ def leaves(obj) -> list[Node]:
     def walk(o):
         if isinstance(o, Node):
             out.append(o)
-        elif isinstance(o, (list, tuple)):
-            for item in o:
-                walk(item)
         elif hasattr(o, "__dataclass_fields__") and not isinstance(o, ParameterizedCircuit):
             for name in _field_names(type(o)):
                 walk(getattr(o, name))
@@ -576,8 +566,8 @@ class TFTModel:
         delta = gated_skip(future(theta), future(beta), p.post_attn_glu)
         psi = self.grn(delta, None, p.positionwise)
         future_repr = gated_skip(future(phi_tilde), psi, p.final_glu)
-        outputs = [self.dense(head, future_repr) for head in p.heads]
-        return [grad.reshape(out, out.value.shape[:-1]) for out in outputs]
+        out = self.dense(p.heads, future_repr)
+        return [grad.reshape(out, out.value.shape[:-1])]
 
     def predict(self, static_vars, past_vars, future_vars) -> np.ndarray:
         """The quantile forecast without a tape: (tau,) for one window, (batch, tau) for a batch."""

@@ -640,6 +640,21 @@ def axis_training_loss(axis_csv, kind="qtft", d_model=2):
     return model, train_w, forecasting.batch_loss_node(model, train_w, cfg.quantile)
 
 
+@pytest.mark.parametrize("kind", forecasting.MODEL_KINDS)
+@pytest.mark.parametrize("d_model", [2, 4])
+def test_every_leaf_reaches_the_training_loss(axis_csv, kind, d_model):
+    """A model holds only the blocks its forward runs: one backward of the
+    17-window training loss gives every leaf a gradient.  The static and
+    future selection networks select among one variable, so they hold only
+    that variable's GRN."""
+    model, train_w, loss = axis_training_loss(axis_csv, kind, d_model)
+    assert len(train_w) == 17
+    grad.backward(loss)
+    names = {id(node): name for name, node in model.named_leaves()}   # a set's leaf is unnamed
+    assert [names.get(id(leaf), leaf.value.shape) for leaf in model.leaves()
+            if leaf.grad is None] == []
+
+
 def test_training_graph_differentiates_past_selection_through_the_prefix_sweep(
         axis_csv, monkeypatch):
     """The calls of the 5-qubit past-VSN weight QGRN that run on the 17

@@ -190,6 +190,35 @@ def test_eval_names_mismatched_snapshot_leaves(axis_csv, tmp_path, capsys):
     assert "unexpected leaf final_qglu.gate.W" in err
 
 
+@pytest.mark.parametrize("old,missing,unexpected", [
+    ("selection", None, "static_vsn.flatten_proj.W"),
+    ("head", "heads.W", "heads.0.W"),
+    ("both", "heads.W", "static_vsn.flatten_proj.W"),
+])
+def test_eval_refuses_a_snapshot_of_the_never_run_blocks(axis_csv, tmp_path, capsys, old,
+                                                         missing, unexpected):
+    """Snapshots once held the selection blocks of the one-variable networks
+    and named the one head ``heads.0``; such a snapshot does not load."""
+    out = str(tmp_path / "run")
+    assert main(train_args(axis_csv, out)) == 0
+    snap = os.path.join(out, "params.txt")
+    with open(snap, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    if old != "head":
+        at = next(i for i, line in enumerate(lines) if line.startswith("past_vsn."))
+        lines.insert(at, "static_vsn.flatten_proj.W | 1x2 | 0.5 -0.5\n")
+    if old != "selection":
+        lines = [line.replace("heads.", "heads.0.", 1) if line.startswith("heads.") else line
+                 for line in lines]
+    with open(snap, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    capsys.readouterr()
+    assert main(["eval", "--snapshot", snap, "--data", axis_csv]) == 1
+    problems = [f"no leaf {missing}"] if missing else []
+    problems.append(f"unexpected leaf {unexpected}")
+    assert capsys.readouterr().err.rstrip().endswith(" model: " + "; ".join(problems))
+
+
 def test_eval_names_missing_snapshot_config_key(axis_csv, tmp_path, capsys):
     out = str(tmp_path / "run")
     assert main(train_args(axis_csv, out)) == 0

@@ -23,7 +23,6 @@ from qtft.tft_core import (
     init_lstm,
     interpretable_multi_head,
     lstm_seq,
-    named_leaves,
     softmax,
     variable_selection,
 )
@@ -163,9 +162,9 @@ def test_variable_selection_of_one_variable_runs_only_its_grn(rng, lead):
     np.testing.assert_array_equal(selected.value, grn(e, None, oracles.block(p.var_grns, 0)).value)
     assert weights.parents == () and weights.value.shape == lead + (1,)
     assert np.all(weights.value == 1.0)
+    assert p.flatten_proj is p.context_proj is p.weight_grn is None
     backward(grad.mean_all(selected))
-    assert all(leaf.grad is None for name, leaf in named_leaves(p)
-               if not name.startswith("var_grns."))
+    assert all(leaf.grad is not None for leaf in tft_core.leaves(p))
 
 
 def test_variable_selection_identical_inputs_shared_grn(rng):
@@ -347,7 +346,7 @@ def desk_model(num_past_vars=5):
 
 def test_forward_output_shape(rng):
     model = desk_model()
-    assert len(model.params.heads) == 1
+    assert model.params.heads.W.value.shape == (1, 2)   # one head, for the trained quantile
     out = model.predict(np.array([1.0]), rng.uniform(20, 30, (2, 5)),
                         rng.uniform(0, 1, (2, 1)))
     assert out.shape == (2,)
@@ -463,5 +462,5 @@ def test_param_count_and_leaf_enumeration():
     names = [n for n, _ in model.named_leaves()]
     assert len(names) == len(set(names))
     assert model.param_count() == sum(node.value.size for _, node in model.named_leaves())
-    assert model.param_count() == 688
+    assert model.param_count() == 664
 
