@@ -99,10 +99,11 @@ def load_csv(path: str, feature_columns: list[str], target_column: str) -> TimeS
     among the features included) are an error, and so are two header cells
     for one requested name.  Any non-numeric cell in a requested column is
     a row-level parse error carrying the 1-based line number.  With a date column, every date must be an ISO date
-    (YYYY-MM-DD) later than the one on the row before.
+    (YYYY-MM-DD) later than the one on the row before.  A UTF-8 byte-order
+    mark before the header, as spreadsheets write, is skipped.
     """
     requested = list(feature_columns) + [target_column]
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -136,8 +136,9 @@ def make_windows(series: np.ndarray, target_col: int, k: int, tau_max: int,
     at rows [t+1, t+tau_max] and the known future inputs are
     ``known_cols`` at those same rows.  The target and each known column
     must be distinct columns of ``series``, so no target reaches the model
-    as a known input.  A range too short for one window raises a
-    ``ConfigError`` whose field is ``name``, the setting the range came from.
+    as a known input.  A range outside the series, or too short for one
+    window, raises a ``ConfigError`` whose field is ``name``, the setting
+    the range came from.
     """
     series = np.asarray(series, dtype=float)
     columns = (target_col, *known_cols)
@@ -146,7 +147,8 @@ def make_windows(series: np.ndarray, target_col: int, k: int, tau_max: int,
                          f"distinct columns of a series with {series.shape[1]} columns")
     first, last = rows_range
     if first < 0 or last >= series.shape[0] or first > last:
-        raise ValueError(f"row range {rows_range} outside series of length {series.shape[0]}")
+        raise ConfigError(name, f"{name} {tuple(rows_range)} lies outside the series of "
+                                f"{series.shape[0]} rows")
     length = last - first + 1
     if length < k + tau_max:
         raise ConfigError(name, f"{name} {tuple(rows_range)} holds {length} rows, too few for one "
@@ -180,8 +182,8 @@ def build_stock_windows(values: np.ndarray, target_col: int, cfg: TrainConfig):
         first, last = cfg.train_range
         fit = values[first:last + 1]
         if fit.shape[0] == 0:
-            raise ValueError(f"train range {cfg.train_range} outside series of "
-                             f"length {values.shape[0]}")
+            raise ConfigError("train_range", f"train_range {cfg.train_range} lies outside "
+                                             f"the series of {values.shape[0]} rows")
         lo, hi = fit.min(axis=0), fit.max(axis=0)
         span = np.where(hi > lo, hi - lo, 1.0)
         values = (values - lo) / span

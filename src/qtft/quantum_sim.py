@@ -266,8 +266,6 @@ def zero_state(num_qubits: int) -> StateVector:
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # Largest (steps, rows, 4 * 2**n) float64 coefficient tensor one plan run builds.
 COEFF_BYTES = 2 << 20
-# Fewest amplitudes per gate step (shifted rows x 2**n) that run as a prefix sweep.
-PREFIX_SWEEP_AMPLITUDES = 4096
 
 # The prefix sweep's work rows: one array for every plan, grown to the largest sweep so
 # far.  Freed after each sweep, it went back to the system and faulted in again each time.
@@ -481,7 +479,7 @@ class CircuitPlan:
         return st.take(self.loc, axis=1)
 
     def run_shifts(self, angle_rows: np.ndarray) -> np.ndarray:
-        """:meth:`run` of parameter-shift rows, bit for bit, with trig per distinct angle.
+        """:meth:`run` of parameter-shift rows, bit for bit, by prefix sweeps.
 
         ``angle_rows`` holds, for each of B bindings, two rows per gate of
         ``shift_gates``: the binding's angles with that gate's angle shifted
@@ -490,63 +488,38 @@ class CircuitPlan:
         parametric gates, G shift gates), and cos and sin are taken of
         those alone.
 
-        Above ``PREFIX_SWEEP_AMPLITUDES`` amplitudes per step the rows also
-        share their unshifted prefix (:meth:`_prefix_sweep`).  The two rows
-        of gate g equal their binding's unshifted row at every step before
-        g.  So one carrier row per binding runs the unshifted circuit; at
-        g's step, g's pair leaves the carrier's state before that step
-        through the shifted coefficients, and from then on every live row
-        advances with its binding's unshifted coefficients.  Every shifted
-        row goes through the same elementwise operations on the same
-        coefficient values as in :meth:`run`, but the steps before its gate
-        are shared, and coefficients are built for B rows plus two per
+        The rows also share their unshifted prefix (:meth:`_prefix_sweep`).
+        The two rows of gate g equal their binding's unshifted row at every
+        step before g.  So one carrier row per binding runs the unshifted
+        circuit; at g's step, g's pair leaves the carrier's state before
+        that step through the shifted coefficients, and from then on every
+        live row advances with its binding's unshifted coefficients.  Every
+        shifted row goes through the same elementwise operations on the
+        same coefficient values as in :meth:`run`, but the steps before its
+        gate are shared, and coefficients are built for B rows plus two per
         shifted gate, not for 2 B G rows.  Bindings run in chunks whose
         coefficients, summed over all steps, fit in ``COEFF_BYTES``; that
         sum also exceeds the bytes of state rows the sweep holds at once.
-
-        Below that size the sweep's extra numpy calls cost more than the
-        row-steps it saves, and every row runs through :meth:`run`'s steps.
         """
         g = self.shift_gates.size
         if not g or angle_rows.shape[0] % (2 * g):
             raise BindingError("parameter-shift rows need shift gates, and two rows per "
                                "shift gate and binding")
         rows = angle_rows.reshape(-1, g, 2, angle_rows.shape[1])
-        if angle_rows.shape[0] * self.loc.size < PREFIX_SWEEP_AMPLITUDES:
-            phi, shifted = self._shift_phases(rows)
-            # Every row takes its binding's unshifted triples, then its own at its gate's step.
-            trig = np.ones((len(self.flips), rows.shape[0], g, 2, 3))
-            trig[self.par_steps, ..., 0] = np.cos(phi)[:, :, None, None]
-            trig[self.par_steps, ..., 1] = np.sin(phi)[:, :, None, None]
-            spawn = self.par_steps[self.shift_pos]
-            trig[spawn, :, np.arange(g), :, 0] = np.cos(shifted)
-            trig[spawn, :, np.arange(g), :, 1] = np.sin(shifted)
-            return self._steps(trig.reshape(len(self.flips), 1, -1, 3))
         chunk = max(1, COEFF_BYTES // ((len(self.flips) + 2 * g) * self.recipe[0, :, 0].nbytes))
         sweeps = [self._prefix_sweep(rows[i:i + chunk]) for i in range(0, rows.shape[0], chunk)]
         return sweeps[0] if len(sweeps) == 1 else np.concatenate(sweeps)
 
-    def _shift_phases(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The phases ``t`` of (B, G, 2, num_gates) shift rows, each distinct angle once.
-
-        Returns the (P, B) unshifted phases of the parametric gates, per
-        binding, and the (G, B, 2) shifted phases of each shift gate, up
-        then down.
-        """
+    def _prefix_sweep(self, rows: np.ndarray) -> np.ndarray:
+        """The sweep of :meth:`run_shifts` over (B, G, 2, num_gates) shifted rows."""
         gates = self.shift_gates
-        g = gates.size
+        batch, g, dim = rows.shape[0], gates.size, self.loc.size
         base = rows[:, 0, 0]   # the unshifted angles: any row's at every gate but its own
         if g > 1:
             base = base.copy()
             base[:, gates] = rows[:, np.arange(1, g + 1) % g, 0, gates]
         phi = base.take(self.par_gates, axis=1).T * self.trig_scale[:, None]
         shifted = rows[:, np.arange(g), :, gates] * self.trig_scale[self.shift_pos][:, None, None]
-        return phi, shifted
-
-    def _prefix_sweep(self, rows: np.ndarray) -> np.ndarray:
-        """The sweep of :meth:`run_shifts` over (B, G, 2, num_gates) shifted rows."""
-        batch, g, dim = rows.shape[0], self.shift_gates.size, self.loc.size
-        phi, shifted = self._shift_phases(rows)
         shifted = shifted.swapaxes(1, 2).reshape(g, 2 * batch)
         spawn = self.par_steps[self.shift_pos]
         # Per step, the (cos, sin, 1) triples of the B unshifted rows, then of

@@ -655,6 +655,28 @@ def test_every_leaf_reaches_the_training_loss(axis_csv, kind, d_model):
             if leaf.grad is None] == []
 
 
+def test_single_window_graphs_differentiate_every_circuit_through_the_prefix_sweep(
+        axis_csv, monkeypatch):
+    """One window's loss graph, the kind perfbench's circuit check
+    differentiates, runs every circuit node's shift batch through the
+    prefix sweep that training's batched graphs run."""
+    model, train_w, _ = axis_training_loss(axis_csv)
+    w = train_w[0]
+    loss = grad.pinball(w.targets, model.predict_nodes(w.static, w.past, w.future_known)[0], 0.5)
+    swept = []
+    sweep = quantum_sim.CircuitPlan._prefix_sweep
+    monkeypatch.setattr(quantum_sim.CircuitPlan, "_prefix_sweep",
+                        lambda self, rows: swept.append(1) or sweep(self, rows))
+    nodes = quantum_nodes(loss)
+    unswept = []
+    for node in nodes:
+        swept.clear()
+        node.backward_rule(np.ones(node.value.shape))
+        if not swept:
+            unswept.append((node.circuit.num_qubits, node.circuit.num_gates))
+    assert len(nodes) > 100 and unswept == []
+
+
 def test_training_graph_differentiates_past_selection_through_the_prefix_sweep(
         axis_csv, monkeypatch):
     """The calls of the 5-qubit past-VSN weight QGRN that run on the 17
@@ -669,8 +691,7 @@ def test_training_graph_differentiates_past_selection_through_the_prefix_sweep(
     # per past step, vqc_c once.  Then vqc_a, gate and lin ran once on the 18
     # distinct past rows (one position), and vqc_c on the one static context
     # row, as 4 nodes.  Now each simulator call is one node: vqc_a with vqc_c
-    # (18 + 1 rows) and the gate with the lin branch (18 + 18 rows).  So
-    # vqc_c's one row, below the sweep's bound alone, now sweeps with vqc_a's.
+    # (18 + 1 rows) and the gate with the lin branch (18 + 18 rows).
     assert len(train_w) == 17
     assert len(nodes) == 2
     assert sorted([f.value.shape for f, _ in node.sets] for node in nodes) == [
@@ -680,8 +701,7 @@ def test_training_graph_differentiates_past_selection_through_the_prefix_sweep(
         nf, nw = circ.num_feature_slots, circ.num_weight_slots
         values, leads = circ.plan.bind_sets([f.value for f, _ in node.sets],
                                             [w.value for _, w in node.sets])
-        rows = values.shape[0] * 2 * circ.plan.shift_gates.size
-        assert n == 5 and rows * 2 ** n >= quantum_sim.PREFIX_SWEEP_AMPLITUDES
+        assert n == 5
         with monkeypatch.context() as mp:
             mp.setattr(grad, "run_bound_batch",
                        lambda c, angle_rows, shifted: quantum_sim.run_bound_batch(c, angle_rows))

@@ -76,6 +76,46 @@ def test_eval_range_too_short_for_one_window_names_its_flag(axis_csv, tmp_path, 
     assert err.startswith("error: --range: ") and "test_range (20, 22)" in err
 
 
+@pytest.mark.parametrize("ranges,flag,field", [
+    (["--train-range", "0:40", "--test-range", "41:50"], "--train-range", "train_range (0, 40)"),
+    (["--test-range", "20:40"], "--test-range", "test_range (20, 40)"),
+    (["--scale", "--train-range", "40:50", "--test-range", "51:60"], "--train-range",
+     "train_range (40, 50)"),
+], ids=["train_range", "test_range", "scaled_train_range"])
+def test_a_range_past_the_csv_names_the_range_and_its_flag(axis_csv, tmp_path, capsys, ranges,
+                                                           flag, field):
+    out = str(tmp_path / "run")
+    assert main(["train", "--data", axis_csv, *ranges, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ") and field in err and "30 rows" in err
+    assert not os.path.exists(out)
+
+
+def test_eval_range_past_the_csv_names_its_flag(axis_csv, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert main(train_args(axis_csv, out)) == 0
+    capsys.readouterr()
+    assert main(["eval", "--snapshot", os.path.join(out, "params.txt"), "--data", axis_csv,
+                 "--range", "20:60"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --range: ") and "test_range (20, 60)" in err
+
+
+def test_eval_names_a_snapshot_test_range_past_the_csv(axis_csv, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert main(train_args(axis_csv, out)) == 0
+    snap = os.path.join(out, "params.txt")
+    with open(snap, encoding="utf-8") as fh:
+        lines = ["config.test_range = 10:40\n" if line.startswith("config.test_range ") else line
+                 for line in fh]
+    with open(snap, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    capsys.readouterr()
+    assert main(["eval", "--snapshot", snap, "--data", axis_csv]) == 1
+    err = capsys.readouterr().err
+    assert "config.test_range" in err and "test_range (10, 40)" in err and "30 rows" in err
+
+
 def test_the_long_window_command_of_the_readme_runs(axis_csv, tmp_path):
     out = str(tmp_path / "run")
     assert main(["train", "--data", axis_csv, "--out", out, "--past-steps", "10",

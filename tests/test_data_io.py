@@ -144,6 +144,19 @@ def test_row_order_preserved(axis_csv):
     assert table.dates[0] == "2000-01-03"
 
 
+def test_a_byte_order_mark_does_not_hide_the_date_column(axis_csv, tmp_path):
+    """Spreadsheets save "CSV UTF-8" with a byte-order mark before the first
+    header; the date column must still be found, and its order checked."""
+    with open(axis_csv, encoding="utf-8") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    table = load_csv(write(tmp_path, "\ufeff" + "".join(lines), "bom.csv"), ["Open"], "Close")
+    assert table.dates[0] == "2000-01-03" and table.dates == sorted(table.dates)
+    lines[5], lines[6] = lines[6], lines[5]
+    with pytest.raises(UnorderedDatesError) as exc:
+        load_csv(write(tmp_path, "\ufeff" + "".join(lines), "swapped.csv"), ["Open"], "Close")
+    assert (exc.value.previous_line, exc.value.line) == (6, 7)
+
+
 def test_case_insensitive_headers(tmp_path):
     text = "DATE,open,CLOSE\n2000-01-03,27.15,26.85\n"
     table = load_csv(write(tmp_path, text), ["Open"], "Close")

@@ -478,38 +478,15 @@ def test_prefix_sweep_matches_full_rows_bit_for_bit(case, data):
     feats = np.stack([f for f, _ in bindings[:b]])
     wts = np.stack([w for _, w in bindings[:b]])
     rows = shifted_rows(bind_angles(circ, feats, wts), plan.shift_gates)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quantum_sim, "PREFIX_SWEEP_AMPLITUDES", 0)
-        swept = run_bound_batch(circ, rows, shifted=True)
-        if not plan.crz_slots:
-            swept_jac = grad.shift_rule_jacobians(circ, feats, wts)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quantum_sim, "PREFIX_SWEEP_AMPLITUDES", 1 << 62)
-        np.testing.assert_array_equal(swept, run_bound_batch(circ, rows, shifted=True))
-        np.testing.assert_array_equal(swept, run_bound_batch(circ, rows))
-        if not plan.crz_slots:
+    swept = run_bound_batch(circ, rows, shifted=True)
+    np.testing.assert_array_equal(swept, run_bound_batch(circ, rows))
+    if not plan.crz_slots:
+        swept_jac = grad.shift_rule_jacobians(circ, feats, wts)
+        with pytest.MonkeyPatch.context() as mp:   # every shifted row run from |0...0>
+            mp.setattr(grad, "run_bound_batch",
+                       lambda c, angle_rows, shifted: run_bound_batch(c, angle_rows))
             for got, want in zip(swept_jac, grad.shift_rule_jacobians(circ, feats, wts)):
                 np.testing.assert_array_equal(got, want)
-
-
-def test_prefix_sweep_is_chosen_from_the_batch_shape(monkeypatch):
-    calls = []
-    sweep = quantum_sim.CircuitPlan._prefix_sweep
-
-    def spy(self, rows):
-        calls.append(rows.shape[:3])
-        return sweep(self, rows)
-
-    monkeypatch.setattr(quantum_sim.CircuitPlan, "_prefix_sweep", spy)
-    rng = np.random.default_rng(3)
-    for n, bindings, swept in [(5, 17, True), (5, 1, False), (2, 17, False), (2, 300, True)]:
-        circ = compose(angle_embedding(n), basic_entangler_layers(n, 2))
-        calls.clear()
-        grad.shift_rule_jacobians(circ, rng.uniform(-1, 1, (bindings, n)),
-                                  rng.uniform(-3, 3, 2 * n))
-        rows = bindings * 2 * 3 * n
-        assert (rows * 2 ** n >= quantum_sim.PREFIX_SWEEP_AMPLITUDES) == swept
-        assert calls == ([(bindings, 3 * n, 2)] if swept else [])
 
 
 def test_prefix_sweep_chunks_bindings_within_the_coefficient_budget(monkeypatch):
@@ -519,7 +496,6 @@ def test_prefix_sweep_chunks_bindings_within_the_coefficient_budget(monkeypatch)
     gates = circ.plan.shift_gates
     rows = shifted_rows(angles, gates)
     full = run_bound_batch(circ, rows)
-    monkeypatch.setattr(quantum_sim, "PREFIX_SWEEP_AMPLITUDES", 0)
     chunks = []
     sweep = quantum_sim.CircuitPlan._prefix_sweep
     monkeypatch.setattr(quantum_sim.CircuitPlan, "_prefix_sweep",
@@ -530,7 +506,7 @@ def test_prefix_sweep_chunks_bindings_within_the_coefficient_budget(monkeypatch)
 
 
 @pytest.mark.parametrize("bindings", [1, 17])
-def test_prefix_sweeps_return_arrays_of_their_own(monkeypatch, bindings):
+def test_prefix_sweeps_return_arrays_of_their_own(bindings):
     """The sweep's work rows live in one workspace kept between calls, so two
     equal-shape sweeps must return equal arrays that share no memory with
     each other or with the workspace, as a sweep of one binding once did."""
@@ -538,7 +514,6 @@ def test_prefix_sweeps_return_arrays_of_their_own(monkeypatch, bindings):
     rng = np.random.default_rng(6)
     angles = bind_angles(circ, rng.uniform(-1, 1, (bindings, 5)), rng.uniform(-3, 3, 10))
     rows = shifted_rows(angles, circ.plan.shift_gates)
-    monkeypatch.setattr(quantum_sim, "PREFIX_SWEEP_AMPLITUDES", 0)
     first = circ.plan.run_shifts(rows)
     second = circ.plan.run_shifts(rows.copy())
     np.testing.assert_array_equal(first, run_bound_batch(circ, rows))
@@ -562,8 +537,8 @@ def test_shift_gates_are_validated():
 
 
 @settings(max_examples=100, deadline=None)
-@given(bound_circuits(count=3), st.booleans())
-def test_plan_shift_rows_run_as_plain_rows_on_both_paths(case, swept):
+@given(bound_circuits(count=3))
+def test_plan_shift_rows_run_as_plain_rows_on_both_paths(case):
     circ, bindings = case
     plan = circ.plan
     np.testing.assert_array_equal(plan.shift_pos,
@@ -573,10 +548,8 @@ def test_plan_shift_rows_run_as_plain_rows_on_both_paths(case, swept):
     feats = np.stack([f for f, _ in bindings])
     wts = np.stack([w for _, w in bindings])
     rows = shifted_rows(bind_angles(circ, feats, wts), plan.shift_gates)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quantum_sim, "PREFIX_SWEEP_AMPLITUDES", 0 if swept else 1 << 62)
-        np.testing.assert_array_equal(run_bound_batch(circ, rows, shifted=True),
-                                      run_bound_batch(circ, rows))
+    np.testing.assert_array_equal(run_bound_batch(circ, rows, shifted=True),
+                                  run_bound_batch(circ, rows))
     with pytest.raises(BindingError, match="shift gates"):
         run_bound_batch(circ, rows[:-1], shifted=True)
 
