@@ -337,9 +337,9 @@ def _classical_block_deviation(rng) -> float:
         g2 = tft_core.grn(c0, None, grn_p)
         g3 = tft_core.grn(a0 * 0.5, c0, grn_p)
         g4 = tft_core.grn(c0 * 0.5, None, grn_p)
-        s = grad.stack_rows([g1, g2, g3, g4])
+        s = grad.reshape(grad.concat([g1, g2, g3, g4]), (4, d))
         out = tft_core.interpretable_multi_head(s, attn_p)
-        head = grad.concat([grad.mean_all(grad.row(out, i)) for i in range(4)])
+        head = grad.concat([grad.mean_all(grad.part(out, i)) for i in range(4)])
         return grad.pinball(targets, head, 0.5)
 
     return _deviation_over_leaves(loss_node, leaves)

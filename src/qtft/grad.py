@@ -291,13 +291,31 @@ def concat(nodes, axis: int = -1) -> Node:
     return Node(value, tuple(nodes), rule)
 
 
+def part(x: Node, key, shape: tuple[int, ...] | None = None) -> Node:
+    """``x.value[key]`` for a basic index ``key`` (integers, slices, ``...``),
+    reshaped to ``shape`` when given.
+
+    The backward rule writes the upstream gradient into zeros at ``key``.
+    """
+    x = as_node(x)
+    value = x.value[key]
+
+    def rule(u):
+        g = np.zeros_like(x.value)
+        g[key] = u if shape is None else u.reshape(value.shape)
+        return (g,)
+
+    return Node(value if shape is None else value.reshape(shape), (x,), rule)
+
+
 def gather(x: Node, index) -> Node:
     """The vectors of ``x`` (its last axis) picked by an integer array ``index``.
 
     Vectors are numbered in order over every leading axis of ``x``, so an
     (N, d) or (N, 1, d) node holds vectors 0 to N-1; the value has shape
     ``index.shape + (d,)`` and may repeat a vector.  The backward rule adds
-    up the upstream rows of repeated entries.
+    up the upstream rows of repeated entries.  A pick by a basic index is a
+    :func:`part`.
     """
     x = as_node(x)
     index = np.asarray(index)
@@ -309,38 +327,6 @@ def gather(x: Node, index) -> Node:
         return (g.reshape(x.value.shape),)
 
     return Node(x.value.reshape(vectors)[index], (x,), rule)
-
-
-def stack_rows(nodes) -> Node:
-    """Vectors stacked as the rows of a matrix (second-to-last axis)."""
-    nodes = [as_node(x) for x in nodes]
-    return Node(np.stack([n.value for n in nodes], axis=-2), tuple(nodes),
-                lambda u: tuple(u[..., i, :] for i in range(len(nodes))))
-
-
-def row(m: Node, i: int, axis: int = -2) -> Node:
-    """Entry ``i`` of ``axis`` (a matrix's row by default), without that axis."""
-    m = as_node(m)
-    at = (..., i) + (slice(None),) * (-1 - axis)
-
-    def rule(u):
-        g = np.zeros_like(m.value)
-        g[at] = u
-        return (g,)
-
-    return Node(m.value[at], (m,), rule)
-
-
-def rows(m: Node, start: int, stop: int) -> Node:
-    """Rows ``start:stop`` of a matrix (second-to-last axis), still a matrix."""
-    m = as_node(m)
-
-    def rule(u):
-        g = np.zeros_like(m.value)
-        g[..., start:stop, :] = u
-        return (g,)
-
-    return Node(m.value[..., start:stop, :], (m,), rule)
 
 
 def reshape(x: Node, shape: tuple[int, ...]) -> Node:
@@ -523,28 +509,29 @@ def quantum_forward(circuits: ParameterizedCircuit | list[ParameterizedCircuit],
         node = _circuit_node(circuit, feature_nodes, weight_nodes, leads, values, z)
         if len(leads) == 1:
             return [node]
-        return [_set_rows(node, a, b, lead) for lead, a, b in zip(leads, bounds, bounds[1:])]
+        return [part(node, slice(a, b), lead + z.shape[-1:])
+                for lead, a, b in zip(leads, bounds, bounds[1:])]
     outputs = []
     for c, f, w, whole, lead, a, b in zip(circuits, feature_nodes, weight_nodes, windowed, leads,
                                           bounds, bounds[1:]):
         if whole or not lead:
             outputs.append(_circuit_node(c, [f], [w], [lead], values[a:b], z[a:b]))
             continue
-        pick = functools.cache(gather)   # one node per distinct row
-        out = stack_rows([_circuit_node(c, [fi], [wi], [()], values[i:i + 1], z[i:i + 1])
-                          for i, fi, wi in zip(range(a, b), _binding_rows(f, lead, pick),
-                                               _binding_rows(w, lead, pick))])
-        outputs.append(out if len(lead) == 1 else reshape(out, lead + z.shape[-1:]))
+        pick = functools.cache(part)   # one node per distinct row
+        out = concat([_circuit_node(c, [fi], [wi], [()], values[i:i + 1], z[i:i + 1])
+                      for i, fi, wi in zip(range(a, b), _binding_rows(f, lead, pick),
+                                           _binding_rows(w, lead, pick))])
+        outputs.append(reshape(out, lead + z.shape[-1:]))
     return outputs
 
 
 def _binding_rows(x: Node, lead: tuple[int, ...], pick) -> list[Node]:
-    """Each binding's 1-D row of ``x``, ``pick(x, row number)``, x's axes broadcast to ``lead``."""
+    """Each binding's 1-D row of ``x``, ``pick(x, index)``, x's axes broadcast to ``lead``."""
     shape = x.value.shape[:-1]
     if not shape:
         return [x] * math.prod(lead)
     at = np.broadcast_to(np.arange(math.prod(shape)).reshape(shape), lead)
-    return [pick(x, r) for r in at.ravel().tolist()]
+    return [pick(x, np.unravel_index(r, shape)) for r in at.ravel().tolist()]
 
 
 def _circuit_node(circuit: ParameterizedCircuit, feature_nodes, weight_nodes, leads,
@@ -577,13 +564,3 @@ def _circuit_node(circuit: ParameterizedCircuit, feature_nodes, weight_nodes, le
     value = z.reshape(leads[0] + z.shape[-1:]) if len(leads) == 1 else z
     return QuantumNode(circuit, itertools.chain(*zip(feature_nodes, weight_nodes)), value, rule)
 
-
-def _set_rows(node: Node, start: int, stop: int, lead: tuple[int, ...]) -> Node:
-    """Rows ``start:stop`` of a (rows, n) node, shaped ``lead + (n,)``."""
-
-    def rule(u):
-        g = np.zeros_like(node.value)
-        g[start:stop] = u.reshape(stop - start, -1)
-        return (g,)
-
-    return Node(node.value[start:stop].reshape(lead + node.value.shape[-1:]), (node,), rule)

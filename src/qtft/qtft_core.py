@@ -120,10 +120,7 @@ def vqc_apply(x, p: VQCBlockParams | list[VQCBlockParams],
         return vqc_apply([x], [p], prefix)[0]
     xs = [as_node(v) for v in x]
     weights = []
-    for v, b in zip(xs, p):
-        n = b.circuit.num_qubits
-        if v.value.shape[-1:] != (n,):
-            raise ValueError(f"block of {n} qubits got input shape {v.value.shape}")
+    for b in p:
         w = b.weights if prefix is None else grad.concat([prefix.weights, b.weights])
         if w.value.ndim == 2:   # k blocks: each one's weights meet its inputs' (k, T) rows
             w = grad.reshape(w, (w.value.shape[0], 1, w.value.shape[1]))

@@ -589,10 +589,13 @@ def apply_gate(state: StateVector, gate: Gate, bound_angle: float | None = None)
         raise BindingError(f"{gate.kind} needs a bound angle")
     if not parametric and bound_angle is not None:
         raise BindingError(f"{gate.kind} takes no angle")
-    angle = LiteralAngle(float(bound_angle)) if parametric else None
-    one_gate = ParameterizedCircuit(state.num_qubits, (Gate(gate.kind, gate.targets, angle),))
+    # The angle binds to one weight slot, so each gate kind and target compiles one plan.
+    angle = SlotAngle(WEIGHT, 0) if parametric else None
+    one_gate = ParameterizedCircuit(state.num_qubits, (Gate(gate.kind, gate.targets, angle),),
+                                    0, int(parametric))
     start = state.amplitudes.reshape(-1, state.amplitudes.shape[-1])
-    rows = np.broadcast_to(bind_angles(one_gate, (), ()), (start.shape[0], 1))
+    weights = [float(bound_angle)] if parametric else ()
+    rows = np.broadcast_to(bind_angles(one_gate, (), weights), (start.shape[0], 1))
     amps = one_gate.plan.run(rows, start)
     return StateVector(state.num_qubits, amps.reshape(state.amplitudes.shape))
 

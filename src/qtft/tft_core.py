@@ -520,13 +520,13 @@ class TFTModel:
             return self.dense(embeds, np.swapaxes(series, -1, -2)[..., None])
 
         def steps(seq):
-            return [grad.rows(seq, t, t + 1) for t in range(seq.value.shape[-2])]
+            return [grad.part(seq, np.s_[..., t:t + 1, :]) for t in range(seq.value.shape[-2])]
 
         def gated_skip(skip, x, glu_p):
             return grad.layer_norm(grad.add(skip, self.glu(x, glu_p)))
 
         def future(seq):
-            return grad.rows(seq, k, k + tau)
+            return grad.part(seq, np.s_[..., k:k + tau, :])
 
         one_entity = static_vars.ndim == 2 and len(distinct_rows(static_vars)[1]) == 1
         if one_entity:   # the static path runs once
@@ -550,7 +550,7 @@ class TFTModel:
         xi_static = self.select(embed(static_vars[..., None, :], p.static_embed), None,
                                 p.static_vsn)
         contexts = self.grn(shared_input(xi_static), None, p.static_encoders)
-        c_s, c_e, c_c, c_h = (grad.row(contexts, i, axis=-3) for i in range(4))
+        c_s, c_e, c_c, c_h = (grad.part(contexts, np.s_[..., i, :, :]) for i in range(4))
 
         past_sel = selected(past_vars, p.past_embed, p.past_vsn)
         future_sel = selected(future_vars, p.future_embed, p.future_vsn)

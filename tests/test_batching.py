@@ -149,8 +149,9 @@ def test_quantum_forward_over_positions_matches_per_row_runs(seed, positions, wi
                 np.testing.assert_array_equal(rule_f, jf[..., q])
                 np.testing.assert_array_equal(rule_w, jw[..., q].sum(axis=(0, 1)))
         return
-    assert len(out.parents) == positions
-    for t, node in enumerate(out.parents):
+    (joined,) = out.parents   # a reshape of the nodes' concat
+    assert len(joined.parents) == positions
+    for t, node in enumerate(joined.parents):
         assert isinstance(node, grad.QuantumNode) and node.circuit is circ
         row = features[t]
         [(feature_node, _)] = node.sets
@@ -305,7 +306,7 @@ def test_quantum_forward_of_many_sets_matches_each_set_run_alone(seed, sets, win
             if windowed:   # one node over all the set's rows
                 nodes, rows, values = [out], [f.value], [out.value]
             else:          # one node per position
-                nodes, rows, values = out.parents, f.value, out.value
+                nodes, rows, values = out.parents[0].parents, f.value, out.value
             assert len(nodes) == len(rows)
             for node, row, row_value in zip(nodes, rows, values):
                 assert isinstance(node, grad.QuantumNode) and node.circuit is c
@@ -785,7 +786,7 @@ def test_training_gradients_match_one_node_per_set(axis_csv, monkeypatch, kind, 
         if f.value.shape[-3] == 1:   # one input for every block, its parts summed on the set axis
             f = grad.add(f, np.zeros(value.shape[:-1] + f.value.shape[-1:]))
         return grad.concat([
-            grad.reshape(alone(c, grad.row(f, j, axis=-3), grad.row(grad.row(w, j, axis=-3), 0),
+            grad.reshape(alone(c, grad.part(f, np.s_[..., j, :, :]), grad.part(w, np.s_[j, 0]),
                                value[..., j, :, :]),
                          value[..., j:j + 1, :, :].shape)
             for j in range(w.value.shape[0])], axis=-3)
@@ -893,14 +894,13 @@ def test_every_leaf_gradient_of_a_stride_one_batch_matches_central_differences(k
 
 GRAPH_OPS = {   # the 17-window desk training graph, nodes by op
     "tft": {"add": 16, "affine": 55, "concat": 6, "const": 3, "elu": 7, "gather": 2,
-            "layer_norm": 10, "leaf": 100, "matmul": 6, "matvec": 2, "mul": 22, "pinball": 1,
-            "reshape": 8, "row": 4, "rows": 7, "scale": 1, "set_mean": 1, "sigmoid": 22,
+            "layer_norm": 10, "leaf": 100, "matmul": 6, "matvec": 2, "mul": 22, "part": 11,
+            "pinball": 1, "reshape": 8, "scale": 1, "set_mean": 1, "sigmoid": 22,
             "softmax": 2, "tanh": 8, "transpose": 2, "weighted_sum": 1},
-    "qtft": {"_circuit_node": 18, "_set_rows": 27, "add": 16, "affine": 22, "concat": 20,
-             "const": 3, "elu": 7, "gather": 2, "layer_norm": 10, "leaf": 67, "matmul": 2,
-             "mul": 22, "pinball": 1, "reshape": 22, "row": 4, "rows": 7, "scale": 1,
-             "set_mean": 1, "sigmoid": 22, "softmax": 2, "tanh": 8, "transpose": 2,
-             "weighted_sum": 1},
+    "qtft": {"_circuit_node": 18, "add": 16, "affine": 22, "concat": 20, "const": 3, "elu": 7,
+             "gather": 2, "layer_norm": 10, "leaf": 67, "matmul": 2, "mul": 22, "part": 38,
+             "pinball": 1, "reshape": 22, "scale": 1, "set_mean": 1, "sigmoid": 22,
+             "softmax": 2, "tanh": 8, "transpose": 2, "weighted_sum": 1},
 }
 
 
@@ -911,10 +911,12 @@ def test_training_graph_holds_one_node_per_block_with_a_set_axis(axis_csv, kind,
 
     Before the embeddings, variable GRNs, static encoders and attention heads
     had a set axis, ``tft`` held 410 nodes (239 ops, 164 leaves, 87 of the
-    ops ``affine``) and ``qtft`` 378 (268 ops, 103 leaves, 50 ``_set_rows``
-    slices and 35 weight ``concat``s).  A leaf with a set axis holds k
-    blocks' weights, so the leaves fall too, and the 7 ``const`` inputs of
-    the 7 variables' embeddings are 3, one per embedding block.
+    ops ``affine``) and ``qtft`` 378 (268 ops, 103 leaves, 50 ``part``s that
+    split a call node into its sets and 35 weight ``concat``s).  A leaf with
+    a set axis holds k blocks' weights, so the leaves fall too, and the 7
+    ``const`` inputs of the 7 variables' embeddings are 3, one per embedding
+    block.  Every ``part`` replaced one node of a slicing op of its own
+    (``row``, ``rows`` or the call node's set slice), so the counts held.
     """
     model, _, loss = axis_training_loss(axis_csv, kind)
     leaves = {id(leaf) for leaf in model.leaves()}

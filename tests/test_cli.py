@@ -5,13 +5,13 @@ import pytest
 
 from qtft.cli import format_compare, gradcheck_suite, main
 from qtft.data_io import read_report
-from qtft.forecasting import TrainConfig
+from qtft.forecasting import MODEL_KINDS, TrainConfig
 
 FAST = ["--train-range", "0:9", "--test-range", "10:14", "--epochs", "2"]
 
 
-def train_args(axis_csv, out, extra=()):
-    return ["train", "--data", axis_csv, "--model", "tft", "--out", out,
+def train_args(axis_csv, out, extra=(), model="tft"):
+    return ["train", "--data", axis_csv, "--model", model, "--out", out,
             *FAST, *extra]
 
 
@@ -198,9 +198,10 @@ def test_out_dir_env_var(axis_csv, tmp_path, monkeypatch):
     assert os.path.exists(os.path.join(target, "report.txt"))
 
 
-def test_eval_matches_train_test_loss(axis_csv, tmp_path, capsys):
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_eval_matches_train_test_loss(axis_csv, tmp_path, capsys, kind):
     out = str(tmp_path / "run")
-    assert main(train_args(axis_csv, out)) == 0
+    assert main(train_args(axis_csv, out, model=kind)) == 0
     trained = capsys.readouterr().out
     reported = float(trained.split("final test loss:")[1].splitlines()[0].strip())
     code = main(["eval", "--snapshot", os.path.join(out, "params.txt"),

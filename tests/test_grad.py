@@ -130,11 +130,11 @@ def test_matrix_ops_match_finite_differences(rng):
     b0 = rng.uniform(-1, 1, (2, 4))
     a, b = param(a0), param(b0)
     out = grad.softmax(grad.matmul(a, b))
-    backward(grad.mean_all(grad.row(out, 1)))
+    backward(grad.mean_all(grad.part(out, 1)))
 
     def f_a(flat):
         m = grad.matmul(Node(flat.reshape(3, 2)), Node(b0))
-        return float(grad.mean_all(grad.row(grad.softmax(m), 1)).value[0])
+        return float(grad.mean_all(grad.part(grad.softmax(m), 1)).value[0])
 
     fd = oracles.central_difference(f_a, a0.reshape(-1))
     assert oracles.grads_close(a.grad.reshape(-1), fd)
@@ -193,18 +193,23 @@ def _graphs_of_every_op(rng, lead):
         grad.matvec(leaf(2, 3), x), grad.affine(leaf(2, 3), x, leaf(2)),
         grad.matmul(m, mt), grad.matmul(leaf(4, 2), m), grad.matmul(m, leaf(*lead, 3, 2)),
         grad.transpose(m), grad.concat([x, y]),
-        grad.concat([m, leaf(*lead, 1, 3)], axis=-2), grad.stack_rows([x, y]),
+        grad.concat([m, leaf(*lead, 1, 3)], axis=-2),
+        grad.reshape(grad.concat([x, y]), lead + (2, 3)),
         grad.concat([x, leaf(2)]), grad.concat([leaf(1, 2, 3), m], axis=-2),
         grad.gather(m, rng.integers(0, m.value.size // 3, (4, 2))),
         grad.gather(leaf(3, 1, 2), [[0], [2], [0]]),
-        grad.row(m, 1), grad.rows(m, 0, 1), grad.reshape(m, lead + (6,)),
+        # part: an ``...`` slice, an integer on the set axis, a slice with a shape
+        grad.part(m, np.s_[..., 1, :]), grad.part(m, np.s_[..., 0:1, :]),
+        grad.part(leaf(*lead, 2, 1, 3), np.s_[..., 1, :, :]),
+        grad.part(leaf(math.prod(lead) + 2, 3), slice(1, math.prod(lead) + 1), lead + (3,)),
+        grad.reshape(m, lead + (6,)),
         grad.weighted_sum(grad.softmax(leaf(*lead, 1, 2)), leaf(2, 1, 3)),
         grad.weighted_sum(grad.softmax(leaf(1, 2)), leaf(*lead, 2, 1, 3)),
         # blocks with a set axis of 2 at -3: their own inputs, or one shared input
         grad.affine(leaf(2, 4, 3), leaf(*lead, 2, 1, 3), leaf(2, 4)),
         grad.affine(leaf(2, 4, 3), leaf(*lead, 1, 2, 3), leaf(2, 4)),
         grad.matvec(leaf(2, 4, 3), leaf(*lead, 2, 1, 3)),
-        grad.set_mean(leaf(*lead, 2, 1, 3)), grad.row(leaf(*lead, 2, 1, 3), 1, axis=-3),
+        grad.set_mean(leaf(*lead, 2, 1, 3)),
         grad.transpose(leaf(*lead, 2, 1, 3), (-3, -2)),
         grad.elu(x), grad.sigmoid(x), grad.tanh(x), grad.softmax(x), grad.layer_norm(x),
         grad.mean_all(m), grad.pinball(rng.uniform(-1, 1, lead + (3,)), v, 0.3),
@@ -260,6 +265,24 @@ def test_gather_is_a_one_hot_product_and_adds_repeated_rows_going_back(count, pi
         np.testing.assert_array_equal(got.reshape(count, 3)[index], u)
 
 
+@pytest.mark.parametrize("key,shape", [(np.s_[..., 1, :], None), (np.s_[..., 0:2, :], None),
+                                       (np.s_[..., 1, :, :], None), (slice(1, 3), (4, 3, 4)),
+                                       ((0, 1), None)],
+                         ids=["ellipsis_row", "ellipsis_slice", "set_axis", "slice_shaped",
+                              "integers"])
+def test_part_picks_a_basic_index_and_writes_the_upstream_gradient_into_zeros(rng, key, shape):
+    x = param(rng.uniform(-1, 1, (3, 2, 3, 4)))
+    want = x.value[key]
+    out = grad.part(x, key, shape)
+    np.testing.assert_array_equal(out.value, want if shape is None else want.reshape(shape))
+    u = rng.uniform(-1, 1, out.value.shape)
+    (got,) = out.backward_rule(u)
+    assert got.shape == x.value.shape and got.dtype == np.float64
+    np.testing.assert_array_equal(got[key], u.reshape(want.shape))
+    got[key] = 0.0
+    assert not got.any()
+
+
 def test_concat_broadcasts_leading_axes_and_sums_them_going_back():
     x, c = param(np.arange(12.0).reshape(3, 2, 2)), param(np.array([[[7.0, 8.0]]]))
     out = grad.concat([x, c])
@@ -296,11 +319,17 @@ def _weighted_pair(weights, a, b):
     return grad.reshape(out, out.value.shape[:-2] + out.value.shape[-1:])
 
 
+def _stacked(nodes):
+    """Vectors of one shape as the rows of a matrix: a ``reshape`` of their ``concat``."""
+    shape = nodes[0].value.shape
+    return grad.reshape(grad.concat(nodes), shape[:-1] + (len(nodes), shape[-1]))
+
+
 def _random_fan_out_graph(rng, batch):
     """A loss over random ops whose operands are drawn from every earlier node.
 
     Nodes are unbatched or batched vectors of length 3; rule outputs include
-    views of the upstream gradient (``concat``, ``stack_rows``, ``reshape``).
+    views of the upstream gradient (``concat``, ``reshape``).
     """
     nodes = [param(rng.uniform(-1, 1, 3)), param(rng.uniform(-1, 1, 3)),
              grad.const(rng.uniform(-1, 1, batch + (3,)))]
@@ -311,9 +340,8 @@ def _random_fan_out_graph(rng, batch):
         lambda a, b: grad.matvec(w, a),
         lambda a, b: _weighted_pair(grad.softmax(grad.matvec(w2, a)), a, b),
         lambda a, b: grad.matvec(w6, grad.concat([a, grad.sigmoid(a)])),
-        lambda a, b: grad.row(grad.stack_rows([a, grad.tanh(a)]), 1),
-        lambda a, b: grad.reshape(grad.rows(grad.stack_rows([grad.elu(a), a]), 1, 2),
-                                  a.value.shape),
+        lambda a, b: grad.part(_stacked([a, grad.tanh(a)]), np.s_[..., 1, :]),
+        lambda a, b: grad.part(_stacked([grad.elu(a), a]), np.s_[..., 1:2, :], a.value.shape),
     ]
     for _ in range(int(rng.integers(3, 25))):
         a, b = (nodes[i] for i in rng.integers(len(nodes), size=2))

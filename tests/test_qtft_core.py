@@ -8,7 +8,13 @@ import oracles
 from qtft import grad, qtft_core, tft_core
 from qtft.forecasting import TrainConfig, build_model
 from qtft.grad import backward, param
-from qtft.quantum_sim import ParameterizedCircuit, compose, measure_all_z, run_circuit
+from qtft.quantum_sim import (
+    BindingError,
+    ParameterizedCircuit,
+    compose,
+    measure_all_z,
+    run_circuit,
+)
 from qtft.qtft_core import (
     build_ansatz,
     init_qattention,
@@ -80,6 +86,17 @@ def test_vqc_width_mismatch(rng):
     p = init_vqc_block(rng, 2, 1)
     with pytest.raises(ValueError):
         vqc_apply(np.zeros(3), p)
+
+
+@pytest.mark.parametrize("encoding", ["angle", "zz"])
+def test_qgrn_rejects_inputs_of_another_width(rng, encoding):
+    """The circuit binding checks the input width, as one feature slot per qubit."""
+    p = init_qgrn(rng, 2, 1, True, encoding)
+    with pytest.raises(BindingError, match="expected 2 features"):
+        qgrn(np.zeros((3, 3)), None, p)
+    with pytest.raises(BindingError, match="expected 2 features"):
+        qgrn(np.zeros((3, 2)), np.zeros((1, 3)), p)
+    assert qgrn(np.zeros((3, 2)), np.zeros((1, 2)), p).value.shape == (3, 2)
 
 
 # ----------------------------------------------------------------------- QGLU
@@ -216,7 +233,7 @@ def test_q_static_covariate_encoder_gradients(rng):
 
     def loss():
         out = qgrn(tft_core.shared_input(xi), None, encoders)
-        c_s, c_e, c_c, c_h = (grad.row(out, i, axis=-3) for i in range(4))
+        c_s, c_e, c_c, c_h = (grad.part(out, np.s_[..., i, :, :]) for i in range(4))
         return grad.pinball(y, grad.add(grad.add(c_s, c_e), grad.add(c_c, c_h)), 0.5)
 
     fd_check(loss, collect(encoders))
@@ -259,7 +276,7 @@ def test_q_attention_gradients(rng):
 
     def loss():
         out = q_interpretable_multi_head(s, p)
-        return grad.pinball(y, grad.row(out, 0), 0.5)
+        return grad.pinball(y, grad.part(out, 0), 0.5)
 
     fd_check(loss, collect(p) + [s])
 

@@ -62,6 +62,20 @@ def test_cnot_builds_bell_state():
     np.testing.assert_allclose(bell.amplitudes, [INV_SQRT2, 0, 0, INV_SQRT2], atol=1e-15)
 
 
+def test_apply_gate_compiles_one_plan_per_gate_kind_and_target():
+    """Each call binds its angle to one weight slot, so new angles reuse the
+    plan and keep the model's plans in the bounded cache; the amplitudes are
+    those of the gate with the angle fixed in the circuit."""
+    state = apply_gate(zero_state(2), Gate("H", (0,)))
+    before = quantum_sim._compiled.cache_info()
+    for angle in np.linspace(-3.0, 3.0, 300):
+        got = apply_gate(state, Gate("RY", (1,), LiteralAngle(0.0)), angle)
+    assert quantum_sim._compiled.cache_info().misses - before.misses <= 1
+    fixed = ParameterizedCircuit(2, (Gate("RY", (1,), LiteralAngle(float(angle))),))
+    want = fixed.plan.run(bind_angles(fixed, (), ())[None], state.amplitudes[None])
+    assert got.amplitudes.tobytes() == want[0].tobytes()
+
+
 def test_apply_gate_errors():
     with pytest.raises(CircuitError):
         apply_gate(zero_state(1), Gate("H", (3,)))

@@ -8,28 +8,50 @@ leading set axis of k blocks, and whose values carry the set axis at -3,
 run one at a time on the same weights: forward values, and the gradient of
 every leaf and input for the same upstream gradient.
 
-Values and gradients agree bit for bit, except where the set axis changes
-an order of summation or a circuit batch: a gradient that sums the parts
-of k sets reading one input, and the <Z> rows and Jacobians of circuits of
-3 or more qubits, whose rounding depends on the batch they run in.  Those
-agree within 16 rounding units of the largest magnitude compared, 3.6e-15
-of it.  The worst seen over 2,400 draws each was 4.3 units for a sum over
-five sets and 9 units for 4-qubit circuits, both above 1e-15 (4.5 units
-and more).
+Values and gradients agree bit for bit, except a gradient that sums the
+parts of k sets reading one input, which the set axis adds in another
+order.  Those agree within 16 rounding units of the largest magnitude
+compared, 3.6e-15 of it; the worst seen over 2,400 draws was 4.3 units,
+for a sum over five sets.
+
+A circuit of 3 or more qubits rounds a row's <Z> by the batch it runs in:
+the marginals of all rows come from one matrix product, whose order of
+summation depends on the number of rows.  The layer norm amplifies these
+sub-ulp differences, so no fixed count of rounding units of a GRN's values
+bounds them (about 1 in 1,000 random 4-qubit draws exceeded 16).  Here each
+row's marginals come from a product of their own, so a row's <Z> and
+Jacobian do not depend on the batch, and the set axis's own arithmetic is
+compared bit for bit.  ``test_batching.py`` checks the circuit rows' batch
+dependence itself, within a bound derived from each product's terms.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qtft import grad, qtft_core, tft_core
+from qtft import grad, qtft_core, quantum_sim, tft_core
 from qtft.grad import param
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 # (T,) is the graph of a single window; (W, T) a batch of windows.
 LEADS = st.sampled_from([(1,), (3,), (1, 2), (3, 2)])
+
+
+@pytest.fixture(autouse=True, scope="module")
+def marginals_row_by_row():
+    """Take every <Z> row's marginals in a matrix product of its own."""
+    batched = quantum_sim.all_z_from_amplitudes
+
+    def row_by_row(amps, num_qubits):
+        rows = [batched(row[None], num_qubits) for row in amps]
+        return np.array(rows).reshape(len(amps), num_qubits)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quantum_sim, "all_z_from_amplitudes", row_by_row)
+        mp.setattr(grad, "all_z_from_amplitudes", row_by_row)
+        yield
 
 
 def seeded_backward(out, u):
@@ -46,11 +68,11 @@ def assert_matches(got, want, exact):
                                    * max(1.0, float(np.abs(want).max())))
 
 
-def assert_blocks_match(stacked, blocks, exact):
+def assert_blocks_match(stacked, blocks):
     """Each stacked leaf's gradient, slice by slice, against its blocks' leaves'."""
     for j, block in enumerate(blocks):
         for leaf, own in zip(tft_core.leaves(stacked), tft_core.leaves(block)):
-            assert_matches(leaf.grad[j], own.grad, exact)
+            assert_matches(leaf.grad[j], own.grad, True)
 
 
 def inputs(rng, lead, width, k, shared):
@@ -62,6 +84,8 @@ def inputs(rng, lead, width, k, shared):
 @settings(max_examples=60, deadline=None)
 @given(d=st.sampled_from([2, 4]), k=st.integers(1, 5), lead=LEADS, shared=st.booleans(),
        quantum=st.booleans(), seed=SEEDS)
+@example(d=4, k=3, lead=(1,), shared=True, quantum=True, seed=1729)
+@example(d=4, k=2, lead=(1,), shared=False, quantum=True, seed=3310066007)
 def test_a_grn_with_a_set_axis_runs_its_grns_side_by_side(d, k, lead, shared, quantum, seed):
     rng = np.random.default_rng(seed)
     if quantum:
@@ -73,17 +97,16 @@ def test_a_grn_with_a_set_axis_runs_its_grns_side_by_side(d, k, lead, shared, qu
     out = block(x, None, stacked)
     u = rng.normal(size=out.value.shape)
     seeded_backward(out, u)
-    exact = not quantum or d == 2
     for j, b in enumerate(blocks):
         alone = block(xs[0 if shared else j], None, b)
         seeded_backward(alone, u[..., j, :, :])
-        assert_matches(out.value[..., j, :, :], alone.value, exact)
-    assert_blocks_match(stacked, blocks, exact)
+        assert_matches(out.value[..., j, :, :], alone.value, True)
+    assert_blocks_match(stacked, blocks)
     if shared:   # the k parts are added on the set axis, not one by one
         assert_matches(x.grad[..., 0, :, :], xs[0].grad, False)
     else:
         for j, xj in enumerate(xs):
-            assert_matches(x.grad[..., j, :, :], xj.grad, exact)
+            assert_matches(x.grad[..., j, :, :], xj.grad, True)
 
 
 @settings(max_examples=30, deadline=None)
@@ -103,7 +126,7 @@ def test_an_embedding_with_a_set_axis_embeds_each_variable_on_its_own(d, k, lead
         alone = tft_core.dense(b, series[..., j:j + 1])
         seeded_backward(alone, u[..., j, :, :])
         assert_matches(out.value[..., j, :, :], alone.value, True)
-    assert_blocks_match(stacked, blocks, True)
+    assert_blocks_match(stacked, blocks)
 
 
 @settings(max_examples=40, deadline=None)
@@ -148,10 +171,9 @@ def test_attention_heads_on_a_set_axis_average_as_heads_run_one_by_one(d, heads,
         alone = grad.matmul(alone, p.wh)
     seeded_backward(alone, u)
 
-    exact = not quantum or d == 2
-    assert_matches(out.value, alone.value, exact)
+    assert_matches(out.value, alone.value, True)
     for stacked, parts in ((query, [q for q, _ in own]), (key, [k for _, k in own])):
-        assert_blocks_match(stacked, parts, exact)
+        assert_blocks_match(stacked, parts)
     # s reaches every head's query and key: those parts are added per set
     assert_matches(s.grad, s_alone.grad, False)
 

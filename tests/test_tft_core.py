@@ -215,7 +215,7 @@ def test_static_encoder_gradients(rng):
 
     def loss():
         out = grn(tft_core.shared_input(xi), None, encoders)
-        c_s, c_e, c_c, c_h = (grad.row(out, i, axis=-3) for i in range(4))
+        c_s, c_e, c_c, c_h = (grad.part(out, np.s_[..., i, :, :]) for i in range(4))
         total = grad.add(grad.add(c_s, c_e), grad.add(c_c, c_h))
         return grad.pinball(y, total, 0.4)
 
@@ -333,7 +333,7 @@ def test_interpretable_multi_head_gradients(rng):
 
     def loss():
         out = interpretable_multi_head(s, p)
-        return grad.pinball(y, grad.row(out, 1), 0.5)
+        return grad.pinball(y, grad.part(out, 1), 0.5)
 
     fd_check(loss, collect_leaves(p))
 
