@@ -29,15 +29,12 @@ import numpy as np
 from .quantum_sim import (
     CircuitError,
     ParameterizedCircuit,
+    ShiftRows,
     all_z_from_amplitudes,
     run_bound_batch,
     run_circuit,
     measure_all_z,
 )
-
-_HALF_PI = math.pi / 2.0
-_SHIFTS = np.array([_HALF_PI, -_HALF_PI])   # the plus and the minus row of a gate
-
 
 # --------------------------------------------------------------------------
 # Graph nodes
@@ -437,8 +434,8 @@ def shift_rule_jacobians(circuit: ParameterizedCircuit, features, weights):
     and (num_weight_slots, n), behind any leading batch axes of the
     features or weights.  Every gate whose angle depends on a slot is
     shifted once each way for every row, all shifted circuits run as one
-    batch, and each gate's difference reaches its slots through
-    d angle / d slot.
+    batch (the :class:`~qtft.quantum_sim.ShiftRows` of the rows' angles),
+    and each gate's difference reaches its slots through d angle / d slot.
     """
     plan = circuit.plan
     values = plan.slot_values(features, weights)
@@ -446,12 +443,10 @@ def shift_rule_jacobians(circuit: ParameterizedCircuit, features, weights):
     values = values.reshape(math.prod(lead), values.shape[-1])
     if plan.crz_slots:
         raise CircuitError("parameter-shift rule is not defined for CRZ slots")
-    n, gates = circuit.num_qubits, plan.shift_gates
-    batch, g = values.shape[0], gates.size
+    n, batch, g = circuit.num_qubits, values.shape[0], plan.shift_gates.size
     jac = np.zeros((batch, values.shape[1], n))
     if g:
-        rows = np.repeat(plan.angles(values), 2 * g, axis=0)
-        rows.reshape(batch, g, 2, -1)[:, np.arange(g), :, gates] += _SHIFTS
+        rows = ShiftRows(plan, plan.angles(values))
         z = all_z_from_amplitudes(run_bound_batch(circuit, rows, shifted=True), n)
         diff = (z[0::2] - z[1::2]).reshape(batch, g, n)
         parts = (plan.angle_partials(values) * 0.5)[:, :, None] * diff[:, plan.part_row]

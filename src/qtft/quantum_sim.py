@@ -335,6 +335,9 @@ class CircuitPlan:
         self.par_steps = np.array([k for k, g in enumerate(steps) if g.angle is not None],
                                   dtype=np.intp)
         self.shift_pos = np.searchsorted(self.par_gates, self.shift_gates)   # among par_gates
+        self.shift_steps = self.par_steps[self.shift_pos]
+        at = dict(zip(self.shift_steps.tolist(), range(self.shift_steps.size)))
+        self.spawn_at = tuple(map(at.get, range(len(steps))))   # each step's shift gate, or None
         self.trig_scale = np.array([1.0 if ops[gi].kind == "PHASE" else 0.5
                                     for gi in self.par_gates])
         # recipe[k, 0 | 1, t, column]: the a | b coefficient of step k per unit of
@@ -478,15 +481,16 @@ class CircuitPlan:
                 st = a[k] * st + b[k] * st.take(flip, axis=1)
         return st.take(self.loc, axis=1)
 
-    def run_shifts(self, angle_rows: np.ndarray) -> np.ndarray:
-        """:meth:`run` of parameter-shift rows, bit for bit, by prefix sweeps.
+    def run_shifts(self, rows: ShiftRows) -> np.ndarray:
+        """:meth:`run` of ``np.asarray(rows)``, bit for bit, by prefix sweeps over ``rows.base``.
 
-        ``angle_rows`` holds, for each of B bindings, two rows per gate of
-        ``shift_gates``: the binding's angles with that gate's angle shifted
-        up, then down.  Rows of one binding must agree wherever they are not
-        shifted, so only B P + 2 B G of their angles are distinct (P
-        parametric gates, G shift gates), and cos and sin are taken of
-        those alone.
+        ``rows`` stands for two rows per binding and gate of ``shift_gates``:
+        the binding's unshifted angles, its row of ``rows.base``, with that
+        gate's angle shifted up by pi/2, then down.  Only B P + 2 B G of
+        their angles are distinct (P parametric gates, G shift gates): the
+        B base rows and the shifted angles ``base[:, shift_gates] +- pi/2``,
+        the same sums the full rows hold.  cos and sin are taken of those
+        alone, and the full rows are never built.
 
         The rows also share their unshifted prefix (:meth:`_prefix_sweep`).
         The two rows of gate g equal their binding's unshifted row at every
@@ -501,40 +505,39 @@ class CircuitPlan:
         coefficients, summed over all steps, fit in ``COEFF_BYTES``; that
         sum also exceeds the bytes of state rows the sweep holds at once.
         """
-        g = self.shift_gates.size
-        if not g or angle_rows.shape[0] % (2 * g):
-            raise BindingError("parameter-shift rows need shift gates, and two rows per "
-                               "shift gate and binding")
-        rows = angle_rows.reshape(-1, g, 2, angle_rows.shape[1])
+        if not isinstance(rows, ShiftRows) or rows.plan is not self:
+            raise BindingError("parameter-shift rows must be the ShiftRows of this plan's "
+                               "shift gates")
+        base, g = rows.base, self.shift_gates.size
+        # The rows in the order given, (binding, gate, up | down), in an array of their own.
+        amps = np.empty((len(base), 2 * g, self.loc.size), dtype=complex)
         chunk = max(1, COEFF_BYTES // ((len(self.flips) + 2 * g) * self.recipe[0, :, 0].nbytes))
-        sweeps = [self._prefix_sweep(rows[i:i + chunk]) for i in range(0, rows.shape[0], chunk)]
-        return sweeps[0] if len(sweeps) == 1 else np.concatenate(sweeps)
+        for i in range(0, len(base), chunk):
+            self._prefix_sweep(base[i:i + chunk], amps[i:i + chunk])
+        return amps.reshape(-1, self.loc.size)
 
-    def _prefix_sweep(self, rows: np.ndarray) -> np.ndarray:
-        """The sweep of :meth:`run_shifts` over (B, G, 2, num_gates) shifted rows."""
+    def _prefix_sweep(self, base: np.ndarray, out: np.ndarray) -> None:
+        """The sweep of :meth:`run_shifts` from (B, num_gates) unshifted angle rows into
+        their (B, 2 G, 2**n) amplitudes ``out``."""
         gates = self.shift_gates
-        batch, g, dim = rows.shape[0], gates.size, self.loc.size
-        base = rows[:, 0, 0]   # the unshifted angles: any row's at every gate but its own
-        if g > 1:
-            base = base.copy()
-            base[:, gates] = rows[:, np.arange(1, g + 1) % g, 0, gates]
+        batch, g, dim = base.shape[0], gates.size, self.loc.size
         phi = base.take(self.par_gates, axis=1).T * self.trig_scale[:, None]
-        shifted = rows[:, np.arange(g), :, gates] * self.trig_scale[self.shift_pos][:, None, None]
-        shifted = shifted.swapaxes(1, 2).reshape(g, 2 * batch)
-        spawn = self.par_steps[self.shift_pos]
+        shifted = base.take(gates, axis=1).T[:, None] + _SHIFTS[:, None]   # (G, up | down, B)
+        shifted = (shifted * self.trig_scale[self.shift_pos][:, None, None]).reshape(g, 2 * batch)
         # Per step, the (cos, sin, 1) triples of the B unshifted rows, then of
-        # the 2 B rows shifted at that step (if any).
+        # the B up and the B down rows shifted at that step (if any).
         trig = np.ones((len(self.flips), 3 * batch, 3))
         trig[self.par_steps, :batch, 0] = np.cos(phi)
         trig[self.par_steps, :batch, 1] = np.sin(phi)
-        trig[spawn, batch:, 0] = np.cos(shifted)
-        trig[spawn, batch:, 1] = np.sin(shifted)
+        trig[self.shift_steps, batch:, 0] = np.cos(shifted)
+        trig[self.shift_steps, batch:, 1] = np.sin(shifted)
 
         # Row 0 is the carrier; gate j's pair is rows 2j + 1 and 2j + 2.  The
         # live rows st[lo:hi] stay contiguous, and the carrier drops out once
         # the last pair has left it.  moved_rows takes each step's partner
-        # amplitudes.  Only the carrier is read before it is written, so only
-        # it starts at |0...0>.
+        # amplitudes, and a spawned pair's b terms in the two rows after them.
+        # Only the carrier is read before it is written, so only it starts at
+        # |0...0>.
         global _sweep_workspace
         size = 2 * (2 * g + 1) * batch * dim
         if _sweep_workspace.size < size:
@@ -543,39 +546,75 @@ class CircuitPlan:
         st[0] = 0.0
         st[0, :, 0] = 1.0
         lo, hi = 0, 1
-        pair_at = dict(zip(spawn.tolist(), range(g)))
         for k, flip in enumerate(self.flips):
-            j = pair_at.get(k)
+            j = self.spawn_at[k]
             used = batch if j is None else 3 * batch
-            coeffs = (trig[k, :used] @ self.recipe[k]).view(complex)   # (a | b, used, dim)
+            # (a | b, unshifted | up | down, B, dim), the shifted rows' only at a spawn;
+            # indexing, not unpacking, takes the parts (an unpack iterates the array)
+            coeffs = (trig[k, :used] @ self.recipe[k]).view(complex).reshape(2, -1, batch, dim)
             live = st[lo:hi]
             # (mode "clip" lets take write straight into out; every index is in range)
             moved = None if flip is None else live.take(flip, axis=2, out=moved_rows[lo:hi],
                                                          mode="clip")
             if j is not None:
-                sa, sb = coeffs[:, batch:].reshape(2, 2, batch, dim)
+                sa, sb = coeffs[0, 1:], coeffs[1, 1:]
                 pair = st[hi:hi + 2]
                 np.multiply(sa, st[0], out=pair)
                 if moved is not None:
-                    pair += sb * moved[0]
+                    pair += np.multiply(sb, moved[0], out=moved_rows[hi:hi + 2])
                 hi += 2
                 if j == g - 1:
                     lo, live = 1, live[1:]
                     moved = None if moved is None else moved[1:]
-            a, b = coeffs[:, :batch]
+            a, b = coeffs[0, 0], coeffs[1, 0]
             np.multiply(a, live, out=live)
             if moved is not None:
                 np.multiply(b, moved, out=moved)
                 live += moved
-        # The rows in the order given, (binding, gate, up | down), in an array of their own.
-        amps = np.empty((batch, 2 * g, dim), dtype=complex)
-        st[1:].swapaxes(0, 1).take(self.loc, axis=2, out=amps, mode="clip")
-        return amps.reshape(-1, dim)
+        # Columns back in basis order, then rows in binding order: each step copies
+        # between arrays laid out alike or writes a strided view, and neither buffers.
+        st[1:].take(self.loc, axis=2, out=moved_rows[1:], mode="clip")
+        out[...] = moved_rows[1:].swapaxes(0, 1)
 
 
 def _columns(records, *dtypes):
     """Columns of a list of equal-length tuples, as arrays of the given dtypes."""
     return [np.array([r[c] for r in records], dtype=t) for c, t in enumerate(dtypes)]
+
+
+_SHIFTS = np.array([math.pi / 2.0, -math.pi / 2.0])   # the up and the down row of a gate
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class ShiftRows:
+    """The parameter-shift rows of a batch, held as its B unshifted angle rows.
+
+    They are 2 B G rows, G the plan's shift gates: per row of ``base`` and
+    per gate of ``plan.shift_gates``, that row with the gate's angle shifted
+    by +pi/2, then by -pi/2.  ``len`` counts them and ``np.asarray`` builds
+    them; :meth:`CircuitPlan.run_shifts` runs them from ``base`` without
+    building them.  ``base`` is (B, num_gates), as :meth:`CircuitPlan.angles`
+    gives it.
+    """
+
+    plan: CircuitPlan
+    base: np.ndarray
+
+    def __post_init__(self):
+        base, width = np.asarray(self.base, dtype=float), self.plan.literals.size
+        if not self.plan.shift_gates.size or base.ndim != 2 or base.shape[1] != width:
+            raise BindingError(f"parameter-shift rows need shift gates and (bindings, {width}) "
+                               f"base rows, got shape {base.shape}")
+        object.__setattr__(self, "base", base)
+
+    def __len__(self) -> int:
+        return 2 * self.plan.shift_gates.size * len(self.base)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        (b, width), gates = self.base.shape, self.plan.shift_gates
+        rows = np.repeat(self.base, 2 * gates.size, axis=0)
+        rows.reshape(b, gates.size, 2, width)[:, np.arange(gates.size), :, gates] += _SHIFTS
+        return rows if dtype is None else rows.astype(dtype, copy=False)
 
 
 # --------------------------------------------------------------------------
@@ -611,7 +650,7 @@ def run_circuit(circuit: ParameterizedCircuit, features=(), weights=()) -> State
     return StateVector._of_plan_run(circuit.num_qubits, amps.reshape(lead + amps.shape[-1:]))
 
 
-def run_bound_batch(circuit: ParameterizedCircuit, angle_rows: np.ndarray,
+def run_bound_batch(circuit: ParameterizedCircuit, angle_rows,
                     shifted: bool = False) -> np.ndarray:
     """Run one circuit under many per-gate angle bindings at once.
 
@@ -619,14 +658,16 @@ def run_bound_batch(circuit: ParameterizedCircuit, angle_rows: np.ndarray,
     ignored.  Returns the (B, 2**n) amplitudes.  This is the kernel behind
     batched parameter-shift evaluation.
 
-    ``shifted`` says that the rows are the plan's parameter-shift rows, laid
-    out as :meth:`CircuitPlan.run_shifts` describes; they then share their
-    unshifted prefix, with the same result.
+    With ``shifted``, ``angle_rows`` is the :class:`ShiftRows` of the
+    circuit's plan, which :meth:`CircuitPlan.run_shifts` runs from their
+    unshifted rows, with the result of running ``np.asarray(angle_rows)``.
     """
+    if shifted:
+        return circuit.plan.run_shifts(angle_rows)
     angle_rows = np.asarray(angle_rows, dtype=float)
     if angle_rows.ndim != 2 or angle_rows.shape[1] != len(circuit.ops):
         raise BindingError("angle_rows must be (batch, num_gates)")
-    return circuit.plan.run_shifts(angle_rows) if shifted else circuit.plan.run(angle_rows)
+    return circuit.plan.run(angle_rows)
 
 
 # --------------------------------------------------------------------------
@@ -743,5 +784,6 @@ def all_z_from_amplitudes(amps: np.ndarray, num_qubits: int) -> np.ndarray:
     <Z_q> is the probability mass with bit q clear minus the mass with it
     set; both marginals of every qubit come from one matrix product.
     """
-    marginals = (np.abs(amps) ** 2) @ _marginal_table(num_qubits)
+    probs = np.abs(amps)
+    marginals = np.square(probs, out=probs) @ _marginal_table(num_qubits)
     return marginals[:, :num_qubits] - marginals[:, num_qubits:]

@@ -667,7 +667,7 @@ def test_single_window_graphs_differentiate_every_circuit_through_the_prefix_swe
     swept = []
     sweep = quantum_sim.CircuitPlan._prefix_sweep
     monkeypatch.setattr(quantum_sim.CircuitPlan, "_prefix_sweep",
-                        lambda self, rows: swept.append(1) or sweep(self, rows))
+                        lambda self, base, out: swept.append(1) or sweep(self, base, out))
     nodes = quantum_nodes(loss)
     unswept = []
     for node in nodes:
@@ -717,6 +717,47 @@ def test_training_graph_differentiates_past_selection_through_the_prefix_sweep(
                 np.testing.assert_array_equal(contribs[2 * i], jf[a:b, :, q].reshape(lead + (nf,)))
                 np.testing.assert_array_equal(contribs[2 * i + 1],
                                               jw[a:b, :, q].reshape(lead + (nw,)).sum(axis=(0, 1)))
+
+
+def test_training_backward_never_builds_the_shifted_rows(axis_csv, monkeypatch):
+    """The backward of the 17-window training loss in desk-qtft's
+    configuration (qtft, d_model 2, angle encoding, basic entangler, 2 + 2
+    steps) runs every shift batch from its unshifted rows: with the full
+    rows refusing to be built, it gives every leaf the gradient that
+    running those rows one full row at a time gives."""
+    def refuse(self, dtype=None, copy=None):
+        raise AssertionError("the full parameter-shift rows were built")
+
+    model, _, loss = axis_training_loss(axis_csv)
+    with monkeypatch.context() as mp:
+        mp.setattr(quantum_sim.ShiftRows, "__array__", refuse)
+        grad.backward(loss)
+    want_model, _, want_loss = axis_training_loss(axis_csv)
+    monkeypatch.setattr(grad, "run_bound_batch",
+                        lambda c, angle_rows, shifted: quantum_sim.run_bound_batch(c, angle_rows))
+    grad.backward(want_loss)
+    leaves, want_leaves = model.leaves(), want_model.leaves()
+    assert len(leaves) == len(want_leaves) > 60
+    for i, (got, want) in enumerate(zip(leaves, want_leaves)):
+        assert got.grad.tobytes() == want.grad.tobytes(), i
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the mean loss of no entries
+@pytest.mark.parametrize("kind", forecasting.MODEL_KINDS)
+def test_an_empty_batch_differentiates_to_zero_gradients(kind):
+    """A taped batch of no windows runs forward, as ``predict_nodes`` allows,
+    and backward: each shift batch has no bindings, and every leaf the
+    loss reaches gets a zero gradient of its own shape."""
+    cfg = TrainConfig(model_kind=kind)
+    model = forecasting.build_model(cfg, 5, 1, 1)
+    k, tau = cfg.past_steps, cfg.forecast_steps
+    pred = model.predict_nodes(np.zeros((0, 1)), np.zeros((0, k, 5)), np.zeros((0, tau, 1)))[0]
+    assert pred.value.shape == (0, tau)
+    grad.backward(grad.pinball(np.zeros((0, tau)), pred, 0.5))
+    reached = [leaf for leaf in model.leaves() if leaf.grad is not None]
+    assert reached
+    for leaf in reached:
+        assert leaf.grad.shape == leaf.value.shape and not leaf.grad.any()
 
 
 @pytest.mark.parametrize("kind,nodes,rows", [("qtft", 18, 19_274), ("qtft-qlstm", 22, 22_538)])

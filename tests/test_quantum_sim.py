@@ -17,6 +17,7 @@ from qtft.quantum_sim import (
     LiteralAngle,
     PairInteractionAngle,
     ParameterizedCircuit,
+    ShiftRows,
     SlotAngle,
     StateVector,
     angle_embedding,
@@ -382,8 +383,8 @@ def bound_circuits(draw, count=3):
             if source == "literal":
                 src = LiteralAngle(draw(angle))
             else:
-                kind_, count = draw(st.sampled_from(pools))
-                i, j = draw(st.integers(0, count - 1)), draw(st.integers(0, count - 1))
+                kind_, slots = draw(st.sampled_from(pools))
+                i, j = draw(st.integers(0, slots - 1)), draw(st.integers(0, slots - 1))
                 src = (SlotAngle(kind_, i, draw(st.floats(-3, 3))) if source == "slot"
                        else PairInteractionAngle(kind_, i, j))
         ops.append(Gate(kind, targets, src))
@@ -474,11 +475,41 @@ def test_circuits_are_equal_exactly_when_every_field_of_every_gate_is():
 # ------------------------------------------------------- parameter-shift sweeps
 
 def shifted_rows(angles, gates):
-    """The rows ``shift_rule_jacobians`` builds: per binding, per gate, + then -."""
-    b, g = angles.shape[0], len(gates)
+    """The full parameter-shift rows a ShiftRows stands for: per binding, per gate, + then -."""
+    (b, width), g = angles.shape, len(gates)
     rows = np.repeat(angles, 2 * g, axis=0)
-    rows.reshape(b, g, 2, -1)[:, np.arange(g), :, gates] += [math.pi / 2, -math.pi / 2]
+    rows.reshape(b, g, 2, width)[:, np.arange(g), :, gates] += [math.pi / 2, -math.pi / 2]
     return rows
+
+
+def shift_batch(circ, bindings):
+    """The features and weights of ``bindings``, stacked, and their ShiftRows."""
+    feats = np.stack([f for f, _ in bindings])
+    wts = np.stack([w for _, w in bindings])
+    return feats, wts, ShiftRows(circ.plan, bind_angles(circ, feats, wts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bound_circuits(count=4), st.data())
+def test_shift_rows_stand_for_the_full_rows_bit_for_bit(case, data):
+    """ShiftRows count and build the full parameter-shift rows, and the sweep
+    from their unshifted rows gives a plain run of those rows."""
+    circ, bindings = case
+    plan = circ.plan
+    if not plan.shift_gates.size:
+        return
+    b = data.draw(st.integers(0, 4))
+    rows = ShiftRows(plan, bind_angles(circ, np.stack([f for f, _ in bindings])[:b],
+                                       np.stack([w for _, w in bindings])[:b]))
+    full = shifted_rows(rows.base, plan.shift_gates)
+    assert len(rows) == 2 * b * plan.shift_gates.size == len(full)
+    built = np.asarray(rows)
+    assert built.shape == full.shape and built.dtype == full.dtype
+    assert built.tobytes() == full.tobytes()
+    swept = run_bound_batch(circ, rows, shifted=True)
+    plain = run_bound_batch(circ, full)
+    assert swept.shape == plain.shape == (len(full), 2 ** circ.num_qubits)
+    assert swept.tobytes() == plain.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -489,9 +520,7 @@ def test_prefix_sweep_matches_full_rows_bit_for_bit(case, data):
     if not plan.shift_gates.size:
         return
     b = data.draw(st.integers(1, 4))
-    feats = np.stack([f for f, _ in bindings[:b]])
-    wts = np.stack([w for _, w in bindings[:b]])
-    rows = shifted_rows(bind_angles(circ, feats, wts), plan.shift_gates)
+    feats, wts, rows = shift_batch(circ, bindings[:b])
     swept = run_bound_batch(circ, rows, shifted=True)
     np.testing.assert_array_equal(swept, run_bound_batch(circ, rows))
     if not plan.crz_slots:
@@ -506,14 +535,13 @@ def test_prefix_sweep_matches_full_rows_bit_for_bit(case, data):
 def test_prefix_sweep_chunks_bindings_within_the_coefficient_budget(monkeypatch):
     circ = compose(zz_feature_map(3), basic_entangler_layers(3, 2))
     rng = np.random.default_rng(4)
-    angles = bind_angles(circ, rng.uniform(-1, 1, (5, 3)), rng.uniform(-3, 3, 6))
-    gates = circ.plan.shift_gates
-    rows = shifted_rows(angles, gates)
+    rows = ShiftRows(circ.plan, bind_angles(circ, rng.uniform(-1, 1, (5, 3)),
+                                            rng.uniform(-3, 3, 6)))
     full = run_bound_batch(circ, rows)
     chunks = []
     sweep = quantum_sim.CircuitPlan._prefix_sweep
     monkeypatch.setattr(quantum_sim.CircuitPlan, "_prefix_sweep",
-                        lambda self, r: chunks.append(len(r)) or sweep(self, r))
+                        lambda self, base, out: chunks.append(len(base)) or sweep(self, base, out))
     monkeypatch.setattr(quantum_sim, "COEFF_BYTES", 1)      # one binding per chunk
     np.testing.assert_array_equal(run_bound_batch(circ, rows, shifted=True), full)
     assert chunks == [1] * 5
@@ -527,9 +555,9 @@ def test_prefix_sweeps_return_arrays_of_their_own(bindings):
     circ = compose(angle_embedding(5), basic_entangler_layers(5, 2))
     rng = np.random.default_rng(6)
     angles = bind_angles(circ, rng.uniform(-1, 1, (bindings, 5)), rng.uniform(-3, 3, 10))
-    rows = shifted_rows(angles, circ.plan.shift_gates)
+    rows = ShiftRows(circ.plan, angles)
     first = circ.plan.run_shifts(rows)
-    second = circ.plan.run_shifts(rows.copy())
+    second = circ.plan.run_shifts(ShiftRows(circ.plan, angles.copy()))
     np.testing.assert_array_equal(first, run_bound_batch(circ, rows))
     np.testing.assert_array_equal(first, second)
     for out in (first, second):
@@ -542,12 +570,30 @@ def test_shift_gates_are_validated():
                                     Gate("CNOT", (0, 1)), Gate("RY", (1,), LiteralAngle(0.3))),
                                 num_weight_slots=1)
     np.testing.assert_array_equal(circ.plan.shift_gates, [1])
-    rows = shifted_rows(bind_angles(circ, [], [[0.2], [0.4]]), [1])
+    angles = bind_angles(circ, [], [[0.2], [0.4]])
+    rows = ShiftRows(circ.plan, angles)
     run_bound_batch(circ, rows, shifted=True)
     literal = ParameterizedCircuit(1, (Gate("RY", (0,), LiteralAngle(0.3)),))
-    for c, bad_rows in [(circ, rows[:3]), (circ, rows[:1]), (literal, np.zeros((2, 1)))]:
+    with pytest.raises(BindingError, match="shift gates"):   # the full rows as an array
+        run_bound_batch(circ, shifted_rows(angles, [1]), shifted=True)
+    with pytest.raises(BindingError, match="shift gates"):   # another plan's rows
+        run_bound_batch(compose(circ, circ), rows, shifted=True)
+    for plan, base in [(literal.plan, np.zeros((2, 1))),    # no shift gates
+                       (circ.plan, angles[:, :3]), (circ.plan, angles[0])]:   # wrong shape
         with pytest.raises(BindingError, match="shift gates"):
-            run_bound_batch(c, bad_rows, shifted=True)
+            ShiftRows(plan, base)
+
+
+@pytest.mark.parametrize("n,lead", [(1, (0,)), (3, (0,)), (2, (0, 4)), (2, (3, 0))])
+def test_zero_binding_shift_batches_give_empty_jacobians(n, lead):
+    circ = compose(angle_embedding(n), basic_entangler_layers(n, 2))
+    jf, jw = grad.shift_rule_jacobians(circ, np.zeros(lead + (n,)), np.full(2 * n, 0.2))
+    assert jf.shape == lead + (n, n) and jw.shape == lead + (2 * n, n)
+    rows = ShiftRows(circ.plan, np.zeros((0, circ.num_gates)))
+    assert len(rows) == 0 and np.asarray(rows).shape == (0, circ.num_gates)
+    amps = run_bound_batch(circ, rows, shifted=True)
+    assert amps.shape == (0, 2 ** n) and amps.dtype == complex
+    assert run_bound_batch(circ, np.zeros((0, circ.num_gates))).shape == (0, 2 ** n)
 
 
 @settings(max_examples=100, deadline=None)
@@ -559,13 +605,11 @@ def test_plan_shift_rows_run_as_plain_rows_on_both_paths(case):
                                   np.searchsorted(plan.par_gates, plan.shift_gates))
     if not plan.shift_gates.size:
         return
-    feats = np.stack([f for f, _ in bindings])
-    wts = np.stack([w for _, w in bindings])
-    rows = shifted_rows(bind_angles(circ, feats, wts), plan.shift_gates)
+    _, _, rows = shift_batch(circ, bindings)
     np.testing.assert_array_equal(run_bound_batch(circ, rows, shifted=True),
                                   run_bound_batch(circ, rows))
     with pytest.raises(BindingError, match="shift gates"):
-        run_bound_batch(circ, rows[:-1], shifted=True)
+        run_bound_batch(circ, np.asarray(rows), shifted=True)
 
 
 @settings(max_examples=200, deadline=None)
