@@ -378,9 +378,10 @@ def _deviation_over_leaves(loss_node_fn, leaves) -> float:
     for p, got in zip(leaves, analytic):
         base = p.value
 
-        def loss_at(value):
+        def loss_at(value):   # values only: a tape would keep every graph until the next one
             p.value = value
-            return float(loss_node_fn().value[0])
+            with grad.no_tape():
+                return float(loss_node_fn().value[0])
 
         fd = reference.central_difference(loss_at, base)
         p.value = base

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import grad
 from .qtft_core import ANSATZE, ENCODINGS, QTFTModel
-from .tft_core import TFTModel
+from .tft_core import Inputs, TFTModel
 
 MODEL_KINDS = ("tft", "qtft", "qtft-qlstm")
 
@@ -209,13 +209,27 @@ def stack_windows(samples):
                  for name in ("static", "past", "future_known", "targets"))
 
 
+@dataclass(frozen=True)
+class WindowBatch:
+    """Windows stacked once: the model's laid-out ``inputs`` and the (batch, tau) ``targets``."""
+
+    inputs: Inputs
+    targets: np.ndarray
+
+    @classmethod
+    def of(cls, samples) -> WindowBatch:
+        static, past, future, targets = stack_windows(samples)
+        return cls(Inputs.of(static, past, future), targets)
+
+
 def batch_loss_node(model, samples, q: float) -> grad.Node:
     """Mean quantile loss over all windows and forecast steps, as one graph node.
 
-    All windows go through one batched forward pass.
+    All windows go through one batched forward pass.  ``samples`` is a
+    list of windows, or a :class:`WindowBatch` that stacked them once.
     """
-    static, past, future, targets = stack_windows(samples)
-    return grad.pinball(targets, model.predict_nodes(static, past, future)[0], q)
+    batch = samples if isinstance(samples, WindowBatch) else WindowBatch.of(samples)
+    return grad.pinball(batch.targets, model.predict_nodes(batch.inputs)[0], q)
 
 
 def train(model, samples, cfg: TrainConfig) -> list[float]:
@@ -224,10 +238,12 @@ def train(model, samples, cfg: TrainConfig) -> list[float]:
     Entry 0 is the loss before any update; entry e is the loss after e
     updates.  The loss graph built for entry e drives the backward pass
     of the following epoch, so each epoch costs one forward pass.  No
-    backward pass reads the last entry's loss, so it is built without a tape.
+    backward pass reads the last entry's loss, so it is built without a
+    tape.  The windows are stacked and laid out once, for every epoch.
     """
     if not samples:
         raise ValueError("train needs at least one window")
+    batch = WindowBatch.of(samples)
     leaves = model.leaves()
     history = []
     for epoch in range(cfg.epochs + 1):
@@ -235,7 +251,7 @@ def train(model, samples, cfg: TrainConfig) -> list[float]:
             grad.backward(loss)
             grad.sgd_step(leaves, cfg.learning_rate)
         with grad.no_tape() if epoch == cfg.epochs else contextlib.nullcontext():
-            loss = batch_loss_node(model, samples, cfg.quantile)
+            loss = batch_loss_node(model, batch, cfg.quantile)
         value = float(loss.value[0])
         if not np.isfinite(value):
             raise TrainingDivergedError(epoch, value)

@@ -1,9 +1,11 @@
 """Reverse-mode differentiation over (batches of) vectors, with quantum circuits as nodes.
 
-Classical operations record closed-form backward rules on a dynamically
-built graph.  Quantum circuit evaluations enter the graph as
-:class:`QuantumNode`; their gradients with respect to both weight slots
-and feature slots come from the parameter-shift rule
+Classical operations record closed-form backward rules on a tape, which
+holds each node with a rule in creation order, after its parents (a
+Wengert list); :func:`backward` walks it newest first.  A taped forward
+starts a fresh tape (:func:`new_tape`).  Quantum circuit evaluations
+enter the graph as :class:`QuantumNode`; their gradients with respect to
+both weight slots and feature slots come from the parameter-shift rule
 
     d<Z>/d(theta) = ( <Z> at theta + pi/2  -  <Z> at theta - pi/2 ) / 2
 
@@ -41,16 +43,25 @@ from .quantum_sim import (
 # --------------------------------------------------------------------------
 
 _taping = contextvars.ContextVar("taping", default=True)
+_tape: list = []   # the process's one current tape: taped nodes with a rule, oldest first
+
+
+class TapeError(RuntimeError):
+    """A backward reached a node recorded on a superseded or already walked tape."""
+
+
+def new_tape() -> None:
+    """Start a fresh tape (not under :func:`no_tape`); the one it supersedes drops its nodes."""
+    global _tape
+    if _taping.get():
+        _tape.clear()
+        _tape = []
 
 
 @contextlib.contextmanager
 def no_tape():
-    """Compute values only: nodes built inside record no parents and no rule.
-
-    Each intermediate node is then freed as soon as nothing downstream
-    holds it, so a forward-only pass keeps no graph alive and hands the
-    garbage collector almost nothing to scan.
-    """
+    """Compute values only: nodes built inside keep no parents, no rule and no tape,
+    so each is freed as soon as nothing downstream holds it."""
     token = _taping.set(False)
     try:
         yield
@@ -66,18 +77,17 @@ class Node:
     array of exactly that parent's shape.  A contribution may be the
     upstream array itself or a view of it, so a ``grad`` may be the same
     array as another node's ``grad``: treat every ``grad`` as read-only.
+    ``tape`` is the tape a taped node with a rule is recorded on, else None.
     """
 
-    __slots__ = ("value", "grad", "parents", "backward_rule")
+    __slots__ = ("value", "grad", "parents", "backward_rule", "tape", "__weakref__")
 
     def __init__(self, value, parents=(), backward_rule=None):
         self.value = np.asarray(value, dtype=float)
-        self.grad = None
-        if _taping.get():
-            self.parents = tuple(parents)
-            self.backward_rule = backward_rule
-        else:
-            self.parents, self.backward_rule = (), None
+        self.grad, self.parents, self.backward_rule, self.tape = None, (), None, None
+        if backward_rule is not None and _taping.get():
+            self.parents, self.backward_rule, self.tape = tuple(parents), backward_rule, _tape
+            _tape.append(self)
 
     def __repr__(self):
         return f"Node(shape={self.value.shape})"
@@ -102,13 +112,11 @@ class QuantumNode(Node):
 
 
 def param(value) -> Node:
-    """Trainable leaf."""
+    """A leaf: trainable (``param``), or input data and fixed tensors (``const``)."""
     return Node(value)
 
 
-def const(value) -> Node:
-    """Non-trainable leaf (input data, fixed tensors)."""
-    return Node(value)
+const = param
 
 
 def as_node(x) -> Node:
@@ -118,41 +126,32 @@ def as_node(x) -> Node:
 def backward(loss: Node) -> None:
     """Populate ``grad`` on every node reachable from a scalar loss.
 
-    Gradients accumulate additively across fan-out: a parent's first
-    contribution becomes its ``grad`` as it is (backward rules return
-    contributions in their parents' shapes), and each later one is added
-    into a new array.  A ``grad`` may therefore be shared with other
-    nodes and must be treated as read-only.  Raises if the loss is not a
-    single scalar.
+    Walks the loss's tape newest first and retires it; later nodes go on a
+    fresh tape.  A parent's first gradient contribution becomes its ``grad``
+    as it is (rules return their parents' shapes) and each later one, in tape
+    order, is added into a new array, so treat every ``grad`` as read-only.
+    Raises ``ValueError`` for a non-scalar loss, and :class:`TapeError`
+    (gradients then incomplete) when the loss or a node it reaches lies on a
+    tape that a newer taped forward superseded or a backward walked.
     """
+    global _tape
     if loss.value.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.value.shape}")
-
-    # Iterative post-order topological sort (graphs can be deep).
-    order: list[Node] = []
-    seen: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(loss, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
-            if id(p) not in seen:
-                stack.append((p, False))
-
+    tape = loss.tape
+    if tape is not _tape and loss.backward_rule is not None:
+        raise TapeError("the loss was recorded on a superseded or already walked tape")
     loss.grad = np.ones_like(loss.value)
-    for node in reversed(order):
-        if node.backward_rule is None or node.grad is None:
+    if tape is _tape:
+        _tape = []
+    while tape:   # emptied as it is walked, so it keeps no node alive
+        node = tape.pop()
+        if node.grad is None:
             continue
-        contribs = node.backward_rule(node.grad)
-        for parent, contrib in zip(node.parents, contribs):
+        for parent, contrib in zip(node.parents, node.backward_rule(node.grad)):
             if contrib is None:
                 continue
+            if parent.tape is not tape and parent.tape is not None:
+                raise TapeError("backward reached a node of a superseded or walked tape")
             parent.grad = contrib if parent.grad is None else parent.grad + contrib
 
 
@@ -399,6 +398,8 @@ def layer_norm(x: Node, eps: float = 1e-5) -> Node:
 def mean_all(x: Node) -> Node:
     x = as_node(x)
     m = x.value.size
+    if not m:
+        raise ValueError("mean_all needs at least one entry")
     return Node(np.array([x.value.mean()]), (x,),
                 lambda u: (np.full_like(x.value, u[0] / m),))
 
@@ -414,6 +415,8 @@ def pinball(targets, predictions: Node, q: float) -> Node:
     e = y - predictions.value
     value = np.maximum((q - 1.0) * e, q * e)
     m = e.size
+    if not m:
+        raise ValueError(f"the pinball loss needs at least one entry, got shape {e.shape}")
 
     def rule(u):
         # subgradient: d max / d e, the (q - 1) e branch at the kink e = 0
@@ -487,8 +490,7 @@ def quantum_forward(circuits: ParameterizedCircuit | list[ParameterizedCircuit],
     # Equal gate lists share a plan unless the plan cache evicted one between compiles.
     if any(c.plan is not plan and c != circuit for c in circuits):
         raise CircuitError("circuits run in one call need equal gate lists")
-    feature_nodes = [as_node(f) for f in feature_nodes]
-    weight_nodes = [as_node(w) for w in weight_nodes]
+    feature_nodes, weight_nodes = ([as_node(x) for x in xs] for xs in (feature_nodes, weight_nodes))
     values, leads = plan.bind_sets([f.value for f in feature_nodes],
                                    [w.value for w in weight_nodes])
     bounds = list(itertools.accumulate(map(math.prod, leads), initial=0))
@@ -546,14 +548,12 @@ def _circuit_node(circuit: ParameterizedCircuit, feature_nodes, weight_nodes, le
         jf, jw = shift_rule_jacobians(circuit, values[:, :nf], values[:, nf:])
         u = u.reshape(z.shape)[..., None]
         gf, gw = (jf @ u)[..., 0], (jw @ u)[..., 0]
-        contribs, a = [], 0
-        for f, w, lead in zip(feature_nodes, weight_nodes, leads):
-            b = a + math.prod(lead)
+        bounds, contribs = list(itertools.accumulate(map(math.prod, leads), initial=0)), []
+        for f, w, lead, a, b in zip(feature_nodes, weight_nodes, leads, bounds, bounds[1:]):
             g = gw[a:b].reshape(lead + gw.shape[-1:])
             contribs += (_unbroadcast(gf[a:b].reshape(lead + gf.shape[-1:]), f.value.shape),
                          _unbroadcast(g, w.value.shape) if w.value.ndim < 3
                          else _per_set(g, len(w.value)).sum(axis=1).reshape(w.value.shape))
-            a = b
         return contribs
 
     value = z.reshape(leads[0] + z.shape[-1:]) if len(leads) == 1 else z

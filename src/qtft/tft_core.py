@@ -218,9 +218,9 @@ def distinct_rows(rows: np.ndarray):
 
     Returns ``(at, first)``, two integer arrays: ``rows[first]`` are the
     distinct rows, and row i equals ``rows[first[at[i]]]``.  Rows are
-    compared by their bytes, so 0.0 and -0.0 differ.  ``predict_nodes``
-    tells one entity's batch by its one distinct static row, and runs that
-    batch's selection networks on its distinct step rows.
+    compared by their bytes, so 0.0 and -0.0 differ.  :meth:`Inputs.of`
+    tells one entity's batch by its one distinct static row, and lays out
+    that batch's distinct step rows for the selection networks.
     """
     seen: dict = {}
     at, first = [], []
@@ -230,6 +230,43 @@ def distinct_rows(rows: np.ndarray):
             first.append(i)
         at.append(seen[key])
     return np.array(at), np.array(first)
+
+
+@dataclass(frozen=True)
+class Inputs:
+    """The inputs of a forward pass, laid out once for any number of passes.
+
+    ``Inputs.of`` checks that the three inputs' window axes agree and tells
+    one entity's batch, whose windows all hold one static row (by bytes).
+    ``static`` is then that one row, and ``past_distinct`` and
+    ``future_distinct`` are each ``(rows, at)`` when some step row repeats:
+    the distinct step rows as one-position rows, and the row of each
+    (window, step).  Otherwise they are None.
+    """
+
+    static: np.ndarray
+    past: np.ndarray
+    future: np.ndarray
+    past_distinct: tuple[np.ndarray, np.ndarray] | None = None
+    future_distinct: tuple[np.ndarray, np.ndarray] | None = None
+
+    @classmethod
+    def of(cls, static, past, future) -> Inputs:
+        static, past, future = (np.asarray(x, dtype=float) for x in (static, past, future))
+        leading = (static.shape[:-1], past.shape[:-2], future.shape[:-2])
+        if not leading[0] == leading[1] == leading[2]:
+            raise ValueError("static_vars, past_vars and future_vars have window shapes "
+                             f"{leading[0]}, {leading[1]} and {leading[2]}; they must agree")
+        if not (static.ndim == 2 and len(distinct_rows(static)[1]) == 1):
+            return cls(static, past, future)
+
+        def distinct(series):
+            flat = series.reshape(math.prod(series.shape[:-1]), series.shape[-1])
+            at, first = distinct_rows(flat)
+            return (flat[first, None, :], at.reshape(series.shape[:-1])) \
+                if len(first) < len(flat) else None
+
+        return cls(static[:1], past, future, distinct(past), distinct(future))
 
 
 def causal_mask(n: int) -> np.ndarray:
@@ -481,38 +518,40 @@ class TFTModel:
     def attend(self, s: Node, p, mask: np.ndarray | None) -> Node:
         return interpretable_multi_head(s, p, mask)
 
-    def predict_nodes(self, static_vars, past_vars, future_vars) -> list[Node]:
+    def predict_nodes(self, static_vars, past_vars=None, future_vars=None) -> list[Node]:
         """Forward pass returning a one-entry list: the (tau,) prediction node of the quantile.
 
         The inputs are one window, shaped (m_static,), (k, m_past) and
         (tau, m_future), or a batch of windows with one leading axis more
-        each, giving (batch, tau).  An input whose last axis does not hold
-        the model's number of variables, or whose window axes differ from
-        the others', raises ``ValueError``.
+        each, giving (batch, tau); or ``static_vars`` is :class:`Inputs`
+        holding them, laid out once for many passes.  An input whose last
+        axis does not hold the model's number of variables, or whose window
+        axes differ from the others', raises ``ValueError``.  A taped pass
+        starts a fresh tape (``grad.new_tape``).
 
         Block values are (..., T, width), and (..., k, T, width) for a block
         with a set axis; each stage makes one block call over all positions,
         and only the LSTM steps.  The static input is one position, so the
-        contexts broadcast over positions.  A batch whose windows all hold
-        one static row (by bytes), as one entity's do, runs the static path
-        once and the selection networks once per distinct step row, as
-        one-position rows that ``grad.gather`` lays out per window and step.
+        contexts broadcast over positions.  One entity's batch runs the
+        static path once and the selection networks once per distinct step
+        row, as one-position rows that ``grad.gather`` lays out per window
+        and step.
         """
         p = self.params
-        static_vars = np.asarray(static_vars, dtype=float)
-        past_vars = np.asarray(past_vars, dtype=float)
-        future_vars = np.asarray(future_vars, dtype=float)
-        for name, values, embeds in (("static_vars", static_vars, p.static_embed),
-                                     ("past_vars", past_vars, p.past_embed),
-                                     ("future_vars", future_vars, p.future_embed)):
+        if isinstance(static_vars, Inputs):
+            inputs = static_vars
+        elif past_vars is None or future_vars is None:
+            raise TypeError("predict_nodes takes the three input arrays, or one Inputs")
+        else:
+            inputs = Inputs.of(static_vars, past_vars, future_vars)
+        for name, values, embeds in (("static_vars", inputs.static, p.static_embed),
+                                     ("past_vars", inputs.past, p.past_embed),
+                                     ("future_vars", inputs.future, p.future_embed)):
             if values.shape[-1] != len(embeds.W.value):
                 raise ValueError(f"{name} has {values.shape[-1]} variables, "
                                  f"the model takes {len(embeds.W.value)}")
-        leading = (static_vars.shape[:-1], past_vars.shape[:-2], future_vars.shape[:-2])
-        if not leading[0] == leading[1] == leading[2]:
-            raise ValueError("static_vars, past_vars and future_vars have window shapes "
-                             f"{leading[0]}, {leading[1]} and {leading[2]}; they must agree")
-        k, tau = past_vars.shape[-2], future_vars.shape[-2]
+        grad.new_tape()
+        k, tau = inputs.past.shape[-2], inputs.future.shape[-2]
         mask = causal_mask(k + tau) if self.cfg.use_causal_mask else None
 
         def embed(series, embeds):
@@ -528,32 +567,21 @@ class TFTModel:
         def future(seq):
             return grad.part(seq, np.s_[..., k:k + tau, :])
 
-        one_entity = static_vars.ndim == 2 and len(distinct_rows(static_vars)[1]) == 1
-        if one_entity:   # the static path runs once
-            static_vars = static_vars[:1]
+        def selected(series, distinct, embeds, vsn):
+            """The selection network's output at every (window, step), gathered from its
+            distinct step rows when they are given."""
+            if distinct is None:
+                return self.select(embed(series, embeds), c_s, vsn)
+            rows, at = distinct
+            return grad.gather(self.select(embed(rows, embeds), c_s, vsn), at)
 
-        def selected(series, embeds, vsn):
-            """The selection network's output at every (window, step).
-
-            In one entity's batch it runs once per distinct step row, as
-            one-position rows, and a gather lays the outputs out per window
-            and step, unless no row repeats.
-            """
-            if one_entity:
-                flat = series.reshape(-1, series.shape[-1])
-                at, first = distinct_rows(flat)
-                if len(first) < len(flat):
-                    out = self.select(embed(flat[first, None, :], embeds), c_s, vsn)
-                    return grad.gather(out, at.reshape(series.shape[:-1]))
-            return self.select(embed(series, embeds), c_s, vsn)
-
-        xi_static = self.select(embed(static_vars[..., None, :], p.static_embed), None,
+        xi_static = self.select(embed(inputs.static[..., None, :], p.static_embed), None,
                                 p.static_vsn)
         contexts = self.grn(shared_input(xi_static), None, p.static_encoders)
         c_s, c_e, c_c, c_h = (grad.part(contexts, np.s_[..., i, :, :]) for i in range(4))
 
-        past_sel = selected(past_vars, p.past_embed, p.past_vsn)
-        future_sel = selected(future_vars, p.future_embed, p.future_vsn)
+        past_sel = selected(inputs.past, inputs.past_distinct, p.past_embed, p.past_vsn)
+        future_sel = selected(inputs.future, inputs.future_distinct, p.future_embed, p.future_vsn)
 
         enc_out, (h_T, c_T) = self.recur(steps(past_sel), c_h, c_c, p.encoder_lstm)
         dec_out, _ = self.recur(steps(future_sel), h_T, c_T, p.decoder_lstm)

@@ -201,32 +201,31 @@ def verify_gradient(f, x, analytic, abs_tol: float = 1e-5, rel_tol: float = 1e-4
 def zero_filling_backward(loss) -> list[tuple[object, np.ndarray]]:
     """Reference reverse pass: ``(node, gradient)`` for every node reached from ``loss``.
 
-    Visits nodes in the order :func:`qtft.grad.backward` does and calls the
-    same backward rules, but accumulates each node's gradient in a
-    zero-filled buffer of its value's shape, ``buffer = buffer + contribution``,
-    so a contribution of another shape would broadcast (or fail) instead of
-    being stored as it is.  No node's ``grad`` is read or written.
+    Visits the nodes of the current tape in the order :func:`qtft.grad.backward`
+    does, newest first, and calls the same backward rules, but accumulates
+    each node's gradient in a zero-filled buffer of its value's shape,
+    ``buffer = buffer + contribution``, so a contribution of another shape
+    would broadcast (or fail) instead of being stored as it is.  No node's
+    ``grad`` is read or written, and the tape is left as it is.
     """
-    order, seen, stack = [], set(), [(loss, False)]
+    from qtft import grad
+
+    reached, seen, stack = [], set(), [loss]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        stack.extend((p, False) for p in node.parents if id(p) not in seen)
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            reached.append(node)
+            stack.extend(node.parents)
 
     grads = {id(loss): np.ones_like(loss.value)}
-    for node in reversed(order):
-        if node.backward_rule is None or id(node) not in grads:
+    for node in reversed(grad._tape):
+        if id(node) not in grads:
             continue
         for parent, contrib in zip(node.parents, node.backward_rule(grads[id(node)])):
             if contrib is not None:
                 grads[id(parent)] = grads.get(id(parent), np.zeros_like(parent.value)) + contrib
-    return [(node, grads[id(node)]) for node in order if id(node) in grads]
+    return [(node, grads[id(node)]) for node in reached if id(node) in grads]
 
 
 # --------------------------------------------------------------------------

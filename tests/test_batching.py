@@ -742,18 +742,20 @@ def test_training_backward_never_builds_the_shifted_rows(axis_csv, monkeypatch):
         assert got.grad.tobytes() == want.grad.tobytes(), i
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the mean loss of no entries
 @pytest.mark.parametrize("kind", forecasting.MODEL_KINDS)
 def test_an_empty_batch_differentiates_to_zero_gradients(kind):
     """A taped batch of no windows runs forward, as ``predict_nodes`` allows,
-    and backward: each shift batch has no bindings, and every leaf the
-    loss reaches gets a zero gradient of its own shape."""
+    and backward from an upstream gradient of no entries: each shift batch
+    has no bindings, and every leaf the prediction reaches gets a zero
+    gradient of its own shape.  The mean loss of no entries is refused."""
     cfg = TrainConfig(model_kind=kind)
     model = forecasting.build_model(cfg, 5, 1, 1)
     k, tau = cfg.past_steps, cfg.forecast_steps
     pred = model.predict_nodes(np.zeros((0, 1)), np.zeros((0, k, 5)), np.zeros((0, tau, 1)))[0]
     assert pred.value.shape == (0, tau)
-    grad.backward(grad.pinball(np.zeros((0, tau)), pred, 0.5))
+    with pytest.raises(ValueError, match="at least one entry"):
+        grad.pinball(np.zeros((0, tau)), pred, 0.5)
+    grad.backward(grad.Node(np.zeros(1), (pred,), lambda _: (np.zeros((0, tau)),)))
     reached = [leaf for leaf in model.leaves() if leaf.grad is not None]
     assert reached
     for leaf in reached:

@@ -24,7 +24,7 @@ from qtft.forecasting import (
     window_predictions,
 )
 from qtft.qtft_core import QTFTModel
-from qtft.tft_core import TFTModel
+from qtft.tft_core import Inputs, TFTModel
 
 
 class ConstantModel:
@@ -33,8 +33,8 @@ class ConstantModel:
     def __init__(self, tau, value=0.0):
         self.bias = grad.param(np.full(tau, float(value)))
 
-    def predict_nodes(self, static, past, future):
-        return [grad.add(self.bias, np.zeros(np.shape(future)[:-1]))]
+    def predict_nodes(self, static, past=None, future=None):
+        return [grad.add(self.bias, np.zeros(predicted_shape(static, future)))]
 
     def predict(self, static, past, future):
         return self.predict_nodes(static, past, future)[0].value
@@ -44,8 +44,13 @@ class ConstantModel:
 
 
 class NaNModel(ConstantModel):
-    def predict_nodes(self, static, past, future):
-        return [grad.const(np.full(np.shape(future)[:-1], np.nan))]
+    def predict_nodes(self, static, past=None, future=None):
+        return [grad.const(np.full(predicted_shape(static, future), np.nan))]
+
+
+def predicted_shape(static, future):
+    """The prediction's shape for ``predict_nodes``'s inputs: three arrays, or one ``Inputs``."""
+    return np.shape(static.future if isinstance(static, Inputs) else future)[:-1]
 
 
 def sample_of(targets, k=2):
@@ -443,6 +448,34 @@ def test_short_run_results_are_pinned(axis_csv, kind, non_default):
     assert train(model, train_w, cfg) == pytest.approx(want_history, rel=1e-12, abs=0)
     assert evaluate(model, test_w, cfg.quantile) == pytest.approx(want_test, rel=1e-12, abs=0)
     assert model.param_count() == want_count
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_train_stacks_and_lays_out_the_windows_once(axis_csv, monkeypatch, kind):
+    """One three-epoch ``train`` call stacks the windows once and finds the
+    distinct rows of each input once; its history starts with the pinned
+    run's, and equals epochs driven by ``batch_loss_node`` on the window
+    list, which stacks them every time."""
+    from qtft import data_io, forecasting, tft_core
+    table = data_io.load_csv(axis_csv, ["Open", "High", "Low", "Last"], "Close")
+    cfg = TrainConfig(epochs=3, model_kind=kind)
+    train_w, _ = build_stock_windows(table.rows, table.column_index("Close"), cfg)
+    calls = []
+    for module, name in ((forecasting, "stack_windows"), (tft_core, "distinct_rows")):
+        monkeypatch.setattr(module, name, lambda *a, f=getattr(module, name), name=name:
+                            calls.append(name) or f(*a))
+    history = train(build_model(cfg, 5, 1, 1), train_w, cfg)
+    assert calls == ["stack_windows"] + ["distinct_rows"] * 3
+    assert history[:2] == pytest.approx(PINNED_RUNS[kind, False][0], rel=1e-12, abs=0)
+    model = build_model(cfg, 5, 1, 1)
+    replayed = []
+    for epoch in range(cfg.epochs + 1):
+        loss = batch_loss_node(model, train_w, cfg.quantile)
+        replayed.append(float(loss.value[0]))
+        if epoch < cfg.epochs:
+            grad.backward(loss)
+            grad.sgd_step(model.leaves(), cfg.learning_rate)
+    assert history == replayed
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)

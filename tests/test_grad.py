@@ -153,6 +153,50 @@ def test_no_tape_records_no_graph_and_restores_taping():
     np.testing.assert_allclose(x.grad, [1.0, 2.0], atol=0)
 
 
+def test_the_mean_of_no_entries_is_refused():
+    """Both means over no entries raise, where they gave NaN under warnings."""
+    with pytest.raises(ValueError, match="at least one entry"):
+        grad.mean_all(param(np.zeros((0, 2))))
+    with pytest.raises(ValueError, match="at least one entry"):
+        grad.pinball(np.zeros((0, 2)), param(np.zeros((0, 2))), 0.5)
+
+
+def test_backward_refuses_a_walked_or_superseded_tape():
+    """A loss, or a node it reaches, from a tape that a backward walked or
+    a fresh tape superseded raises rather than giving partial gradients."""
+    x = param([2.0])
+    h = grad.mul(x, x)
+    loss = grad.scale(h, 3.0)
+    backward(loss)
+    assert x.grad.tolist() == [12.0]
+    with pytest.raises(grad.TapeError, match="loss"):
+        backward(loss)                                   # walked
+    with pytest.raises(grad.TapeError, match="reached"):
+        backward(grad.add(h, x))                          # reaches a walked node
+    stale = grad.mul(x, x)
+    grad.new_tape()
+    with pytest.raises(grad.TapeError, match="loss"):
+        backward(stale)                                  # superseded
+    with pytest.raises(grad.TapeError, match="reached"):
+        backward(grad.add(stale, x))                     # reaches a superseded node
+    x.grad = None
+    backward(grad.mul(x, x))                             # a fresh graph differentiates
+    assert x.grad.tolist() == [4.0]
+
+
+def test_the_tape_records_taped_nodes_with_a_rule_in_creation_order():
+    grad.new_tape()
+    x = param([1.0, 2.0])
+    a = grad.tanh(x)
+    b = grad.mul(a, x)
+    with grad.no_tape():
+        grad.mul(b, b)
+        grad.new_tape()                                  # no tape to supersede
+    c = grad.add(b, a)
+    assert grad._tape == [a, b, c]
+    assert x.tape is None and {n.tape is grad._tape for n in (a, b, c)} == {True}
+
+
 def test_pinball_gradient(rng):
     y = rng.uniform(-1, 1, 6)
     p0 = rng.uniform(-1, 1, 6)

@@ -1,6 +1,8 @@
 import copy
+import gc
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from qtft import grad, tft_core
-from qtft.forecasting import TrainConfig, build_model
+from qtft.forecasting import MODEL_KINDS, TrainConfig, build_model
 from qtft.grad import Node, backward, param
 from qtft.tft_core import (
     DenseParams,
@@ -387,6 +389,53 @@ def test_inputs_of_disagreeing_window_shapes_are_rejected(rng, kind, past_shape,
             f"static_vars, past_vars and future_vars have window shapes {shapes}")):
         model.predict_nodes(np.ones((3, 1)), rng.uniform(20, 30, past_shape),
                             rng.uniform(0, 1, future_shape))
+
+
+def one_and_three_windows(rng):
+    """One window's inputs and a batch of three windows of one entity."""
+    return ((np.ones(1), rng.uniform(20, 30, (2, 5)), rng.uniform(0, 1, (2, 1))),
+            (np.ones((3, 1)), rng.uniform(20, 30, (3, 2, 5)), rng.uniform(0, 1, (3, 2, 1))))
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_a_graph_never_differentiated_dies_with_the_next_taped_forward(rng, kind):
+    """The tape holds an undifferentiated graph only until the next taped
+    forward, and frees it without the cycle collector: a loop of
+    forward-only taped passes (central differences) keeps one graph alive."""
+    model = build_model(TrainConfig(model_kind=kind), 5, 1, 1)
+    one, batch = one_and_three_windows(rng)
+    gc.disable()
+    try:
+        for inputs in (one, batch):
+            node = weakref.ref(model.predict_nodes(*inputs)[0])
+            model.predict(*inputs)
+            assert node() is not None       # an untaped forward keeps the tape
+            model.predict_nodes(*inputs)
+            assert node() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_taped_untaped_and_laid_out_forwards_agree(rng, kind):
+    """Taped, untaped and ``Inputs``-fed forwards give the same bits; an
+    untaped forward records nothing and leaves a taped loss differentiable."""
+    model = build_model(TrainConfig(model_kind=kind), 5, 1, 1)
+    for inputs in one_and_three_windows(rng):
+        want = model.predict_nodes(*inputs)[0]
+        loss = grad.pinball(np.zeros(want.value.shape), want, 0.5)
+        recorded = list(grad._tape)
+        got = model.predict(*inputs)
+        assert grad._tape == recorded
+        assert got.tobytes() == want.value.tobytes()
+        backward(loss)
+        assert all(leaf.grad is not None for leaf in model.leaves())
+        for leaf in model.leaves():
+            leaf.grad = None
+        laid_out = model.predict_nodes(tft_core.Inputs.of(*inputs))[0]
+        assert laid_out.value.tobytes() == got.tobytes()
+        with pytest.raises(TypeError, match="three input arrays, or one Inputs"):
+            model.predict_nodes(inputs[0], inputs[1])
 
 
 def test_permuting_identical_variables_is_invariant(rng):
