@@ -40,7 +40,6 @@ from .quantum_sim import (
 from .tft_core import (
     SETS,
     DenseParams,
-    LSTMParams,
     TFTModel,
     TFTParams,
     VariableSelectionParams,
@@ -253,30 +252,31 @@ def q_interpretable_multi_head(s, p: QAttentionParams,
 
 @dataclass
 class QLSTMGateParams:
+    """A QLSTM gate map; a QLSTM's four gates are one with a set axis of 4,
+    projection W (4, hidden, input + hidden) and circuit weights (4, num_weight_slots)."""
+
     proj: DenseParams          # concat(x, h) -> qubit width
     vqc: VQCBlockParams
 
 
 def init_qlstm(rng, input_dim: int, hidden: int, num_layers: int,
-               encoding: str, ansatz: str) -> LSTMParams:
+               encoding: str, ansatz: str) -> QLSTMGateParams:
     def gate():
         return QLSTMGateParams(
             proj=init_dense(rng, hidden, input_dim + hidden),
             vqc=init_vqc_block(rng, hidden, num_layers, encoding, ansatz),
         )
 
-    return LSTMParams(gate(), gate(), gate(), gate())
+    return stack_sets([gate() for _ in range(4)])
 
 
-def qlstm_gate(gates: list[QLSTMGateParams], xh) -> list[Node]:
-    """The QLSTM's gate map: each gate's circuit block on its projection of concat(x, h).
-
-    All the gates' circuits run in one simulator call.
-    """
-    return vqc_apply([dense(gp.proj, xh) for gp in gates], [gp.vqc for gp in gates])
+def qlstm_gate(p: QLSTMGateParams, xh) -> Node:
+    """The QLSTM's gate map: each gate's circuit block on its projection of ``xh``,
+    all four in one simulator call."""
+    return vqc_apply(dense(p.proj, xh), p.vqc)
 
 
-def qlstm_seq(inputs, h0, c0, p: LSTMParams):
+def qlstm_seq(inputs, h0, c0, p: QLSTMGateParams):
     """The LSTM recursion with each affine gate map replaced by a circuit block."""
     return lstm_seq(inputs, h0, c0, p, qlstm_gate)
 

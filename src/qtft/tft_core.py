@@ -36,9 +36,11 @@ if TYPE_CHECKING:
 #
 # A field marked ``SETS`` holds k blocks of one kind with a set axis: each
 # leaf holds the k blocks' leaves stacked, and its values carry the set
-# axis at -3, (..., k, T, width).  Snapshots name each block apart.
+# axis at -3, (..., k, T, width).  Snapshots name each block apart, by its
+# index, or by its label when the field's "sets" holds labels.
 
 SETS = {"sets": True}
+LSTM_GATES = {"sets": ("wi", "wf", "wg", "wo")}   # the input, forget, cell and output gates
 
 
 @dataclass
@@ -72,14 +74,6 @@ class AttentionParams:
 
 
 @dataclass
-class LSTMParams:
-    wi: DenseParams                 # gate maps; each holds a QLSTMGateParams in the QLSTM
-    wf: DenseParams
-    wg: DenseParams
-    wo: DenseParams
-
-
-@dataclass
 class VariableSelectionParams:
     """Selection over m variables: ``var_grns`` holds W1, W3 (m, d, d) and b12, b3 (m, d),
     or in the circuit model each QGRN block's weights (m, num_weight_slots)."""
@@ -97,8 +91,10 @@ class TFTParams:
     The circuit model fills the block fields with the circuit-block
     parameters of :mod:`qtft.qtft_core`; embeddings, heads and (without
     the quantum LSTM) the recurrence stay dense.  The embeddings hold one
-    (d, 1) map per variable on a set axis, W (m, d, 1) and b (m, d), and
-    the four static encoders are one GRN with a set axis of 4.
+    (d, 1) map per variable on a set axis, W (m, d, 1) and b (m, d), the
+    four static encoders are one GRN with a set axis of 4, and each LSTM's
+    gates i, f, g and o are one block with a set axis of 4, named wi, wf, wg
+    and wo in snapshots.
     """
 
     static_embed: DenseParams = field(metadata=SETS)
@@ -108,8 +104,8 @@ class TFTParams:
     past_vsn: VariableSelectionParams
     future_vsn: VariableSelectionParams
     static_encoders: GRNParams = field(metadata=SETS)   # -> c_s, c_e, c_c, c_h in this order
-    encoder_lstm: LSTMParams
-    decoder_lstm: LSTMParams
+    encoder_lstm: DenseParams = field(metadata=LSTM_GATES)   # QLSTMGateParams in the QLSTM
+    decoder_lstm: DenseParams = field(metadata=LSTM_GATES)
     post_lstm_glu: GLUParams
     enrichment: GRNParams
     attention: AttentionParams
@@ -125,11 +121,6 @@ class TFTParams:
 
 def dense(p: DenseParams, x) -> Node:
     return grad.affine(p.W, x, p.b)
-
-
-def dense_gates(ps: list[DenseParams], x) -> list[Node]:
-    """The LSTM's dense gate map: ``dense`` of each gate on ``x``, in order."""
-    return [dense(p, x) for p in ps]
 
 
 def glu(x, p: GLUParams) -> Node:
@@ -187,21 +178,23 @@ def variable_selection(embeddings, c_s, p: VariableSelectionParams, block=grn):
     return grad.weighted_sum(weights, processed), weights
 
 
-def lstm_step(x, h, c, p: LSTMParams, gate=dense_gates):
+def lstm_step(x, h, c, p, gate=dense):
     """One LSTM cell.
 
-    ``gate(params, concat(x, h))`` maps the list of the four gates'
-    parameters to their pre-activations.
+    ``gate(p, xh)`` maps ``concat(x, h)``, one input that every set reads,
+    to the pre-activations of the gates on p's set axis: i, f, g and o.
     """
     xh = grad.concat([as_node(x), h])
-    i, f, g, o = gate([p.wi, p.wf, p.wg, p.wo], xh)
+    gates = gate(p, shared_input(xh))
+    shape = xh.value.shape[:-1] + gates.value.shape[-1:]
+    i, f, g, o = (grad.part(gates, np.s_[..., j, :, :], shape) for j in range(4))
     i, f, g, o = grad.sigmoid(i), grad.sigmoid(f), grad.tanh(g), grad.sigmoid(o)
     c_new = grad.add(grad.mul(f, c), grad.mul(i, g))
     h_new = grad.mul(o, grad.tanh(c_new))
     return h_new, c_new
 
 
-def lstm_seq(inputs, h0, c0, p: LSTMParams, gate=dense_gates):
+def lstm_seq(inputs, h0, c0, p, gate=dense):
     """LSTM recursion with gate map ``gate``; returns (hidden outputs, (h_T, c_T))."""
     if not inputs:
         raise ValueError("lstm_seq needs a nonempty input sequence")
@@ -269,10 +262,13 @@ class Inputs:
         return cls(static[:1], past, future, distinct(past), distinct(future))
 
 
+@cache
 def causal_mask(n: int) -> np.ndarray:
-    """Additive attention mask hiding positions after each query position."""
+    """Additive attention mask hiding positions after each query position; built once
+    per size and read-only."""
     m = np.zeros((n, n))
     m[np.triu_indices(n, k=1)] = -1e9
+    m.flags.writeable = False
     return m
 
 
@@ -372,13 +368,9 @@ def init_vsn(rng, d_model: int, num_vars: int,
     return p if num_vars > 1 else VariableSelectionParams(p.var_grns, None, None, None)
 
 
-def init_lstm(rng, input_dim: int, hidden: int) -> LSTMParams:
-    return LSTMParams(
-        wi=init_dense(rng, hidden, input_dim + hidden),
-        wf=init_dense(rng, hidden, input_dim + hidden),
-        wg=init_dense(rng, hidden, input_dim + hidden),
-        wo=init_dense(rng, hidden, input_dim + hidden),
-    )
+def init_lstm(rng, input_dim: int, hidden: int) -> DenseParams:
+    """The four gate maps i, f, g and o on a set axis: W (4, hidden, input_dim + hidden)."""
+    return stack_sets([init_dense(rng, hidden, input_dim + hidden) for _ in range(4)])
 
 
 def init_attention(rng, d_model: int, num_heads: int) -> AttentionParams:
@@ -423,9 +415,10 @@ def init_tft(cfg: TrainConfig, num_past_vars: int, num_future_vars: int,
 def named_leaves(obj, prefix: str = "", index: int | None = None) -> list[tuple[str, Node]]:
     """Flatten a parameter tree into (dotted name, leaf node) pairs.
 
-    A ``SETS`` field names each of its blocks apart, ``field.i.rest``, block
-    by block; a block's leaf is a node whose value is a view of its slice
-    of the stacked leaf, so writing into that value sets the block's weights.
+    A ``SETS`` field names each of its blocks apart, ``field.i.rest`` or
+    ``field.label.rest`` for labelled sets, block by block; a block's leaf
+    is a node whose value is a view of its slice of the stacked leaf, so
+    writing into that value sets the block's weights.
     """
     from .quantum_sim import ParameterizedCircuit
 
@@ -436,9 +429,11 @@ def named_leaves(obj, prefix: str = "", index: int | None = None) -> list[tuple[
         for f in fields(obj):   # a circuit is cached structure, not trainable; None holds nothing
             val = getattr(obj, f.name)
             name = f"{prefix}.{f.name}" if prefix else f.name
-            if f.metadata.get("sets"):
-                for i in range(len(leaves(val)[0].value)):
-                    out.extend(named_leaves(val, f"{name}.{i}", i))
+            sets = f.metadata.get("sets")
+            if sets:
+                labels = sets if isinstance(sets, tuple) else range(len(leaves(val)[0].value))
+                for i, label in enumerate(labels):
+                    out.extend(named_leaves(val, f"{name}.{label}", i))
             else:
                 out.extend(named_leaves(val, name, index))
     return out

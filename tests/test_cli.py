@@ -1,6 +1,7 @@
 import dataclasses
 import os
 
+import numpy as np
 import pytest
 
 from qtft.cli import format_compare, gradcheck_suite, main
@@ -209,6 +210,38 @@ def test_eval_matches_train_test_loss(axis_csv, tmp_path, capsys, kind):
     assert code == 0
     evaluated = float(capsys.readouterr().out.split("eval loss:")[1].strip())
     assert evaluated == reported
+
+
+@pytest.mark.parametrize("kind,line,leaf", [
+    ("tft", "encoder_lstm.wf.b", lambda p: p.encoder_lstm.b.value[1]),
+    ("qtft-qlstm", "decoder_lstm.wg.vqc.weights", lambda p: p.decoder_lstm.vqc.weights.value[2]),
+])
+def test_eval_writes_a_labelled_gate_line_into_its_slice(axis_csv, tmp_path, monkeypatch, kind,
+                                                         line, leaf):
+    """The LSTM gates wi, wf, wg and wo are sets 0-3 of one stacked leaf: a
+    gate's snapshot line sets that gate's slice of it and nothing else."""
+    from qtft import forecasting
+    out = str(tmp_path / "run")
+    assert main(train_args(axis_csv, out, model=kind)) == 0
+    snap = os.path.join(out, "params.txt")
+    with open(snap, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    at = next(i for i, text in enumerate(lines) if text.startswith(line + " |"))
+    name, shape, values = lines[at].split(" | ")
+    edited = [0.125 * (j + 1) for j in range(len(values.split()))]
+    lines[at] = f"{name} | {shape} | {' '.join(map(repr, edited))}\n"
+    with open(snap, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    models, evaluate = [], forecasting.evaluate
+    monkeypatch.setattr(forecasting, "evaluate",
+                        lambda model, *args: models.append(model) or evaluate(model, *args))
+    assert main(["eval", "--snapshot", snap, "--data", axis_csv]) == 0
+    (model,) = models
+    np.testing.assert_array_equal(leaf(model.params), np.reshape(edited, leaf(model.params).shape))
+    named = dict(model.named_leaves())
+    for text in (text for text in lines if " | " in text):
+        name, _, values = text.rstrip("\n").split(" | ")
+        assert named[name].value.ravel().tolist() == [float(v) for v in values.split()], name
 
 
 def test_eval_missing_snapshot(axis_csv, tmp_path):

@@ -285,24 +285,37 @@ def test_q_attention_gradients(rng):
 
 def test_qlstm_zero_projection_closed_form(rng):
     p = init_qlstm(rng, 2, 2, 1, "angle", "basic")
-    for gp in (p.wi, p.wf, p.wg, p.wo):
-        gp.proj.W.value = np.zeros_like(gp.proj.W.value)
-        gp.proj.b.value = np.zeros_like(gp.proj.b.value)
+    assert (p.proj.W.value.shape, p.vqc.weights.value.shape) == ((4, 2, 4), (4, 2))
+    p.proj.W.value = np.zeros_like(p.proj.W.value)
+    p.proj.b.value = np.zeros_like(p.proj.b.value)
     # all gates see the zero vector, so they are constants of the circuits
-    def const_gate(gp, squash):
-        z = measure_all_z(run_circuit(gp.vqc.circuit, np.zeros(2), gp.vqc.weights.value))
+    def const_gate(j, squash):
+        z = measure_all_z(run_circuit(p.vqc.circuit, np.zeros(2), p.vqc.weights.value[j]))
         return squash(z)
 
     sig = lambda v: 1 / (1 + np.exp(-v))
-    i = const_gate(p.wi, sig)
-    f = const_gate(p.wf, sig)
-    g = const_gate(p.wg, np.tanh)
-    o = const_gate(p.wo, sig)
+    i = const_gate(0, sig)
+    f = const_gate(1, sig)
+    g = const_gate(2, np.tanh)
+    o = const_gate(3, sig)
     c0, h0 = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
     h1, c1 = lstm_step(rng.uniform(-1, 1, 2), param(h0), param(c0), p, qlstm_gate)
     c_want = f * c0 + i * g
     np.testing.assert_allclose(c1.value, c_want, atol=1e-12)
     np.testing.assert_allclose(h1.value, o * np.tanh(c_want), atol=1e-12)
+
+
+def test_a_qlstm_step_runs_one_projection_and_one_single_set_circuit_call(rng, monkeypatch):
+    """The four gate maps are one block with a set axis: one affine projects
+    concat(x, h) for every gate, and their circuits run as one set of one call."""
+    p = init_qlstm(rng, 2, 2, 1, "angle", "basic")
+    calls, affines, original = [], [], qtft_core.quantum_forward
+    monkeypatch.setattr(qtft_core, "quantum_forward",
+                        lambda c, f, w: calls.append(len(c)) or original(c, f, w))
+    monkeypatch.setattr(grad, "affine", lambda *a, f=grad.affine: affines.append(1) or f(*a))
+    h0, c0 = param(rng.uniform(-1, 1, (1, 1, 2))), param(rng.uniform(-1, 1, (1, 1, 2)))
+    h, _ = lstm_step(rng.uniform(-1, 1, (3, 1, 2)), h0, c0, p, qlstm_gate)
+    assert (calls, len(affines), h.value.shape) == ([1], 1, (3, 1, 2))
 
 
 def test_qlstm_hidden_state_bounded(rng):
@@ -332,6 +345,8 @@ def desk_model(kind="qtft", seed=0):
 
 
 def test_leaf_names_follow_the_dense_model():
+    """The LSTM gates are one block with a set axis labelled i, f, g and o:
+    snapshots name each gate as the four gate fields once did."""
     names = [name for name, _ in desk_model("qtft-qlstm").named_leaves()]
     for expected in ("past_vsn.var_grns.0.vqc_a.weights", "past_vsn.context_proj.W",
                      "past_vsn.weight_grn.vqc_c.weights", "encoder_lstm.wi.proj.W",
@@ -339,8 +354,11 @@ def test_leaf_names_follow_the_dense_model():
                      "decoder_lstm.wo.vqc.weights"):
         assert expected in names
     assert not [n for n in names if "qgrn" in n or "input_gate" in n or "output_gate" in n]
-    tft_vsn = [name for name, _ in desk_model("tft").named_leaves()
-               if name.startswith("past_vsn.")]
+    tft_names = [name for name, _ in desk_model("tft").named_leaves()]
+    assert [n for n in tft_names if n.startswith("encoder_lstm.")] == [
+        f"encoder_lstm.{gate}.{leaf}" for gate in ("wi", "wf", "wg", "wo") for leaf in "Wb"]
+    assert "decoder_lstm.wo.b" in tft_names
+    tft_vsn = [n for n in tft_names if n.startswith("past_vsn.")]
     assert tft_vsn and not [n for n in tft_vsn if "context_proj" in n]
 
 
@@ -391,8 +409,8 @@ def test_qtft_param_count_self_consistent():
     assert model.param_count() == total == 479
 
 
-@pytest.mark.parametrize("kind, blocks", [("qtft", 67), ("qtft-qlstm", 75)])
-def test_blocks_keep_only_the_circuits_they_run(kind, blocks):
+@pytest.mark.parametrize("kind, blocks, shared", [("qtft", 67, 28), ("qtft-qlstm", 75, 34)])
+def test_blocks_keep_only_the_circuits_they_run(kind, blocks, shared):
     # one circuit per block, and one for all k blocks of a block with a set
     # axis (k rows of weights); a QGRN gates through its QGLU's branch
     # circuits, which run after the eta2 block's circuit
@@ -409,8 +427,9 @@ def test_blocks_keep_only_the_circuits_they_run(kind, blocks):
         elif is_dataclass(obj):
             stack.extend(getattr(obj, f.name) for f in fields(obj))
     assert sum(counts) == blocks
-    # the 5 past variable QGRNs' 20 circuits and the 4 static encoders' 16 are 4 each
-    assert len(circuits) == len(counts) == blocks - 28
+    # the 5 past variable QGRNs' 20 circuits and the 4 static encoders' 16 are 4 each,
+    # and each QLSTM's 4 gate circuits are 1
+    assert len(circuits) == len(counts) == blocks - shared
     # encoding + ansatz and eta2 prefix + ansatz, at 2 and 5 qubits: the 1-qubit blocks of
     # the one-variable selection networks are built but not kept, as they never run
     assert len({c.ops for c in circuits.values()}) == 4

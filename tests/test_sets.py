@@ -1,8 +1,8 @@
 """A block with a set axis computes what its blocks compute one by one.
 
 The embeddings, the variable GRNs of a selection network, the four static
-encoders and the attention heads are each one block whose leaves carry a
-leading set axis of k blocks, and whose values carry the set axis at -3,
+encoders, the attention heads and the four gates of an LSTM cell are each
+one block whose leaves carry a leading set axis of k blocks, and whose values carry the set axis at -3,
 (..., k, T, width).  Each test runs such a block on inputs with a set axis
 (or on one input that every set reads) and compares it with its k blocks
 run one at a time on the same weights: forward values, and the gradient of
@@ -55,8 +55,9 @@ def marginals_row_by_row():
 
 
 def seeded_backward(out, u):
-    """``grad.backward`` with upstream gradient ``u`` at ``out``."""
-    grad.backward(grad.Node(np.zeros(1), (out,), lambda _: (u,)))
+    """``grad.backward`` with upstream gradient ``u`` at ``out``, or ``u[i]`` at each ``out[i]``."""
+    outs, us = ((out,), (u,)) if isinstance(out, grad.Node) else (out, u)
+    grad.backward(grad.Node(np.zeros(1), outs, lambda _: us))
 
 
 def assert_matches(got, want, exact):
@@ -176,6 +177,39 @@ def test_attention_heads_on_a_set_axis_average_as_heads_run_one_by_one(d, heads,
         assert_blocks_match(stacked, parts)
     # s reaches every head's query and key: those parts are added per set
     assert_matches(s.grad, s_alone.grad, False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([2, 4]), lead=LEADS, quantum=st.booleans(), seed=SEEDS)
+def test_lstm_gates_on_a_set_axis_step_as_the_gates_run_one_by_one(d, lead, quantum, seed):
+    """The LSTM step against the cell it replaces: each gate's own block, dense
+    or QLSTM, on concat(x, h), then the cell's arithmetic on i, f, g and o."""
+    rng = np.random.default_rng(seed)
+    if quantum:
+        p, gate = qtft_core.init_qlstm(rng, d, d, 1, "angle", "basic"), qtft_core.qlstm_gate
+    else:
+        p, gate = tft_core.init_lstm(rng, d, d), tft_core.dense
+    gates = [oracles.block(p, j) for j in range(4)]
+    values = [rng.uniform(-1, 1, lead + (d,)) for _ in range(3)]
+    x, h, c = (param(v) for v in values)
+    out = tft_core.lstm_step(x, h, c, p, gate)
+    u = [rng.normal(size=o.value.shape) for o in out]
+    seeded_backward(out, u)
+
+    x_alone, h_alone, c_alone = (param(v) for v in values)
+    xh = grad.concat([x_alone, h_alone])
+    i, f, g, o = (gate(b, xh) for b in gates)
+    i, f, g, o = grad.sigmoid(i), grad.sigmoid(f), grad.tanh(g), grad.sigmoid(o)
+    c_new = grad.add(grad.mul(f, c_alone), grad.mul(i, g))
+    alone = (grad.mul(o, grad.tanh(c_new)), c_new)
+    seeded_backward(alone, u)
+
+    for got, want in zip(out, alone):
+        assert_matches(got.value, want.value, True)
+    assert_blocks_match(p, gates)
+    # concat(x, h) feeds the four gates: its parts are added on the set axis, not one by one
+    for got, want, exact in ((x, x_alone, False), (h, h_alone, False), (c, c_alone, True)):
+        assert_matches(got.grad, want.grad, exact)
 
 
 def test_blocks_of_different_circuits_are_no_set():

@@ -1,3 +1,4 @@
+import collections
 import copy
 import gc
 import math
@@ -227,12 +228,7 @@ def test_static_encoder_gradients(rng):
 # ----------------------------------------------------------------------- LSTM
 
 def test_lstm_zero_weights_outputs_zero(rng):
-    p = tft_core.LSTMParams(
-        wi=dense_of(np.zeros((2, 4)), np.zeros(2)),
-        wf=dense_of(np.zeros((2, 4)), np.zeros(2)),
-        wg=dense_of(np.zeros((2, 4)), np.zeros(2)),
-        wo=dense_of(np.zeros((2, 4)), np.zeros(2)),
-    )
+    p = dense_of(np.zeros((4, 2, 4)), np.zeros((4, 2)))   # the four gates on a set axis
     inputs = [rng.uniform(-1, 1, 2) for _ in range(3)]
     outputs, _ = lstm_seq(inputs, np.zeros(2), np.zeros(2), p)
     for h in outputs:
@@ -248,10 +244,8 @@ def test_lstm_single_step_closed_form(rng):
     def sig(v):
         return 1 / (1 + np.exp(-v))
 
-    i = sig(p.wi.W.value @ xh + p.wi.b.value)
-    f = sig(p.wf.W.value @ xh + p.wf.b.value)
-    g = np.tanh(p.wg.W.value @ xh + p.wg.b.value)
-    o = sig(p.wo.W.value @ xh + p.wo.b.value)
+    i, f, g, o = (p.W.value[j] @ xh + p.b.value[j] for j in range(4))
+    i, f, g, o = sig(i), sig(f), np.tanh(g), sig(o)
     c_want = f * c0 + i * g
     np.testing.assert_allclose(c1.value, c_want, atol=1e-12)
     np.testing.assert_allclose(h1.value, o * np.tanh(c_want), atol=1e-12)
@@ -272,6 +266,31 @@ def test_lstm_gradients_three_steps(rng):
 def test_lstm_rejects_empty_sequence(rng):
     with pytest.raises(ValueError):
         lstm_seq([], np.zeros(2), np.zeros(2), init_lstm(rng, 2, 2))
+
+
+def test_an_lstm_step_runs_its_four_gates_as_one_affine(rng):
+    """The gates i, f, g and o are one dense block with a set axis of four:
+    one affine on concat(x, h), which every set reads, split into four parts."""
+    p = init_lstm(rng, 2, 2)
+    assert (p.W.value.shape, p.b.value.shape) == ((4, 2, 4), (4, 2))
+    h0, c0 = param(rng.uniform(-1, 1, (1, 1, 2))), param(rng.uniform(-1, 1, (1, 1, 2)))
+    h, c = tft_core.lstm_step(rng.uniform(-1, 1, (3, 1, 2)), h0, c0, p)
+    assert h.value.shape == c.value.shape == (3, 1, 2)
+    seen, stack, ops = set(), [h], collections.Counter()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node.backward_rule is not None:
+            seen.add(id(node))
+            stack.extend(node.parents)
+            ops[node.backward_rule.__qualname__.split(".")[0]] += 1
+    assert ops == {"concat": 1, "reshape": 1, "affine": 1, "part": 4, "sigmoid": 3, "tanh": 2,
+                   "mul": 3, "add": 1}
+
+
+def test_causal_mask_is_built_once_per_size_and_read_only():
+    mask = tft_core.causal_mask(4)
+    assert tft_core.causal_mask(4) is mask and not mask.flags.writeable
+    np.testing.assert_array_equal(mask, np.triu(np.full((4, 4), -1e9), k=1))
 
 
 # ------------------------------------------------------------------ attention
