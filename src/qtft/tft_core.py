@@ -262,13 +262,10 @@ class Inputs:
         return cls(static[:1], past, future, distinct(past), distinct(future))
 
 
-@cache
 def causal_mask(n: int) -> np.ndarray:
-    """Additive attention mask hiding positions after each query position; built once
-    per size and read-only."""
+    """Additive attention mask hiding positions after each query position."""
     m = np.zeros((n, n))
     m[np.triu_indices(n, k=1)] = -1e9
-    m.flags.writeable = False
     return m
 
 

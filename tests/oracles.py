@@ -10,6 +10,7 @@ simulator's tensor kernels or binding logic.
 from __future__ import annotations
 
 import cmath
+import collections
 import dataclasses
 import math
 
@@ -226,6 +227,26 @@ def zero_filling_backward(loss) -> list[tuple[object, np.ndarray]]:
             if contrib is not None:
                 grads[id(parent)] = grads.get(id(parent), np.zeros_like(parent.value)) + contrib
     return [(node, grads[id(node)]) for node in reached if id(node) in grads]
+
+
+def graph_ops(root, leaves=()) -> collections.Counter:
+    """The nodes reached from ``root``, each once, counted by the op that made them.
+
+    A node with a backward rule counts under its rule's op name (``affine``,
+    ``part``, ...); one without counts as ``leaf`` if it is one of ``leaves``,
+    else as ``const``.
+    """
+    leaf_ids = {id(leaf) for leaf in leaves}
+    seen, stack, counts = set(), [root], collections.Counter()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node.parents)
+        counts["leaf" if id(node) in leaf_ids else "const" if node.backward_rule is None
+               else node.backward_rule.__qualname__.split(".")[0]] += 1
+    return counts
 
 
 # --------------------------------------------------------------------------

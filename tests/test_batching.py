@@ -971,16 +971,7 @@ def test_training_graph_holds_one_node_per_block_with_a_set_axis(axis_csv, kind,
     takes the gates as four ``part``s; the 16 gate leaves are 4.
     """
     model, _, loss = axis_training_loss(axis_csv, kind)
-    leaves = {id(leaf) for leaf in model.leaves()}
-    seen, stack, counts = set(), [loss], {}
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.extend(node.parents)
-        op = ("leaf" if id(node) in leaves else "const" if node.backward_rule is None
-              else node.backward_rule.__qualname__.split(".")[0])
-        counts[op] = counts.get(op, 0) + 1
+    counts = oracles.graph_ops(loss, model.leaves())
     assert counts == GRAPH_OPS[kind]
-    assert (len(seen), len(seen) - counts["leaf"] - counts["const"]) == (nodes, ops)
+    total = sum(counts.values())
+    assert (total, total - counts["leaf"] - counts["const"]) == (nodes, ops)
