@@ -180,7 +180,8 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         return g
     g = g.sum(axis=tuple(range(g.ndim - len(shape))))
     kept = tuple(i for i, size in enumerate(shape) if size == 1 and g.shape[i] != 1)
-    return g.sum(axis=kept, keepdims=True) if kept else g
+    # a sum over every axis, a 0-d operand's, is a numpy scalar, not an array
+    return g.sum(axis=kept, keepdims=True) if kept else np.asarray(g)
 
 
 def add(a: Node, b: Node) -> Node:
@@ -194,11 +195,6 @@ def mul(a: Node, b: Node) -> Node:
     return Node(a.value * b.value, (a, b),
                 lambda u: (_unbroadcast(u * b.value, a.value.shape),
                            _unbroadcast(u * a.value, b.value.shape)))
-
-
-def scale(a: Node, c: float) -> Node:
-    a = as_node(a)
-    return Node(c * a.value, (a,), lambda u: (c * u,))
 
 
 def _swap(m: np.ndarray) -> np.ndarray:
@@ -450,7 +446,7 @@ def shift_rule_jacobians(circuit: ParameterizedCircuit, features, weights):
     jac = np.zeros((batch, values.shape[1], n))
     if g:
         rows = ShiftRows(plan, plan.angles(values))
-        z = all_z_from_amplitudes(run_bound_batch(circuit, rows, shifted=True), n)
+        z = all_z_from_amplitudes(run_bound_batch(circuit, rows), n)
         diff = (z[0::2] - z[1::2]).reshape(batch, g, n)
         parts = (plan.angle_partials(values) * 0.5)[:, :, None] * diff[:, plan.part_row]
         if plan.shared_slots:
@@ -474,14 +470,14 @@ def quantum_forward(circuits: ParameterizedCircuit | list[ParameterizedCircuit],
     one set: (k, 1, nw) weights, and features with the set axis at -3.
 
     A set is windowed when its features have at least three axes and more
-    than its weights.  A call of windowed sets, as every call of a batched
-    graph is, makes one :class:`QuantumNode`: its parents are every set's
-    feature and weight node, and each set's output is its rows of the node
-    (a lone set's is the node).  In other calls a windowed set is one node
-    and any other set one node per binding, fed a 1-D feature row and
-    weight row, as ``perfbench``'s circuit check reads them.  Jacobians are
-    taken at backward time, one shift batch per node; under
-    :func:`no_tape` a set's node is its plain value.
+    than its weights.  A call whose sets are all windowed, as every call of
+    a batched graph is, makes one :class:`QuantumNode`: its parents are
+    every set's feature and weight node, and each set's output is its rows
+    of the node (a lone set's is the node).  Any other call makes one node
+    per binding, fed a 1-D feature row and weight row, as ``perfbench``'s
+    circuit check reads them.  Jacobians are taken at backward time, one
+    shift batch per node; under :func:`no_tape` a set's node is its plain
+    value.
     """
     if isinstance(circuits, ParameterizedCircuit):
         return quantum_forward([circuits], [feature_nodes], [weight_nodes])[0]
@@ -500,18 +496,17 @@ def quantum_forward(circuits: ParameterizedCircuit | list[ParameterizedCircuit],
     if not _taping.get():
         return [Node(z[a:b].reshape(lead + z.shape[-1:]))
                 for lead, a, b in zip(leads, bounds, bounds[1:])]
-    windowed = [f.value.ndim >= 3 and f.value.ndim > w.value.ndim
-                for f, w in zip(feature_nodes, weight_nodes)]
-    if all(windowed):
+    if all(f.value.ndim >= 3 and f.value.ndim > w.value.ndim
+           for f, w in zip(feature_nodes, weight_nodes)):
         node = _circuit_node(circuit, feature_nodes, weight_nodes, leads, values, z)
         if len(leads) == 1:
             return [node]
         return [part(node, slice(a, b), lead + z.shape[-1:])
                 for lead, a, b in zip(leads, bounds, bounds[1:])]
     outputs = []
-    for c, f, w, whole, lead, a, b in zip(circuits, feature_nodes, weight_nodes, windowed, leads,
-                                          bounds, bounds[1:]):
-        if whole or not lead:
+    for c, f, w, lead, a, b in zip(circuits, feature_nodes, weight_nodes, leads, bounds,
+                                   bounds[1:]):
+        if not lead:
             outputs.append(_circuit_node(c, [f], [w], [lead], values[a:b], z[a:b]))
             continue
         pick = functools.cache(part)   # one node per distinct row

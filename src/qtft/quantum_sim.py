@@ -482,7 +482,7 @@ class CircuitPlan:
         return st.take(self.loc, axis=1)
 
     def run_shifts(self, rows: ShiftRows) -> np.ndarray:
-        """:meth:`run` of ``np.asarray(rows)``, bit for bit, by prefix sweeps over ``rows.base``.
+        """:meth:`run` of the rows of ``rows``, bit for bit, by prefix sweeps over ``rows.base``.
 
         ``rows`` stands for two rows per binding and gate of ``shift_gates``:
         the binding's unshifted angles, its row of ``rows.base``, with that
@@ -591,10 +591,9 @@ class ShiftRows:
 
     They are 2 B G rows, G the plan's shift gates: per row of ``base`` and
     per gate of ``plan.shift_gates``, that row with the gate's angle shifted
-    by +pi/2, then by -pi/2.  ``len`` counts them and ``np.asarray`` builds
-    them; :meth:`CircuitPlan.run_shifts` runs them from ``base`` without
-    building them.  ``base`` is (B, num_gates), as :meth:`CircuitPlan.angles`
-    gives it.
+    by +pi/2, then by -pi/2.  ``len`` counts them;
+    :meth:`CircuitPlan.run_shifts` runs them from ``base`` without building
+    them.  ``base`` is (B, num_gates), as :meth:`CircuitPlan.angles` gives it.
     """
 
     plan: CircuitPlan
@@ -609,12 +608,6 @@ class ShiftRows:
 
     def __len__(self) -> int:
         return 2 * self.plan.shift_gates.size * len(self.base)
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        (b, width), gates = self.base.shape, self.plan.shift_gates
-        rows = np.repeat(self.base, 2 * gates.size, axis=0)
-        rows.reshape(b, gates.size, 2, width)[:, np.arange(gates.size), :, gates] += _SHIFTS
-        return rows if dtype is None else rows.astype(dtype, copy=False)
 
 
 # --------------------------------------------------------------------------
@@ -650,19 +643,16 @@ def run_circuit(circuit: ParameterizedCircuit, features=(), weights=()) -> State
     return StateVector._of_plan_run(circuit.num_qubits, amps.reshape(lead + amps.shape[-1:]))
 
 
-def run_bound_batch(circuit: ParameterizedCircuit, angle_rows,
-                    shifted: bool = False) -> np.ndarray:
+def run_bound_batch(circuit: ParameterizedCircuit, angle_rows) -> np.ndarray:
     """Run one circuit under many per-gate angle bindings at once.
 
     ``angle_rows`` has shape (B, num_gates); columns for fixed gates are
     ignored.  Returns the (B, 2**n) amplitudes.  This is the kernel behind
-    batched parameter-shift evaluation.
-
-    With ``shifted``, ``angle_rows`` is the :class:`ShiftRows` of the
-    circuit's plan, which :meth:`CircuitPlan.run_shifts` runs from their
-    unshifted rows, with the result of running ``np.asarray(angle_rows)``.
+    batched parameter-shift evaluation: a :class:`ShiftRows` of the
+    circuit's plan runs by :meth:`CircuitPlan.run_shifts`, from its
+    unshifted rows.
     """
-    if shifted:
+    if isinstance(angle_rows, ShiftRows):
         return circuit.plan.run_shifts(angle_rows)
     angle_rows = np.asarray(angle_rows, dtype=float)
     if angle_rows.ndim != 2 or angle_rows.shape[1] != len(circuit.ops):

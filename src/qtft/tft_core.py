@@ -183,12 +183,14 @@ def lstm_step(x, h, c, p, gate=dense):
 
     ``gate(p, xh)`` maps ``concat(x, h)``, one input that every set reads,
     to the pre-activations of the gates on p's set axis: i, f, g and o.
+    One ``sigmoid`` and one ``tanh`` activate the whole gate block; i, f
+    and o are parts of the first, g a part of the second.
     """
     xh = grad.concat([as_node(x), h])
     gates = gate(p, shared_input(xh))
     shape = xh.value.shape[:-1] + gates.value.shape[-1:]
-    i, f, g, o = (grad.part(gates, np.s_[..., j, :, :], shape) for j in range(4))
-    i, f, g, o = grad.sigmoid(i), grad.sigmoid(f), grad.tanh(g), grad.sigmoid(o)
+    s, t = grad.sigmoid(gates), grad.tanh(gates)
+    i, f, g, o = (grad.part(a, np.s_[..., j, :, :], shape) for j, a in enumerate((s, s, t, s)))
     c_new = grad.add(grad.mul(f, c), grad.mul(i, g))
     h_new = grad.mul(o, grad.tanh(c_new))
     return h_new, c_new
@@ -272,7 +274,7 @@ def causal_mask(n: int) -> np.ndarray:
 def attention(q, k, v, d_attn: float, mask: np.ndarray | None = None) -> Node:
     """Scaled dot-product attention: row-wise softmax(Q K^T / sqrt(d_attn)) V."""
     q, k, v = as_node(q), as_node(k), as_node(v)
-    scores = grad.scale(grad.matmul(q, grad.transpose(k)), 1.0 / math.sqrt(d_attn))
+    scores = grad.mul(grad.matmul(q, grad.transpose(k)), 1.0 / math.sqrt(d_attn))
     if mask is not None:
         scores = grad.add(scores, grad.const(mask))
     return grad.matmul(softmax(scores), v)

@@ -199,6 +199,17 @@ def verify_gradient(f, x, analytic, abs_tol: float = 1e-5, rel_tol: float = 1e-4
     return True
 
 
+def shifted_rows(rows) -> np.ndarray:
+    """The full parameter-shift rows a ShiftRows stands for, built one by one:
+    per binding, per shift gate, the binding's angles with that gate's
+    shifted by +pi/2, then by -pi/2."""
+    (b, width), gates = rows.base.shape, rows.plan.shift_gates
+    full = np.repeat(rows.base, 2 * gates.size, axis=0)
+    shifts = [math.pi / 2, -math.pi / 2]
+    full.reshape(b, gates.size, 2, width)[:, np.arange(gates.size), :, gates] += shifts
+    return full
+
+
 def zero_filling_backward(loss) -> list[tuple[object, np.ndarray]]:
     """Reference reverse pass: ``(node, gradient)`` for every node reached from ``loss``.
 

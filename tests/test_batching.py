@@ -239,10 +239,11 @@ def test_quantum_forward_of_many_sets_matches_each_set_run_alone(seed, sets, win
     node).  Its backward rule is checked against the Jacobians of the same
     joined rows; ``test_call_node_differentiates_as_each_set_run_alone``
     compares it with each set's own call.  Otherwise each set keeps its own
-    nodes: one over all rows of a windowed set, one per position of an
-    unbatched sequence, each with its own circuit and rows.  (Every set had
-    its own nodes, with ``feature_parent``/``weight_parent``, before a
-    windowed call became one node.)"""
+    nodes, one per binding, each with its own circuit, its 1-D feature row
+    and its weights.  (Every set had its own nodes, with
+    ``feature_parent``/``weight_parent``, before a windowed call became one
+    node; a windowed set in a call that was not all windowed was one node
+    over all its rows until such calls took one node per binding.)"""
     rng = np.random.default_rng(seed)
     circ, _, _ = oracles.random_circuit(rng, max_qubits=5, max_depth=12)
     n, nf, nw = circ.num_qubits, circ.num_feature_slots, circ.num_weight_slots
@@ -300,13 +301,10 @@ def test_quantum_forward_of_many_sets_matches_each_set_run_alone(seed, sets, win
                 np.testing.assert_array_equal(contribs[2 * i], jf[a:b, :, q].reshape(lead + (nf,)))
                 np.testing.assert_array_equal(contribs[2 * i + 1],
                                               jw[a:b, :, q].reshape(lead + (nw,)).sum(axis=(0, 1)))
-    else:
+    else:   # one node per binding
         for c, f, w, lead, out in zip(circuits, features, weights, leads, outs):
-            windowed = len(lead) > 1
-            if windowed:   # one node over all the set's rows
-                nodes, rows, values = [out], [f.value], [out.value]
-            else:          # one node per position
-                nodes, rows, values = out.parents[0].parents, f.value, out.value
+            nodes = out.parents[0].parents
+            rows, values = f.value.reshape(math.prod(lead), nf), out.value.reshape(-1, n)
             assert len(nodes) == len(rows)
             for node, row, row_value in zip(nodes, rows, values):
                 assert isinstance(node, grad.QuantumNode) and node.circuit is c
@@ -321,9 +319,8 @@ def test_quantum_forward_of_many_sets_matches_each_set_run_alone(seed, sets, win
                     u = np.zeros(node.value.shape)
                     u[..., q] = 1.0
                     rule_f, rule_w = node.backward_rule(u)
-                    np.testing.assert_array_equal(rule_f, jf[..., q])
-                    np.testing.assert_array_equal(rule_w, jw[..., q].sum(axis=(0, 1))
-                                                  if windowed else jw[:, q])
+                    np.testing.assert_array_equal(rule_f, jf[:, q])
+                    np.testing.assert_array_equal(rule_w, jw[:, q])
 
     other = quantum_sim.ParameterizedCircuit(n, circ.ops + (quantum_sim.Gate("H", (0,)),),
                                              nf, nw)
@@ -707,7 +704,7 @@ def test_training_graph_differentiates_past_selection_through_the_prefix_sweep(
         assert n == 5
         with monkeypatch.context() as mp:
             mp.setattr(grad, "run_bound_batch",
-                       lambda c, angle_rows, shifted: quantum_sim.run_bound_batch(c, angle_rows))
+                       lambda c, rows: quantum_sim.run_bound_batch(c, oracles.shifted_rows(rows)))
             jf, jw = grad.shift_rule_jacobians(circ, values[:, :nf], values[:, nf:])
         bounds = np.cumsum([0] + [math.prod(lead) for lead in leads])
         for q in range(n):
@@ -724,19 +721,19 @@ def test_training_graph_differentiates_past_selection_through_the_prefix_sweep(
 def test_training_backward_never_builds_the_shifted_rows(axis_csv, monkeypatch):
     """The backward of the 17-window training loss in desk-qtft's
     configuration (qtft, d_model 2, angle encoding, basic entangler, 2 + 2
-    steps) runs every shift batch from its unshifted rows: with the full
-    rows refusing to be built, it gives every leaf the gradient that
-    running those rows one full row at a time gives."""
-    def refuse(self, dtype=None, copy=None):
-        raise AssertionError("the full parameter-shift rows were built")
+    steps) runs every shift batch from its unshifted rows: with
+    ``CircuitPlan.run`` refusing to run any row, it gives every leaf the
+    gradient that running the full shifted rows one by one gives."""
+    def refuse(self, angle_rows, start=None):
+        raise AssertionError("the backward ran rows from |0...0>")
 
     model, _, loss = axis_training_loss(axis_csv)
     with monkeypatch.context() as mp:
-        mp.setattr(quantum_sim.ShiftRows, "__array__", refuse)
+        mp.setattr(quantum_sim.CircuitPlan, "run", refuse)
         grad.backward(loss)
     want_model, _, want_loss = axis_training_loss(axis_csv)
     monkeypatch.setattr(grad, "run_bound_batch",
-                        lambda c, angle_rows, shifted: quantum_sim.run_bound_batch(c, angle_rows))
+                        lambda c, rows: quantum_sim.run_bound_batch(c, oracles.shifted_rows(rows)))
     grad.backward(want_loss)
     leaves, want_leaves = model.leaves(), want_model.leaves()
     assert len(leaves) == len(want_leaves) == 55
@@ -785,8 +782,7 @@ def test_training_graph_runs_each_distinct_step_row_once(axis_csv, monkeypatch, 
     batches = []
     original = grad.run_bound_batch
     monkeypatch.setattr(grad, "run_bound_batch",
-                        lambda c, angle_rows, shifted=False: batches.append(len(angle_rows))
-                        or original(c, angle_rows, shifted))
+                        lambda c, rows: batches.append(len(rows)) or original(c, rows))
     grad.backward(loss)
     assert (len(batches), sum(batches)) == (nodes, rows)
 
@@ -938,18 +934,18 @@ def test_every_leaf_gradient_of_a_stride_one_batch_matches_central_differences(k
 
 
 GRAPH_OPS = {   # the 17-window desk training graph, nodes by op
-    "tft": {"add": 16, "affine": 43, "concat": 6, "const": 3, "elu": 7, "gather": 2,
-            "layer_norm": 10, "leaf": 88, "matmul": 6, "matvec": 2, "mul": 22, "part": 27,
-            "pinball": 1, "reshape": 12, "scale": 1, "set_mean": 1, "sigmoid": 22,
-            "softmax": 2, "tanh": 8, "transpose": 2, "weighted_sum": 1},
-    "qtft": {"_circuit_node": 18, "add": 16, "affine": 10, "concat": 20, "const": 3, "elu": 7,
-             "gather": 2, "layer_norm": 10, "leaf": 55, "matmul": 2, "mul": 22, "part": 54,
-             "pinball": 1, "reshape": 26, "scale": 1, "set_mean": 1, "sigmoid": 22,
-             "softmax": 2, "tanh": 8, "transpose": 2, "weighted_sum": 1},
+    "tft": {"add": 16, "affine": 43, "concat": 6, "const": 4, "elu": 7, "gather": 2,
+            "layer_norm": 10, "leaf": 88, "matmul": 6, "matvec": 2, "mul": 23, "part": 27,
+            "pinball": 1, "reshape": 12, "set_mean": 1, "sigmoid": 14, "softmax": 2,
+            "tanh": 8, "transpose": 2, "weighted_sum": 1},
+    "qtft": {"_circuit_node": 18, "add": 16, "affine": 10, "concat": 20, "const": 4, "elu": 7,
+             "gather": 2, "layer_norm": 10, "leaf": 55, "matmul": 2, "mul": 23, "part": 54,
+             "pinball": 1, "reshape": 26, "set_mean": 1, "sigmoid": 14, "softmax": 2,
+             "tanh": 8, "transpose": 2, "weighted_sum": 1},
 }
 
 
-@pytest.mark.parametrize("kind,nodes,ops", [("tft", 282, 191), ("qtft", 283, 225)])
+@pytest.mark.parametrize("kind,nodes,ops", [("tft", 275, 183), ("qtft", 276, 217)])
 def test_training_graph_holds_one_node_per_block_with_a_set_axis(axis_csv, kind, nodes, ops):
     """Node counts by op of the desk training graph, pinned so that a list
     of blocks coming back, or a stage losing its set axis, fails a count.
@@ -969,6 +965,12 @@ def test_training_graph_holds_one_node_per_block_with_a_set_axis(axis_csv, kind,
     ``reshape``s).  Each of the 4 LSTM steps of a forward runs one ``affine``
     where it ran four, on one shared-input ``reshape`` of concat(x, h), and
     takes the gates as four ``part``s; the 16 gate leaves are 4.
+
+    Before one ``sigmoid`` and one ``tanh`` activated each step's whole gate
+    block, a step applied three ``sigmoid``s and a ``tanh`` to its four
+    parts: 22 ``sigmoid``s where 14 are, and ``tft`` held 282 nodes (191
+    ops) and ``qtft`` 283 (225 ops).  The attention's 1/sqrt(d) is a
+    ``mul`` by a fourth ``const``, where it was a ``scale`` node.
     """
     model, _, loss = axis_training_loss(axis_csv, kind)
     counts = oracles.graph_ops(loss, model.leaves())

@@ -199,10 +199,15 @@ def test_out_dir_env_var(axis_csv, tmp_path, monkeypatch):
     assert os.path.exists(os.path.join(target, "report.txt"))
 
 
+@pytest.mark.parametrize("flags", [(), ("--encoding", "zz", "--ansatz", "nlocal", "--heads", "2",
+                                    "--causal-mask")])
 @pytest.mark.parametrize("kind", MODEL_KINDS)
-def test_eval_matches_train_test_loss(axis_csv, tmp_path, capsys, kind):
+def test_eval_matches_train_test_loss(axis_csv, tmp_path, capsys, kind, flags):
+    """A snapshot's eval gives the test loss its training reported, also
+    through a two-head attention (``attention.query_blocks.1.*``), the zz
+    encoding, the n-local ansatz and the causal mask."""
     out = str(tmp_path / "run")
-    assert main(train_args(axis_csv, out, model=kind)) == 0
+    assert main(train_args(axis_csv, out, flags, model=kind)) == 0
     trained = capsys.readouterr().out
     reported = float(trained.split("final test loss:")[1].splitlines()[0].strip())
     code = main(["eval", "--snapshot", os.path.join(out, "params.txt"),

@@ -77,7 +77,7 @@ def test_backward_rejects_non_scalar():
 
 def test_fanout_accumulates():
     x = param([2.0])
-    loss = grad.add(grad.mul(x, x), grad.scale(x, 3.0))  # x^2 + 3x -> 2x + 3
+    loss = grad.add(grad.mul(x, x), grad.mul(x, 3.0))  # x^2 + 3x -> 2x + 3
     backward(loss)
     np.testing.assert_allclose(x.grad, [7.0], atol=1e-15)
 
@@ -166,7 +166,7 @@ def test_backward_refuses_a_walked_or_superseded_tape():
     a fresh tape superseded raises rather than giving partial gradients."""
     x = param([2.0])
     h = grad.mul(x, x)
-    loss = grad.scale(h, 3.0)
+    loss = grad.mul(h, 3.0)
     backward(loss)
     assert x.grad.tolist() == [12.0]
     with pytest.raises(grad.TapeError, match="loss"):
@@ -233,7 +233,7 @@ def _graphs_of_every_op(rng, lead):
     m, mt = leaf(*lead, 2, 3), leaf(3, 4)
     circ = compose(angle_embedding(2), basic_entangler_layers(2, 1))
     return [
-        grad.add(x, v), grad.add(v, x), grad.mul(x, v), grad.mul(v, y), grad.scale(x, -2.0),
+        grad.add(x, v), grad.add(v, x), grad.mul(x, v), grad.mul(v, y), grad.mul(x, -2.0),
         grad.matvec(leaf(2, 3), x), grad.affine(leaf(2, 3), x, leaf(2)),
         grad.matmul(m, mt), grad.matmul(leaf(4, 2), m), grad.matmul(m, leaf(*lead, 3, 2)),
         grad.transpose(m), grad.concat([x, y]),
@@ -379,7 +379,7 @@ def _random_fan_out_graph(rng, batch):
              grad.const(rng.uniform(-1, 1, batch + (3,)))]
     w, w2, w6 = (param(rng.uniform(-1, 1, shape)) for shape in [(3, 3), (2, 3), (3, 6)])
     ops = [
-        grad.add, grad.mul, lambda a, b: grad.scale(a, -0.5), lambda a, b: grad.tanh(a),
+        grad.add, grad.mul, lambda a, b: grad.mul(a, -0.5), lambda a, b: grad.tanh(a),
         lambda a, b: grad.elu(a), lambda a, b: grad.layer_norm(a),
         lambda a, b: grad.matvec(w, a),
         lambda a, b: _weighted_pair(grad.softmax(grad.matvec(w2, a)), a, b),

@@ -474,14 +474,6 @@ def test_circuits_are_equal_exactly_when_every_field_of_every_gate_is():
 
 # ------------------------------------------------------- parameter-shift sweeps
 
-def shifted_rows(angles, gates):
-    """The full parameter-shift rows a ShiftRows stands for: per binding, per gate, + then -."""
-    (b, width), g = angles.shape, len(gates)
-    rows = np.repeat(angles, 2 * g, axis=0)
-    rows.reshape(b, g, 2, width)[:, np.arange(g), :, gates] += [math.pi / 2, -math.pi / 2]
-    return rows
-
-
 def shift_batch(circ, bindings):
     """The features and weights of ``bindings``, stacked, and their ShiftRows."""
     feats = np.stack([f for f, _ in bindings])
@@ -492,8 +484,8 @@ def shift_batch(circ, bindings):
 @settings(max_examples=200, deadline=None)
 @given(bound_circuits(count=4), st.data())
 def test_shift_rows_stand_for_the_full_rows_bit_for_bit(case, data):
-    """ShiftRows count and build the full parameter-shift rows, and the sweep
-    from their unshifted rows gives a plain run of those rows."""
+    """ShiftRows count the full parameter-shift rows, and the sweep from their
+    unshifted rows gives a plain run of those rows."""
     circ, bindings = case
     plan = circ.plan
     if not plan.shift_gates.size:
@@ -501,12 +493,9 @@ def test_shift_rows_stand_for_the_full_rows_bit_for_bit(case, data):
     b = data.draw(st.integers(0, 4))
     rows = ShiftRows(plan, bind_angles(circ, np.stack([f for f, _ in bindings])[:b],
                                        np.stack([w for _, w in bindings])[:b]))
-    full = shifted_rows(rows.base, plan.shift_gates)
+    full = oracles.shifted_rows(rows)
     assert len(rows) == 2 * b * plan.shift_gates.size == len(full)
-    built = np.asarray(rows)
-    assert built.shape == full.shape and built.dtype == full.dtype
-    assert built.tobytes() == full.tobytes()
-    swept = run_bound_batch(circ, rows, shifted=True)
+    swept = run_bound_batch(circ, rows)
     plain = run_bound_batch(circ, full)
     assert swept.shape == plain.shape == (len(full), 2 ** circ.num_qubits)
     assert swept.tobytes() == plain.tobytes()
@@ -521,13 +510,13 @@ def test_prefix_sweep_matches_full_rows_bit_for_bit(case, data):
         return
     b = data.draw(st.integers(1, 4))
     feats, wts, rows = shift_batch(circ, bindings[:b])
-    swept = run_bound_batch(circ, rows, shifted=True)
-    np.testing.assert_array_equal(swept, run_bound_batch(circ, rows))
+    swept = run_bound_batch(circ, rows)
+    np.testing.assert_array_equal(swept, run_bound_batch(circ, oracles.shifted_rows(rows)))
     if not plan.crz_slots:
         swept_jac = grad.shift_rule_jacobians(circ, feats, wts)
         with pytest.MonkeyPatch.context() as mp:   # every shifted row run from |0...0>
             mp.setattr(grad, "run_bound_batch",
-                       lambda c, angle_rows, shifted: run_bound_batch(c, angle_rows))
+                       lambda c, rows: run_bound_batch(c, oracles.shifted_rows(rows)))
             for got, want in zip(swept_jac, grad.shift_rule_jacobians(circ, feats, wts)):
                 np.testing.assert_array_equal(got, want)
 
@@ -537,13 +526,13 @@ def test_prefix_sweep_chunks_bindings_within_the_coefficient_budget(monkeypatch)
     rng = np.random.default_rng(4)
     rows = ShiftRows(circ.plan, bind_angles(circ, rng.uniform(-1, 1, (5, 3)),
                                             rng.uniform(-3, 3, 6)))
-    full = run_bound_batch(circ, rows)
+    full = run_bound_batch(circ, oracles.shifted_rows(rows))
     chunks = []
     sweep = quantum_sim.CircuitPlan._prefix_sweep
     monkeypatch.setattr(quantum_sim.CircuitPlan, "_prefix_sweep",
                         lambda self, base, out: chunks.append(len(base)) or sweep(self, base, out))
     monkeypatch.setattr(quantum_sim, "COEFF_BYTES", 1)      # one binding per chunk
-    np.testing.assert_array_equal(run_bound_batch(circ, rows, shifted=True), full)
+    np.testing.assert_array_equal(run_bound_batch(circ, rows), full)
     assert chunks == [1] * 5
 
 
@@ -558,7 +547,7 @@ def test_prefix_sweeps_return_arrays_of_their_own(bindings):
     rows = ShiftRows(circ.plan, angles)
     first = circ.plan.run_shifts(rows)
     second = circ.plan.run_shifts(ShiftRows(circ.plan, angles.copy()))
-    np.testing.assert_array_equal(first, run_bound_batch(circ, rows))
+    np.testing.assert_array_equal(first, run_bound_batch(circ, oracles.shifted_rows(rows)))
     np.testing.assert_array_equal(first, second)
     for out in (first, second):
         assert not np.shares_memory(out, quantum_sim._sweep_workspace)
@@ -572,12 +561,12 @@ def test_shift_gates_are_validated():
     np.testing.assert_array_equal(circ.plan.shift_gates, [1])
     angles = bind_angles(circ, [], [[0.2], [0.4]])
     rows = ShiftRows(circ.plan, angles)
-    run_bound_batch(circ, rows, shifted=True)
+    run_bound_batch(circ, rows)
     literal = ParameterizedCircuit(1, (Gate("RY", (0,), LiteralAngle(0.3)),))
     with pytest.raises(BindingError, match="shift gates"):   # the full rows as an array
-        run_bound_batch(circ, shifted_rows(angles, [1]), shifted=True)
+        circ.plan.run_shifts(oracles.shifted_rows(rows))
     with pytest.raises(BindingError, match="shift gates"):   # another plan's rows
-        run_bound_batch(compose(circ, circ), rows, shifted=True)
+        run_bound_batch(compose(circ, circ), rows)
     for plan, base in [(literal.plan, np.zeros((2, 1))),    # no shift gates
                        (circ.plan, angles[:, :3]), (circ.plan, angles[0])]:   # wrong shape
         with pytest.raises(BindingError, match="shift gates"):
@@ -590,8 +579,8 @@ def test_zero_binding_shift_batches_give_empty_jacobians(n, lead):
     jf, jw = grad.shift_rule_jacobians(circ, np.zeros(lead + (n,)), np.full(2 * n, 0.2))
     assert jf.shape == lead + (n, n) and jw.shape == lead + (2 * n, n)
     rows = ShiftRows(circ.plan, np.zeros((0, circ.num_gates)))
-    assert len(rows) == 0 and np.asarray(rows).shape == (0, circ.num_gates)
-    amps = run_bound_batch(circ, rows, shifted=True)
+    assert len(rows) == 0 and oracles.shifted_rows(rows).shape == (0, circ.num_gates)
+    amps = run_bound_batch(circ, rows)
     assert amps.shape == (0, 2 ** n) and amps.dtype == complex
     assert run_bound_batch(circ, np.zeros((0, circ.num_gates))).shape == (0, 2 ** n)
 
@@ -606,10 +595,35 @@ def test_plan_shift_rows_run_as_plain_rows_on_both_paths(case):
     if not plan.shift_gates.size:
         return
     _, _, rows = shift_batch(circ, bindings)
-    np.testing.assert_array_equal(run_bound_batch(circ, rows, shifted=True),
-                                  run_bound_batch(circ, rows))
+    np.testing.assert_array_equal(run_bound_batch(circ, rows),
+                                  run_bound_batch(circ, oracles.shifted_rows(rows)))
     with pytest.raises(BindingError, match="shift gates"):
-        run_bound_batch(circ, np.asarray(rows), shifted=True)
+        circ.plan.run_shifts(oracles.shifted_rows(rows))
+
+
+def test_run_bound_batch_sweeps_a_shift_batch_and_runs_an_array_as_given(monkeypatch):
+    """A ShiftRows is told by its type: it is swept from its unshifted rows,
+    never built and run from |0...0>, while the same rows as an array run
+    as given, and both give the same amplitudes bit for bit.  Another
+    plan's ShiftRows is refused."""
+    circ = compose(zz_feature_map(2), basic_entangler_layers(2, 2))
+    rng = np.random.default_rng(8)
+    _, _, rows = shift_batch(circ, [(rng.uniform(-1, 1, 2), rng.uniform(-3, 3, 4))
+                                    for _ in range(3)])
+    full = oracles.shifted_rows(rows)
+    runs = []
+    run = quantum_sim.CircuitPlan.run
+    monkeypatch.setattr(quantum_sim.CircuitPlan, "run",
+                        lambda self, angle_rows, start=None:
+                        runs.append(len(angle_rows)) or run(self, angle_rows, start))
+    swept = run_bound_batch(circ, rows)
+    assert runs == []
+    plain = run_bound_batch(circ, full)
+    assert runs == [len(full)] == [len(rows)]
+    assert swept.shape == plain.shape and swept.tobytes() == plain.tobytes()
+    other = compose(angle_embedding(2), basic_entangler_layers(2, 2))
+    with pytest.raises(BindingError, match="shift gates"):
+        run_bound_batch(other, rows)
 
 
 @settings(max_examples=200, deadline=None)

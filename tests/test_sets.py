@@ -167,7 +167,7 @@ def test_attention_heads_on_a_set_axis_average_as_heads_run_one_by_one(d, heads,
     for qb, kb in own:
         head = tft_core.attention(*project(s_alone, qb, kb), width)
         total = head if total is None else grad.add(total, head)
-    alone = grad.scale(total, 1.0 / heads)
+    alone = grad.mul(total, 1.0 / heads)
     if not quantum:
         alone = grad.matmul(alone, p.wh)
     seeded_backward(alone, u)
